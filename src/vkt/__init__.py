@@ -12,6 +12,7 @@ from .errors import (
     Degenerate,
     GroupTooLarge,
     InvalidCartanData,
+    InvariantError,
     NotATorus,
     NotEquivariant,
     NotPrimitive,
@@ -68,6 +69,7 @@ __all__ = [
     # errors
     "VktError", "InvalidCartanData", "NotTorsionFreePi1", "GroupTooLarge",
     "Degenerate", "NotEquivariant", "NotPrimitive", "NotATorus", "SpecParseError",
+    "InvariantError",
     # integer lattices
     "IntMatrix", "SmithDecomposition", "FiniteAbelianGroup",
     "smith_normal_form", "cokernel_structure", "kernel_basis",

@@ -3,7 +3,8 @@
 Elements are stored as the canonical residue of an integer polynomial
 modulo the m-th cyclotomic polynomial, so is_zero is exactly "equals 0
 in the complex numbers".  Mixed-order sums are pushed to the lcm order
-before reduction.
+before reduction.  CyclotomicPacking holds many such elements, all at one
+order, in one Python integer, for bulk sums and products.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+
+from .errors import InvariantError
 
 
 # -- integer polynomials (dense tuples, ascending degree) -------------------
@@ -54,7 +57,8 @@ def poly_divmod_exact(p, q):
 def cyclotomic_polynomial(m):
     """The m-th cyclotomic polynomial Phi_m, as a coefficient tuple.
 
-    Computed by dividing x^m - 1 by Phi_d over the proper divisors d of m.
+    Computed by dividing x^m - 1 by Phi_d over the proper divisors d of m;
+    raises InvariantError if a division leaves a remainder.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -67,8 +71,25 @@ def cyclotomic_polynomial(m):
     for d in range(1, m):
         if m % d == 0:
             p, rem = poly_divmod_exact(p, cyclotomic_polynomial(d))
-            assert rem == ()
+            if rem:
+                raise InvariantError(f"Phi_{d} does not divide x^{m} - 1 exactly")
     return p
+
+
+@lru_cache(maxsize=None)
+def residue_bound(m):
+    """The largest |coefficient| of x^j mod Phi_m over 0 <= j < m.
+
+    A polynomial with coefficient 1-norm L has residue mod Phi_m bounded by
+    L * residue_bound(m) in every coefficient."""
+    phi = cyclotomic_polynomial(m)
+    residue = [1] + [0] * (len(phi) - 2)     # x^0 mod Phi_m
+    bound = 1
+    for _ in range(m):
+        top = residue[-1]                     # multiply by x, then reduce
+        residue = [lower - top * p for lower, p in zip([0] + residue[:-1], phi)]
+        bound = max(bound, *map(abs, residue))
+    return bound
 
 
 class CyclotomicInt:
@@ -182,6 +203,55 @@ class CyclotomicInt:
         return f"CyclotomicInt(order={self.order}, coeffs={self.coeffs})"
 
 
+class CyclotomicPacking:
+    """Kronecker packing of vectors of elements of Z[zeta_m] into one Python
+    integer each.
+
+    The coefficient of zeta_m^k in component c sits in a signed slot of
+    `bits` bits at bit bits * (c + slots * k).  Sums of packed integers add
+    every component, and a product with a packed single-component factor
+    multiplies every component by it, at the speed of integer arithmetic.
+    reduce() takes the residue mod Phi_m of every component at once, as the
+    balanced remainder mod Phi_m(2**(slots * bits)).  Results are exact
+    while each residue coefficient stays below the `bound` given, which is
+    the caller's a-priori bound; slots keep two spare bits above it."""
+
+    def __init__(self, order, slots, bound):
+        phi = cyclotomic_polynomial(order)
+        # Phi_m(2**chunk) > 3/4 * 2**(chunk * deg) needs sum |p_i| < 2**bits / 4
+        bound = max(bound, sum(map(abs, phi)))
+        self.order = order
+        self.bits = 8 * ((bound.bit_length() + 1) // 8 + 1)
+        self.chunk = slots * self.bits           # one power of zeta_m
+        self.modulus = sum(p << (self.chunk * k) for k, p in enumerate(phi))
+
+    def pack(self, bins, slot=0):
+        """sum_k bins[k] zeta_m^k, in component `slot`."""
+        return sum(v << (self.chunk * k + self.bits * slot)
+                   for k, v in enumerate(bins) if v)
+
+    def reduce(self, value):
+        """The packed residue mod Phi_m of every component."""
+        span = self.chunk * self.order
+        while value >> span not in (0, -1):      # zeta_m^m = 1
+            value = (value & ((1 << span) - 1)) + (value >> span)
+        r = value % self.modulus
+        return r - self.modulus if 2 * r > self.modulus else r
+
+    def integers(self, value):
+        """The rational integer in each component of a reduced value, or
+        None when some component is not a rational integer."""
+        if value >> (self.chunk - 1) not in (0, -1):
+            return None
+        bits = self.bits
+        half = 1 << (bits - 1)
+        offset = half * (((1 << self.chunk) - 1) // ((1 << bits) - 1))
+        raw = (value + offset).to_bytes(self.chunk // 8, "little")
+        step = bits // 8
+        return [int.from_bytes(raw[i:i + step], "little") - half
+                for i in range(0, len(raw), step)]
+
+
 # -- evaluation of weights and characters ------------------------------------
 
 def pairing_fraction(weight, point):
@@ -222,156 +292,10 @@ def eval_weight_combination_at_point(rd, combo, point) -> CyclotomicInt:
     return total
 
 
-# -- exact linear algebra over Q(zeta_m) -------------------------------------
-# Minimal field arithmetic for the character-table cross-check: elements are
-# Fraction-coefficient residues mod Phi_m.  Division only; nothing fancier.
-
-def _fpoly_trim(p):
-    n = len(p)
-    while n and p[n - 1] == 0:
-        n -= 1
-    return tuple(p[:n])
-
-
-def _fpoly_mod(p, phi):
-    rem = [Fraction(c) for c in p]
-    dq = len(phi) - 1
-    for i in range(len(rem) - 1, dq - 1, -1):
-        c = rem[i]
-        if c:
-            for j, b in enumerate(phi):
-                rem[i - dq + j] -= c * b
-    return _fpoly_trim(rem)
-
-
-def _fpoly_mul_mod(p, q, phi):
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _fpoly_mod(out, phi)
-
-
-def _fpoly_sub(p, q):
-    n = max(len(p), len(q))
-    return _fpoly_trim([(p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0)
-                        for i in range(n)])
-
-
-def _fpoly_mul(p, q):
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _fpoly_trim(out)
-
-
-def _fpoly_divmod(p, q):
-    """Division with remainder over Q; q need not be monic."""
-    rem = [Fraction(c) for c in p]
-    quo = [Fraction(0)] * max(len(rem) - len(q) + 1, 1)
-    dq = len(q) - 1
-    for i in range(len(rem) - 1, dq - 1, -1):
-        if rem[i]:
-            c = rem[i] / q[-1]
-            quo[i - dq] = c
-            for j, b in enumerate(q):
-                rem[i - dq + j] -= c * b
-    return _fpoly_trim(quo), _fpoly_trim(rem)
-
-
-def _fpoly_inv_mod(p, phi):
-    """Inverse of p modulo the irreducible monic phi, by extended Euclid."""
-    r0 = tuple(Fraction(c) for c in phi)
-    r1 = _fpoly_trim([Fraction(c) for c in p])
-    s0, s1 = (), (Fraction(1),)
-    while r1:
-        q, rem = _fpoly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _fpoly_sub(s0, _fpoly_mul(q, s1))
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible")
-    return _fpoly_trim([c / r0[0] for c in s0])
-
-
-class FieldElement:
-    """An element of Q(zeta_m) for the linear solver below."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order, coeffs):
-        self.order = order
-        phi = cyclotomic_polynomial(order)
-        self.coeffs = _fpoly_mod([Fraction(c) for c in coeffs], phi)
-
-    @classmethod
-    def from_cyclotomic(cls, x: CyclotomicInt, order):
-        return cls(order, x.lift(order).coeffs)
-
-    def __add__(self, o):
-        n = max(len(self.coeffs), len(o.coeffs))
-        return FieldElement(self.order, [
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (o.coeffs[i] if i < len(o.coeffs) else 0) for i in range(n)])
-
-    def __sub__(self, o):
-        n = max(len(self.coeffs), len(o.coeffs))
-        return FieldElement(self.order, [
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            - (o.coeffs[i] if i < len(o.coeffs) else 0) for i in range(n)])
-
-    def __mul__(self, o):
-        phi = cyclotomic_polynomial(self.order)
-        return FieldElement(self.order, _fpoly_mul_mod(self.coeffs, o.coeffs, phi))
-
-    def inverse(self):
-        phi = cyclotomic_polynomial(self.order)
-        return FieldElement(self.order, _fpoly_inv_mod(self.coeffs, phi))
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def as_rational(self):
-        if len(self.coeffs) > 1:
-            raise ValueError("value is not rational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
-
-def solve_field_system(matrix, rhs, order):
-    """Solve (matrix) x = rhs over Q(zeta_order); entries are CyclotomicInt.
-
-    Raises ZeroDivisionError when the matrix is singular."""
-    n = len(matrix)
-    a = [[FieldElement.from_cyclotomic(matrix[i][j], order) for j in range(n)]
-         + [FieldElement.from_cyclotomic(rhs[i], order)] for i in range(n)]
-    _row_reduce(a, n)
-    return [a[i][n] for i in range(n)]
-
-
-def invert_field_matrix(matrix, order):
-    """Inverse of a CyclotomicInt matrix over Q(zeta_order), as FieldElement rows."""
-    n = len(matrix)
-    a = [[FieldElement.from_cyclotomic(matrix[i][j], order) for j in range(n)]
-         + [FieldElement(order, (int(i == j),)) for j in range(n)] for i in range(n)]
-    _row_reduce(a, n)
-    return [row[n:] for row in a]
-
-
-def _row_reduce(a, n):
-    for col in range(n):
-        piv = next((i for i in range(col, n) if not a[i][col].is_zero()), None)
-        if piv is None:
-            raise ZeroDivisionError("singular character matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col].inverse()
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and not a[i][col].is_zero():
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[col])]
+def __getattr__(name):
+    # The Q(zeta_m) solver is only a reference for tests, so it is loaded
+    # on first use rather than with every import of vkt.
+    if name in ("FieldElement", "invert_field_matrix"):
+        from . import fieldsolve
+        return getattr(fieldsolve, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -33,6 +33,12 @@ class NotATorus(VktError):
     pass
 
 
+class InvariantError(VktError):
+    """A mathematical invariant of the computation failed.  It signals a
+    defect in vkt, not bad input; raised in place of `assert`, which
+    `python -O` strips."""
+
+
 class SpecParseError(VktError):
     """Raised on malformed spec text; carries line/column context."""
 

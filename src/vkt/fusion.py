@@ -5,9 +5,9 @@ distribution pairing, and the torus pushforward.
 Two independent routes to the structure constants live here: the
 reflection route (tensor decomposition followed by shifted orbit
 reduction) and the character route (exact evaluation at the Verlinde
-classes, solved back through the character matrix over a cyclotomic
-field).  Tests require them to agree; neither is ever silently replaced
-by the other.
+classes, inverted by Verlinde orthogonality with the weight |Delta(x)|^2
+after an exact check of the Gram identity).  Tests require them to
+agree; neither is ever silently replaced by the other.
 """
 
 from __future__ import annotations
@@ -19,10 +19,12 @@ from math import lcm
 from .affineweyl import box_reduce, orbit_normal_form, enumerate_basis_orbits
 from .cyclo import (
     CyclotomicInt,
-    eval_character_at_point,
+    CyclotomicPacking,
+    cyclotomic_polynomial,
     eval_weight_combination_at_point,
+    residue_bound,
 )
-from .errors import NotATorus, NotPrimitive
+from .errors import InvariantError, NotATorus, NotPrimitive
 from .rootdata import (
     RootDatum,
     dot,
@@ -116,7 +118,9 @@ class FusionRing:
     Constructible for any non-degenerate twisting; the module structure
     (class_from_weight, mult_by_U_matrix) is always available, while the
     ring structure (fusion_product, structure constants) needs a primitive
-    twisting and raises NotPrimitive otherwise.
+    twisting and raises NotPrimitive otherwise.  Construction raises
+    InvariantError if a transversal weight or the shift class reduces to
+    zero in a nonzero ring, or the shift class survives in a zero one.
     """
 
     def __init__(self, rd: RootDatum, tau: Twisting):
@@ -129,17 +133,15 @@ class FusionRing:
         self.signs = []
         for lam in self.transversal:
             red = orbit_normal_form(rd, tau, vec_add(lam, self.rho_tilde))
-            assert not red.is_zero
+            if red.is_zero:
+                raise InvariantError(f"transversal weight {lam} reduces to zero")
             self.signs.append(red.sign)
         self.signs = tuple(self.signs)
         unit = orbit_normal_form(rd, tau, self.rho_tilde)
-        if self.basis:
-            assert not unit.is_zero, "the shift class must survive in a nonzero ring"
-            self.unit_index = self.index[unit.representative]
-        else:
-            # the whole group can vanish (e.g. the smallest nonzero twists)
-            assert unit.is_zero
-            self.unit_index = None
+        if unit.is_zero == bool(self.basis):
+            raise InvariantError("the shift class must survive exactly when the ring is nonzero")
+        # the whole group can vanish (e.g. the smallest nonzero twists)
+        self.unit_index = self.index[unit.representative] if self.basis else None
         self._product_cache = {}
         self._classes = None
 
@@ -218,13 +220,6 @@ def class_from_weight(ring: FusionRing, lam) -> KClass:
     if red.is_zero:
         return KClass.zero()
     return KClass({red.representative: red.sign})
-
-
-def class_from_combination(ring: FusionRing, combo) -> KClass:
-    out = KClass.zero()
-    for lam, c in sorted(combo.items()):
-        out = out + class_from_weight(ring, lam).scale(c)
-    return out
 
 
 def fusion_product(ring: FusionRing, a, b) -> KClass:
@@ -389,60 +384,83 @@ def torus_pushforward(rd: RootDatum, tau: Twisting, lam) -> KClass:
 
 # -- the character-table route to the structure constants ---------------------
 
-def character_matrix(ring: FusionRing):
-    """chi_a(x_j) for the transversal weights at the Verlinde classes."""
-    pts = [vc.point for vc in ring.verlinde_points()]
-    if len(pts) != len(ring.basis):
-        raise ValueError("class count does not match basis size")
-    rows = [[eval_character_at_point(ring.rd, lam, x) for x in pts]
-            for lam in ring.transversal]
-    return rows, pts
+def _exponent_bins(system, y, m):
+    """The weight system {weight: mult} evaluated at the torus point y/m:
+    bins[k] is the total multiplicity of weights with value zeta_m^k."""
+    bins = [0] * m
+    for nu, mult in system.items():
+        bins[dot(nu, y) % m] += mult
+    return bins
+
+
+def _weyl_density(rd: RootDatum, y, m):
+    """|Delta(x)|^2 = prod over positive roots of (2 - e^alpha - e^-alpha) at
+    the torus point x = y/m, as bins modulo z^m - 1."""
+    bins = [1] + [0] * (m - 1)
+    for alpha in rd.positive_roots():
+        e = dot(alpha, y) % m
+        nxt = [2 * c for c in bins]
+        for k, c in enumerate(bins):
+            if c:
+                nxt[(k + e) % m] -= c
+                nxt[(k - e) % m] -= c
+        bins = nxt
+    return bins
 
 
 def structure_constants_via_characters(ring: FusionRing):
-    """Solve for the structure constants from exact character values at the
-    Verlinde classes; independent of the reflection route.
+    """The structure constants from exact character values at the Verlinde
+    classes, by Verlinde (Weyl-integration) orthogonality; independent of
+    the reflection route.
 
-    The character matrix is inverted once over the cyclotomic field; each
-    product then costs only integer polynomial arithmetic."""
-    from .cyclo import cyclotomic_polynomial, invert_field_matrix, poly_divmod_exact, poly_mul
+    Each class x carries the weight d(x) = |Delta(x)|^2.  The route first
+    checks the Gram identity sum_x d(x) chi_a(x) conj(chi_c(x)) = |F| delta_ac
+    exactly; it makes the character matrix M invertible with inverse
+    conj(M)^T D / |F|, so N_ab^c = |F|^-1 sum_x d(x) chi_a chi_b conj(chi_c)
+    is the exact solve of M N_ab = chi_a chi_b, not a trusted shortcut.
+    Raises ValueError when the class count differs from the basis size, the
+    Gram identity fails, or a constant is not an integer.
 
-    rows, pts = character_matrix(ring)
-    n = len(ring.basis)
-    order = 1
-    for row in rows:
-        for v in row:
-            order = lcm(order, v.order)
-    phi = cyclotomic_polynomial(order)
-    matrix = [[rows[c][j] for c in range(n)] for j in range(n)]  # row j: over c
-    inverse = invert_field_matrix(matrix, order)
-    # integer-scaled inverse: row c as (integer polys, common denominator)
-    scaled = []
-    for c in range(n):
-        den = 1
-        for v in inverse[c]:
-            for coeff in v.coeffs:
-                den = lcm(den, coeff.denominator)
-        polys = [tuple(int(coeff * den) for coeff in v.coeffs) for v in inverse[c]]
-        scaled.append((den, polys))
-    values = [[v.lift(order).coeffs for v in row] for row in rows]
+    Every sum lives in Z[zeta_m] at the common order m of the class points,
+    with conj(chi)(x) = chi(-x) read off by negating exponent bins.  The
+    sums are Kronecker-packed into Python integers, one slot per (power of
+    zeta_m, index c), sized from an a-priori bound so that unpacking is
+    exact; each sum is reduced modulo Phi_m once, all c at a time."""
+    rd, n = ring.rd, len(ring.basis)
+    pts = [vc.point for vc in ring.verlinde_points()]
+    if len(pts) != n:
+        raise ValueError("class count does not match basis size")
+    if not n:
+        return []
+    m = lcm(*(c.denominator for x in pts for c in x))
+    ys = [tuple(int(c * m) for c in x) for x in pts]
+    systems = [weight_multiplicities(rd, lam) for lam in ring.transversal]
+    chars = [[_exponent_bins(system, y, m) for y in ys] for system in systems]
+    density = [_weyl_density(rd, y, m) for y in ys]
+
+    # |coefficient| bounds follow the 1-norms through the three products: a
+    # residue mod Phi_m has 1-norm <= deg * nu * the 1-norm it reduces.
+    deg, nu = len(cyclotomic_polynomial(m)) - 1, residue_bound(m)
+    dim = max(sum(system.values()) for system in systems)
+    dnorm = max(sum(map(abs, d)) for d in density)
+    order = ring.tau.order_F()
+    packing = CyclotomicPacking(m, n, max(order, nu * n * dim ** 3 * dnorm * (deg * nu) ** 2))
+    pack, reduce = packing.pack, packing.reduce
+    chi = [[pack(bins) for bins in row] for row in chars]           # chi[a][j]
+    weighted = []                        # d(x_j) conj(chi_c(x_j)), every c
+    for j in range(n):
+        conj = sum(pack([chars[c][j][-k] for k in range(m)], c) for c in range(n))
+        weighted.append(reduce(pack(density[j]) * conj))
+    half = [[reduce(p * w) for p, w in zip(row, weighted)] for row in chi]  # chi_a d conj(chi_c)
+    for a in range(n):
+        if reduce(sum(half[a])) != pack([order], a):
+            raise ValueError(f"Gram identity sum_x d(x) chi_a conj(chi_c) = |F| delta_ac "
+                             f"fails for basis element {a}")
     out = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            rhs = [poly_divmod_exact(poly_mul(values[a][j], values[b][j]), phi)[1]
-                   for j in range(n)]
-            coeffs = []
-            for c in range(n):
-                den, polys = scaled[c]
-                acc = ()
-                for j in range(n):
-                    term = poly_mul(polys[j], rhs[j])
-                    m = max(len(acc), len(term))
-                    acc = tuple((acc[i] if i < len(acc) else 0)
-                                + (term[i] if i < len(term) else 0) for i in range(m))
-                acc = poly_divmod_exact(acc, phi)[1]
-                if len(acc) > 1 or (acc and acc[0] % den):
-                    raise ValueError("character route produced a non-integer")
-                coeffs.append(acc[0] // den if acc else 0)
-            out[a][b] = out[b][a] = tuple(coeffs)
+            row = packing.integers(reduce(sum(p * q for p, q in zip(chi[b], half[a]))))
+            if row is None or any(v % order for v in row):
+                raise ValueError("character route produced a non-integer")
+            out[a][b] = out[b][a] = tuple(v // order for v in row)
     return out

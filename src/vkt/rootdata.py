@@ -25,7 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import GroupTooLarge, InvalidCartanData, NotTorsionFreePi1, SpecParseError
+from .errors import (
+    GroupTooLarge,
+    InvalidCartanData,
+    InvariantError,
+    NotTorsionFreePi1,
+    SpecParseError,
+)
 from .zlattice import (
     IntMatrix,
     cokernel_structure,
@@ -45,10 +51,6 @@ def vec_add(x, y):
 
 def vec_sub(x, y):
     return tuple(a - b for a, b in zip(x, y))
-
-
-def vec_neg(x):
-    return tuple(-a for a in x)
 
 
 def vec_scale(c, x):
@@ -120,7 +122,10 @@ class DominantResult:
 
 class RootDatum:
     """Immutable root datum; construct via `root_datum_from_spec` or the
-    `from_cartan` / `from_root_data` classmethods."""
+    `from_cartan` / `from_root_data` classmethods.
+
+    Construction raises InvalidCartanData on bad input, and InvariantError
+    if <rho, highest coroot> of a simple factor is not an integer."""
 
     def __init__(self, rank, simple_roots, simple_coroots, factor_blocks,
                  torus_indices, kappa_torus, split_form, spec_text=""):
@@ -257,7 +262,8 @@ class RootDatum:
                 if best is None or h > best[0]:
                     best = (h, cv)
             pairing = dot(self.rho, best[1])
-            assert pairing.denominator == 1
+            if pairing.denominator != 1:
+                raise InvariantError(f"<rho, highest coroot> = {pairing} is not an integer")
             factors.append(SimpleFactor(
                 name=_classify(sub), indices=comp,
                 cartan=IntMatrix.from_rows(sub), kappa=_basic_pairing(sub),
@@ -676,13 +682,15 @@ def dominant_representative(rd: RootDatum, weight) -> DominantResult:
 # -- representations --------------------------------------------------------
 
 def weyl_dimension(rd: RootDatum, lam):
-    """Dimension of the irreducible with dominant highest weight lam."""
+    """Dimension of the irreducible with dominant highest weight lam; raises
+    InvariantError if the Weyl dimension formula gives a non-integer."""
     lam = rd.check_weight(lam)
     num = Fraction(1)
     for _, cv in rd.positive_root_pairs:
         h = dot(rd.rho, cv)
         num *= Fraction(dot(lam, cv) + h, h)
-    assert num.denominator == 1
+    if num.denominator != 1:
+        raise InvariantError(f"Weyl dimension of {lam} is not an integer: {num}")
     return num.numerator
 
 
@@ -690,7 +698,8 @@ def weight_multiplicities(rd: RootDatum, lam):
     """The full weight system of the irreducible V_lam, as {weight: mult}.
 
     Multiplicities of dominant weights come from the Freudenthal recursion;
-    the rest of the system is filled in by Weyl symmetry.  Cached per datum
+    the rest of the system is filled in by Weyl symmetry; InvariantError if
+    the recursion meets a non-integer multiplicity.  Cached per datum
     (the cache fill is idempotent, so concurrent first calls are safe)."""
     lam = rd.check_weight(lam)
     if not rd.is_dominant(lam):
@@ -750,7 +759,9 @@ def weight_multiplicities(rd: RootDatum, lam):
                 k += 1
         # the scale factors cancel to (2 * 4) / denominator-in-doubled-norms
         val, rem = divmod(8 * acc, denom)
-        assert rem == 0
+        if rem:
+            raise InvariantError(f"Freudenthal recursion for {lam} gives a non-integer "
+                                 f"multiplicity at {mu}")
         if val:
             mult[mu] = val
     # expand by the Weyl group

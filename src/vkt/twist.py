@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import Degenerate, NotEquivariant
+from .errors import Degenerate, InvariantError, NotEquivariant
 from .rootdata import RootDatum, dot
 from .zlattice import (
     IntMatrix,
@@ -189,7 +189,8 @@ def twisting_from_level(rd: RootDatum, levels, torus_block=None, eps=None) -> Tw
 def f_epsilon_points(rd: RootDatum, tau: Twisting):
     """All torus points x with b(x) = lambda_eps modulo the weight lattice.
 
-    Exactly |det b| points, reduced to [0,1)^rank, in sorted order."""
+    Exactly |det b| points, reduced to [0,1)^rank, in sorted order; raises
+    InvariantError if the enumeration finds a different number."""
     n = rd.rank
     if n == 0:
         return [()]
@@ -210,5 +211,6 @@ def f_epsilon_points(rd: RootDatum, tau: Twisting):
             j -= 1
         if j < 0:
             break
-    assert len(pts) == tau.order_F()
+    if len(pts) != tau.order_F():
+        raise InvariantError(f"found {len(pts)} points of F_eps, expected |det b| = {tau.order_F()}")
     return sorted(pts)

@@ -1,16 +1,20 @@
 import random
 from fractions import Fraction
 
+import vkt.cyclo
+import vkt.fieldsolve
 from vkt.cyclo import (
     CyclotomicInt,
+    CyclotomicPacking,
     cyclotomic_polynomial,
     eval_character_at_point,
     eval_weight_at_point,
     eval_weight_combination_at_point,
     poly_divmod_exact,
     poly_mul,
-    solve_field_system,
+    residue_bound,
 )
+from vkt.fieldsolve import FieldElement, invert_field_matrix
 from vkt.rootdata import root_datum_from_spec
 
 
@@ -156,8 +160,42 @@ def test_solve_field_system():
     i = CyclotomicInt.root_power(4, 1)
     one = CyclotomicInt.integer(1)
     two = CyclotomicInt.integer(2)
-    m = [[one, i], [i, one]]
-    rhs = [one + two * i, two + i]
-    sol = solve_field_system(m, rhs, 4)
-    assert sol[0].as_rational() == 1
-    assert sol[1].as_rational() == 2
+    inverse = invert_field_matrix([[one, i], [i, one]], 4)
+    rhs = [FieldElement.from_cyclotomic(v, 4) for v in (one + two * i, two + i)]
+    sol = [row[0] * rhs[0] + row[1] * rhs[1] for row in inverse]
+    assert [x.as_rational() for x in sol] == [1, 2]
+
+
+def test_residue_bound_is_the_largest_residue_coefficient():
+    for m in (1, 2, 3, 4, 6, 9, 12, 15, 30, 105):
+        phi = cyclotomic_polynomial(m)
+        residues = [poly_divmod_exact((0,) * j + (1,), phi)[1] for j in range(m)]
+        assert residue_bound(m) == max(abs(c) for r in residues for c in r), m
+    assert residue_bound(105) > 1
+
+
+def test_cyclotomic_packing_multiplies_every_component():
+    rng = random.Random(5)
+    for m in (1, 2, 4, 6, 9, 12, 15, 105):
+        packing = CyclotomicPacking(m, 3, 10 ** 6)
+        a = [rng.randint(-4, 4) for _ in range(m)]
+        bs = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(3)]
+        got = packing.reduce(packing.pack(a) * sum(packing.pack(b, c) for c, b in enumerate(bs)))
+        want = sum(packing.pack((CyclotomicInt(m, a) * CyclotomicInt(m, b)).coeffs, c)
+                   for c, b in enumerate(bs))
+        assert got == want, m
+
+
+def test_cyclotomic_packing_reads_rational_integers():
+    packing = CyclotomicPacking(6, 2, 100)
+    assert packing.integers(packing.reduce(packing.pack([3]) + packing.pack([-5], 1))) == [3, -5]
+    # zeta_6 + zeta_6^5 = 1
+    assert packing.integers(packing.reduce(packing.pack([0, 1, 0, 0, 0, 1], 1))) == [0, 1]
+    assert packing.integers(packing.reduce(packing.pack([0, 1], 1))) is None
+    assert packing.integers(packing.reduce(packing.pack([-7, 0, -1]))) is None
+
+
+def test_field_solver_is_reachable_from_cyclo():
+    # the benchmark's tracer resolves vkt.cyclo.invert_field_matrix by name
+    assert vkt.cyclo.invert_field_matrix is vkt.fieldsolve.invert_field_matrix
+    assert vkt.cyclo.FieldElement is vkt.fieldsolve.FieldElement

@@ -1,9 +1,17 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from vkt.errors import NotATorus, NotPrimitive
+import vkt.cyclo
+import vkt.fieldsolve
+import vkt.fusion
+from vkt.affineweyl import OrbitReduction
+from vkt.cli import JobSpec, build_root_datum, build_twisting
+from vkt.cyclo import eval_character_at_point
+from vkt.errors import InvariantError, NotATorus, NotPrimitive
+from vkt.fieldsolve import FieldElement, invert_field_matrix
 from vkt.fusion import (
     FusionRing,
     KClass,
@@ -17,6 +25,7 @@ from vkt.fusion import (
     mult_by_U_matrix,
     structure_constants_via_characters,
     torus_pushforward,
+    verlinde_classes,
     verlinde_ideal_member,
 )
 from vkt.rootdata import root_datum_from_spec
@@ -136,6 +145,85 @@ def test_oracle_equivalence_small():
              u1_ring(4)]
     for ring in rings:
         assert ring.structure_constants() == structure_constants_via_characters(ring)
+
+
+def _inverse_solve(ring):
+    """The structure constants by inverting the character matrix over
+    Q(zeta_m) and applying the inverse to chi_a chi_b: the solve that the
+    orthogonality route replaces, kept here as its reference."""
+    pts = [vc.point for vc in verlinde_classes(ring.rd, ring.tau)]
+    chars = [[eval_character_at_point(ring.rd, lam, x) for x in pts] for lam in ring.transversal]
+    n = len(chars)
+    order = lcm(*(v.order for row in chars for v in row))
+    inverse = invert_field_matrix([[chars[c][j] for c in range(n)] for j in range(n)], order)
+    out = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            rhs = [FieldElement.from_cyclotomic(chars[a][j] * chars[b][j], order)
+                   for j in range(n)]
+            coeffs = []
+            for c in range(n):
+                acc = FieldElement(order, ())
+                for j in range(n):
+                    acc = acc + inverse[c][j] * rhs[j]
+                value = acc.as_rational()
+                assert value.denominator == 1
+                coeffs.append(int(value))
+            out[a][b] = tuple(coeffs)
+    return out
+
+
+def _spec_ring(tmp_path, text):
+    spec = tmp_path / "job.spec"
+    spec.write_text(text)
+    job = JobSpec.parse(spec.read_text())
+    rd = build_root_datum(job)
+    return FusionRing(rd, build_twisting(rd, job.twist))
+
+
+def test_character_route_matches_inverse_solve(tmp_path, monkeypatch):
+    g2 = 'cartan = [[2, -1], [-3, 2]]\ntwist = {{ levels = [{}], shift = "dual_coxeter" }}\n'
+    rings = [_spec_ring(tmp_path, g2.format(level)) for level in (1, 2)]
+    for name, levels in (("SU(3)", (5,)), ("Spin(5)", (4,)), ("Sp(2)", (4,))):
+        rd = root_datum_from_spec(name)
+        rings.append(FusionRing(rd, twisting_from_level(rd, levels)))
+    rd = root_datum_from_spec("U(1)^2")
+    rings.append(FusionRing(rd, twisting_from_level(rd, (), torus_block=[[2, 1], [1, 2]])))
+    rd = root_datum_from_spec("SU(2) x U(1)")
+    tau = twisting_from_level(rd, (3,), torus_block=[[4]])
+    assert tau.is_primitive()
+    rings.append(FusionRing(rd, tau))
+    assert [len(ring.basis) for ring in rings[:2]] == [2, 4]
+
+    expected = [_inverse_solve(ring) for ring in rings]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the character route must not invert a matrix")
+
+    monkeypatch.setattr(vkt.cyclo, "invert_field_matrix", refuse)
+    monkeypatch.setattr(vkt.fieldsolve, "invert_field_matrix", refuse)
+    for ring, want in zip(rings, expected):
+        assert structure_constants_via_characters(ring) == want
+        assert ring.structure_constants() == want
+
+
+def test_character_route_gram_guard():
+    rd = root_datum_from_spec("SU(3)")
+    ring = FusionRing(rd, twisting_from_level(rd, (5,)))
+    assert len(ring.transversal) > 2
+    # the first basis element now carries the character of the second, so
+    # two rows of the character matrix agree and orthogonality fails
+    ring.transversal = (ring.transversal[1],) + ring.transversal[1:]
+    with pytest.raises(ValueError, match="Gram identity"):
+        structure_constants_via_characters(ring)
+
+
+def test_ring_invariants_are_checked_without_assert(monkeypatch):
+    # explicit errors, so the checks survive python -O
+    zero = OrbitReduction(representative=None, sign=0, witness=None)
+    monkeypatch.setattr(vkt.fusion, "orbit_normal_form", lambda *args: zero)
+    with pytest.raises(InvariantError):
+        su2_ring(4)
 
 
 def test_verlinde_ideal_member_su2():

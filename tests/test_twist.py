@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from vkt.errors import Degenerate, NotEquivariant
+from vkt.errors import Degenerate, InvariantError, NotEquivariant
 from vkt.rootdata import root_datum_from_spec, weyl_group_elements
 from vkt.twist import Twisting, f_epsilon_points, shift_by_dual_coxeter, twisting_from_level
 from vkt.zlattice import IntMatrix
@@ -151,3 +151,12 @@ def test_describe():
     assert d["order_F"] == 10
     assert d["levels"] == [5]
     assert d["primitive"] is True
+
+
+def test_f_epsilon_count_is_checked_without_assert(monkeypatch):
+    # an explicit error, so the check survives python -O
+    rd = root_datum_from_spec("SU(2)")
+    tau = twisting_from_level(rd, (3,))
+    monkeypatch.setattr(tau, "order_F", lambda: 7)
+    with pytest.raises(InvariantError):
+        f_epsilon_points(rd, tau)
