@@ -89,9 +89,9 @@ class OrbitReduction:
 def box_reduce(tau: Twisting, vec):
     """Translate vec into the fundamental half-open box of b(coweights).
 
-    Returns (reduced vector, translation pi) with vec + b(pi) reduced."""
-    x = tau.b_inverse_apply(vec)
-    pi = tuple(-(xi.numerator // xi.denominator) for xi in x)
+    Returns (reduced vector, translation pi) with vec + b(pi) reduced;
+    pi = -floor(b^-1 vec) by the twisting's integer kernel."""
+    pi = tuple(-x for x in tau.floor_b_inverse(vec))
     return vec_add(vec, tau.apply_b(pi)), pi
 
 
@@ -125,10 +125,9 @@ def stabilizer_elements(rd: RootDatum, tau: Twisting, lam):
     lam = rd.check_weight(lam)
     out = []
     for w in weyl_group_elements(rd):
-        diff = vec_sub(lam, w.apply(lam))
-        pi = tau.b_inverse_apply(diff)
-        if all(x.denominator == 1 for x in pi):
-            out.append(AffineElement(tuple(x.numerator for x in pi), w))
+        pi = tau.b_inverse_integral(vec_sub(lam, w.apply(lam)))
+        if pi is not None:
+            out.append(AffineElement(pi, w))
     return out
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 from .affineweyl import (
     AffineElement,
     act,
+    box_reduce,
     generated_subgroup,
     geometric_stabilizer_brute,
     orbit_normal_form,
@@ -24,14 +25,15 @@ from .fusion import (
     FusionRing,
     class_from_weight,
     delta_eval,
+    dominant_weights_up_to,
     equivariant_function,
     ideal_generator_candidates,
     module_action,
     mult_by_U_matrix,
     structure_constants_via_characters,
+    verlinde_ideal_member,
 )
 from .rootdata import weyl_group_elements
-from .twist import f_epsilon_points
 from .zlattice import coset_representatives
 
 
@@ -44,7 +46,7 @@ def check_double_count(ring: FusionRing):
 
 def check_f_epsilon(ring: FusionRing):
     rd, tau = ring.rd, ring.tau
-    pts = f_epsilon_points(rd, tau)
+    _, pts, _ = tau.f_epsilon()
     ok = len(pts) == tau.order_F()
     bad = []
     for x in pts:
@@ -82,7 +84,6 @@ def check_annihilation(ring: FusionRing, bound=None, action_sample=3):
                 failures.append({"weight": list(lam), "reason": f"acts nonzero on {i}"})
                 break
     # the converse: weights reducing to zero must vanish at the classes
-    from .fusion import dominant_weights_up_to, verlinde_ideal_member
     for lam in dominant_weights_up_to(ring.rd, min(bound, 6)):
         in_ideal = verlinde_ideal_member(ring, {lam: 1})
         reduces_to_zero = class_from_weight(ring, lam).is_zero()
@@ -154,13 +155,16 @@ def check_delta_identity(ring: FusionRing, trials=100, seed=7):
     rd, tau = ring.rd, ring.tau
     rng = random.Random(seed)
     reps = [tuple(r) for r in coset_representatives(tau.b)]
+    reduced = [box_reduce(tau, rep) for rep in reps]
     failures = []
     for t in range(trials):
         f = {rep: rng.randint(-3, 3) for rep in reps}
         g = tuple(rng.randint(-12, 12) for _ in range(rd.rank))
-        from .affineweyl import box_reduce
+        # f on the box-reduced representatives, by translation equivariance
+        index = {red: tau.translation_sign(pi) * f[rep]
+                 for rep, (red, pi) in zip(reps, reduced)}
         rep_g, pi = box_reduce(tau, g)
-        expected = tau.translation_sign(pi) * _coset_value(tau, f, rep_g)
+        expected = tau.translation_sign(pi) * index.get(rep_g, 0)
         got = delta_eval(rd, tau, f, g)
         if got != expected:
             failures.append({"trial": t, "got": str(got), "expected": expected})
@@ -178,15 +182,6 @@ def check_delta_identity(ring: FusionRing, trials=100, seed=7):
                                  "regular": str(reg), "value": fn(g)})
     return {"name": "delta_identity", "passed": not failures,
             "detail": {"trials": trials, "failures": failures[:5]}}
-
-
-def _coset_value(tau, f, rep):
-    from .affineweyl import box_reduce
-    for lam, v in f.items():
-        r, pi = box_reduce(tau, lam)
-        if r == rep:
-            return tau.translation_sign(pi) * v
-    return 0
 
 
 def check_orbit_constancy(ring: FusionRing, trials=40, seed=3):

@@ -389,26 +389,36 @@ def render(out, fmt):
     raise SpecParseError(f"unknown format {fmt!r}")
 
 
-def _parse_int_list(text):
-    if not text:
-        return []
-    return [int(x) for x in text.replace(",", " ").split()]
+def _parse_int_list(text, option):
+    try:
+        return [int(x) for x in text.replace(",", " ").split()]
+    except ValueError:
+        raise SpecParseError(f"{option} needs comma-separated integers, got {text!r}") from None
 
 
 def build_job(args):
+    """The JobSpec named by the options; raises SpecParseError when an option
+    value or the spec file cannot be read."""
     if getattr(args, "spec", None):
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            job = JobSpec.parse(fh.read())
+        try:
+            with open(args.spec, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise SpecParseError(f"cannot read spec file {args.spec!r}: {exc.strerror}") from None
+        job = JobSpec.parse(text)
     else:
         job = JobSpec()
     if getattr(args, "group", None):
         job.group = args.group
     if getattr(args, "twist", None) is not None:
-        job.twist["levels"] = _parse_int_list(args.twist)
+        job.twist["levels"] = _parse_int_list(args.twist, "--twist")
     if getattr(args, "epsilon", None) is not None:
-        job.twist["epsilon"] = _parse_int_list(args.epsilon)
+        job.twist["epsilon"] = _parse_int_list(args.epsilon, "--epsilon")
     if getattr(args, "torus", None) is not None:
-        job.twist["torus"] = json.loads(args.torus)
+        try:
+            job.twist["torus"] = json.loads(args.torus)
+        except json.JSONDecodeError as exc:
+            raise SpecParseError(f"--torus is not a JSON matrix: {exc}") from None
     if getattr(args, "shift", None):
         job.twist["shift"] = args.shift
     if getattr(args, "format", None):
@@ -469,9 +479,10 @@ def main(argv=None):
         print(render(out, job.format))
         return code
     except VktError as exc:
+        # malformed input (options, spec text or file) is a usage error
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, SpecParseError) else 1
 
 
 if __name__ == "__main__":

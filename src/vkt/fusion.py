@@ -12,6 +12,7 @@ agree; neither is ever silently replaced by the other.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -34,8 +35,8 @@ from .rootdata import (
     weight_multiplicities,
     weyl_group_elements,
 )
-from .twist import Twisting, f_epsilon_points
-from .zlattice import IntMatrix, coset_representatives
+from .twist import Twisting
+from .zlattice import IntMatrix, box_points, coset_representatives
 
 
 class KClass:
@@ -96,20 +97,15 @@ class VerlindeClass:
     orbit_size: int
 
 
-def _weyl_fixes_point(w, x):
-    return all(Fraction(c) % 1 == 0 for c in vec_sub(w.apply_coweight(x), x))
-
-
 def verlinde_classes(rd: RootDatum, tau: Twisting):
     """One representative per free Weyl orbit of regular points of F_eps."""
     group = weyl_group_elements(rd)
+    m, _, lifts = tau.f_epsilon(regular_only=True)
     classes = {}
-    for x in f_epsilon_points(rd, tau):
-        if any(_weyl_fixes_point(w, x) for w in group if not w.is_identity()):
-            continue
-        orbit = {tuple(Fraction(c) % 1 for c in w.apply_coweight(x)) for w in group}
+    for y in lifts:
+        orbit = {tuple(c % m for c in w.apply_coweight(y)) for w in group}
         classes[min(orbit)] = len(orbit)
-    return [VerlindeClass(p, classes[p]) for p in sorted(classes)]
+    return [VerlindeClass(tuple(Fraction(c, m) for c in p), classes[p]) for p in sorted(classes)]
 
 
 class FusionRing:
@@ -129,7 +125,8 @@ class FusionRing:
         self.basis = tuple(enumerate_basis_orbits(rd, tau))
         self.index = {rep: i for i, rep in enumerate(self.basis)}
         self.rho_tilde = rd.rho_tilde
-        self.transversal = tuple(self._transversal_weight(rep) for rep in self.basis)
+        shifts = [tau.apply_b(pi) for pi in box_points((7,) * rd.rank, -3)]
+        self.transversal = tuple(self._transversal_weight(rep, shifts) for rep in self.basis)
         self.signs = []
         for lam in self.transversal:
             red = orbit_normal_form(rd, tau, vec_add(lam, self.rho_tilde))
@@ -147,20 +144,22 @@ class FusionRing:
 
     # -- basis bookkeeping -------------------------------------------------
 
-    def _transversal_weight(self, rep, radius=3):
+    def _transversal_weight(self, rep, shifts):
         """The dominant weight lam with lam + rho_tilde in the orbit of rep,
         chosen as the orbit element nearest the box origin (L1 in b-inverse
-        coordinates, ties broken lexicographically)."""
+        coordinates, ties broken lexicographically), among the w(rep) + b(pi)
+        with b(pi) in `shifts`.  The L1 norm of adj(b) nu is |det b| times
+        that of b^-1 nu, so it gives the same order in integers."""
         rd, tau = self.rd, self.tau
         best = None
         for w in weyl_group_elements(rd):
             base = w.apply(rep)
-            for pi in _box_points(rd.rank, radius):
-                nu = vec_add(base, tau.apply_b(pi))
+            for shift in shifts:
+                nu = vec_add(base, shift)
                 lam = vec_sub(nu, self.rho_tilde)
                 if not rd.is_dominant(lam):
                     continue
-                size = sum(abs(c) for c in tau.b_inverse_apply(nu))
+                size = sum(map(abs, tau.adj_apply(nu)))
                 key = (size, nu)
                 if best is None or key < best[0]:
                     best = (key, lam)
@@ -201,13 +200,6 @@ class FusionRing:
                 row.append(tuple(self.basis_coefficients(self.fusion_product(a, b))))
             out.append(row)
         return out
-
-
-def _box_points(rank, radius):
-    pts = [()]
-    for _ in range(rank):
-        pts = [p + (v,) for p in pts for v in range(-radius, radius + 1)]
-    return pts
 
 
 def class_from_weight(ring: FusionRing, lam) -> KClass:
@@ -272,10 +264,7 @@ def ideal_generator_candidates(ring: FusionRing, bound):
 def dominant_weights_up_to(rd: RootDatum, bound):
     """All dominant weights whose coordinates sum (in absolute value) to at
     most `bound`; deterministic order."""
-    out = [()]
-    for _ in range(rd.rank):
-        out = [p + (v,) for p in out for v in range(-bound, bound + 1)]
-    return sorted(w for w in out
+    return sorted(w for w in box_points((2 * bound + 1,) * rd.rank, -bound)
                   if sum(abs(c) for c in w) <= bound and rd.is_dominant(w))
 
 
@@ -311,13 +300,23 @@ def _canonical_coset_values(rd, tau, f):
 
 
 def _coset_is_regular(rd, tau, lam):
-    for w in weyl_group_elements(rd):
-        if w.is_identity():
-            continue
-        diff = vec_sub(w.apply(lam), lam)
-        if all(x.denominator == 1 for x in tau.b_inverse_apply(diff)):
-            return False
-    return True
+    return not any(tau.b_inverse_integral(vec_sub(w.apply(lam), lam)) is not None
+                   for w in weyl_group_elements(rd) if not w.is_identity())
+
+
+def _pairing_table(rd, tau, regular_only):
+    """(m, lifts, exponents) for delta_eval, built once per twisting and
+    flag: the F_eps lifts y_j at order m, and for each box-reduced coset
+    representative lam_i (the Weyl-regular ones with regular_only) the
+    row <lam_i, y_j> mod m, packed as 8-byte integers: the table holds
+    |F|^2 entries."""
+    def build():
+        reps = [box_reduce(tau, lam)[0] for lam in coset_representatives(tau.b)]
+        m, _, lifts = tau.f_epsilon(regular_only)
+        if regular_only:
+            reps = [lam for lam in reps if _coset_is_regular(rd, tau, lam)]
+        return m, lifts, {lam: array("q", [dot(lam, y) % m for y in lifts]) for lam in reps}
+    return tau.cached(("pairing", regular_only), build)
 
 
 def delta_eval(rd: RootDatum, tau: Twisting, f, g, regular_only=False) -> Fraction:
@@ -328,32 +327,19 @@ def delta_eval(rd: RootDatum, tau: Twisting, f, g, regular_only=False) -> Fracti
     extended by translation equivariance; for equivariant data the result
     equals the evaluation f(g).  With regular_only=True both sums restrict
     to the Weyl-regular part, which changes nothing when f is fully
-    equivariant."""
+    equivariant.  The sum runs over all |F|^2 pairs on every call; only
+    the exponents <lam, x> are tabulated per twisting."""
     g = rd.check_weight(g)
     values = _canonical_coset_values(rd, tau, f)
-    reps = [box_reduce(tau, lam)[0] for lam in coset_representatives(tau.b)]
-    points = f_epsilon_points(rd, tau)
-    if regular_only:
-        group = weyl_group_elements(rd)
-        reps = [lam for lam in reps if _coset_is_regular(rd, tau, lam)]
-        points = [x for x in points
-                  if not any(_weyl_fixes_point(w, x) for w in group if not w.is_identity())]
-    # common cyclotomic order for all pairings
-    m = 1
-    scaled = []
-    for x in points:
-        q = lcm(*[c.denominator for c in x]) if x else 1
-        scaled.append((q, tuple(int(c * q) for c in x)))
-        m = lcm(m, q)
+    m, lifts, exponents = _pairing_table(rd, tau, regular_only)
+    gy = [dot(g, y) for y in lifts]
     counts = [0] * m
-    lifted = [(m // q, y) for q, y in scaled]
-    for lam in reps:
+    for lam, row in exponents.items():
         v = values.get(lam, 0)
         if not v:
             continue
-        diff = vec_sub(g, lam)
-        for k, y in lifted:
-            counts[(dot(diff, y) * k) % m] += v
+        for a, e in zip(gy, row):
+            counts[(a - e) % m] += v
     total = CyclotomicInt(m, counts)
     if not total.is_integer():
         raise ValueError("averaged pairing did not reduce to an integer")

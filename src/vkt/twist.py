@@ -13,14 +13,16 @@ derived.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import Degenerate, InvariantError, NotEquivariant
-from .rootdata import RootDatum, dot
+from .rootdata import RootDatum, dot, weyl_group_elements
 from .zlattice import (
     IntMatrix,
+    box_points,
     cokernel_structure,
     inverse_rational,
-    matvec_fraction,
     smith_normal_form,
 )
 
@@ -34,7 +36,13 @@ def torus_point(rank, coords):
 
 
 class Twisting:
-    """Validated twisting data for a root datum."""
+    """Validated twisting data for a root datum.
+
+    Holds the exact integer kernel for b^-1: the adjugate adj(b) and det b,
+    so that b^-1 v = adj(b) v / det b with no rational arithmetic.  Data
+    derived from the twisting alone (the F_eps points, the pairing tables
+    of fusion.delta_eval) is built on first use and cached on the object
+    (see `cached`)."""
 
     def __init__(self, rd: RootDatum, b: IntMatrix, eps=None, level_data=None):
         self.rd = rd
@@ -44,8 +52,10 @@ class Twisting:
         self._validate()
         self.det_b = b.determinant()
         self.f_group = cokernel_structure(b)
-        self._b_inv = inverse_rational(b)
+        self._rows = tuple(b.row(i) for i in range(b.rows))
+        self._adj = tuple(tuple(int(x * self.det_b) for x in row) for row in inverse_rational(b))
         self.lambda_eps = tuple(Fraction(e, 2) for e in self.eps)
+        self._cache = {}
 
     def _validate(self):
         rd, b = self.rd, self.b
@@ -77,10 +87,53 @@ class Twisting:
         return -1 if self.eps_of_translation(pi) else 1
 
     def apply_b(self, pi):
-        return self.b.apply(pi)
+        return tuple(sum(map(mul, row, pi)) for row in self._rows)
 
-    def b_inverse_apply(self, vec):
-        return matvec_fraction(self._b_inv, vec)
+    def adj_apply(self, vec):
+        """adj(b) vec = (det b) b^-1 vec, in integers."""
+        return [sum(map(mul, row, vec)) for row in self._adj]
+
+    def floor_b_inverse(self, vec):
+        """floor(b^-1 vec) by floor division, which is exact for either sign
+        of det b."""
+        d = self.det_b
+        return [x // d for x in self.adj_apply(vec)]
+
+    def b_inverse_integral(self, vec):
+        """b^-1 vec when it is integral, else None: it is integral iff
+        adj(b) vec = 0 mod det b."""
+        d = self.det_b
+        x = self.adj_apply(vec)
+        if any(c % d for c in x):
+            return None
+        return tuple(c // d for c in x)
+
+    def cached(self, key, build):
+        """build() computed once per twisting and kept under key."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def f_epsilon(self, regular_only=False):
+        """(m, points, lifts): the F_eps points of f_epsilon_points and their
+        integer lifts y = m x at one common order m, built on first use.
+        With regular_only=True, only the points no nontrivial Weyl element
+        fixes; w fixes y/m iff its coweight matrix fixes y mod m."""
+        if regular_only:
+            return self.cached("regular_f_epsilon", self._regular_f_epsilon)
+        return self.cached("f_epsilon", self._lift_f_epsilon)
+
+    def _lift_f_epsilon(self):
+        points = f_epsilon_points(self.rd, self)
+        m = lcm(*(c.denominator for x in points for c in x))
+        return m, points, [tuple(int(c * m) for c in x) for x in points]
+
+    def _regular_f_epsilon(self):
+        m, points, lifts = self.f_epsilon()
+        others = [w for w in weyl_group_elements(self.rd) if not w.is_identity()]
+        keep = [j for j, y in enumerate(lifts) if not any(
+            all((a - c) % m == 0 for a, c in zip(w.apply_coweight(y), y)) for w in others)]
+        return m, [points[j] for j in keep], [lifts[j] for j in keep]
 
     def degree_parity(self):
         """Degree mod 2 of the (only) nonzero twisted K-group."""
@@ -190,27 +243,18 @@ def f_epsilon_points(rd: RootDatum, tau: Twisting):
     """All torus points x with b(x) = lambda_eps modulo the weight lattice.
 
     Exactly |det b| points, reduced to [0,1)^rank, in sorted order; raises
-    InvariantError if the enumeration finds a different number."""
+    InvariantError if the enumeration finds a different number.  Uncached:
+    Twisting.f_epsilon keeps them per twisting."""
     n = rd.rank
     if n == 0:
         return [()]
-    x0 = tau.b_inverse_apply(tau.lambda_eps)
+    x0 = [Fraction(a, 2 * tau.det_b) for a in tau.adj_apply(tau.eps)]
     snf = smith_normal_form(tau.b)
     d = snf.invariant_diagonal()
     pts = set()
-    idx = [0] * n
-    while True:
+    for idx in box_points(d):
         shift = snf.V.apply([Fraction(r, di) for r, di in zip(idx, d)])
         pts.add(torus_point(n, [a + b for a, b in zip(x0, shift)]))
-        j = n - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < d[j]:
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            break
     if len(pts) != tau.order_F():
         raise InvariantError(f"found {len(pts)} points of F_eps, expected |det b| = {tau.order_F()}")
     return sorted(pts)

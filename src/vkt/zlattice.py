@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 
 class IntMatrix:
@@ -381,6 +382,12 @@ def matvec_fraction(rows, vec):
     return tuple(sum(r[j] * vec[j] for j in range(len(vec))) for r in rows)
 
 
+def box_points(sizes, start=0):
+    """The integer points p with start <= p_i < start + sizes[i], in
+    lexicographic order (the last coordinate varies fastest)."""
+    return product(*(range(start, start + s) for s in sizes))
+
+
 def coset_representatives(M: IntMatrix):
     """Deterministic coset representatives of Z^rows / M(Z^cols).
 
@@ -394,17 +401,4 @@ def coset_representatives(M: IntMatrix):
     if any(x == 0 for x in d):
         raise ValueError("quotient is infinite")
     uinv = inverse_unimodular(snf.U)
-    reps = []
-    idx = [0] * len(d)
-    while True:
-        reps.append(uinv.apply(idx))
-        j = len(d) - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < d[j]:
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            break
-    return reps
+    return [uinv.apply(idx) for idx in box_points(d)]

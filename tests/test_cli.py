@@ -183,3 +183,29 @@ def test_graded_basis_flags(capsys):
     data = json.loads(out)
     assert code == 0
     assert data["basis"]["grading_flags"]
+
+
+def _usage_error(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    return json.loads(err)
+
+
+def test_bad_twist_is_a_usage_error(capsys):
+    err = _usage_error(capsys, "basis", "--group", "SU(2)", "--twist", "abc")
+    assert err["error"] == "SpecParseError"
+    assert "--twist" in err["message"]
+
+
+def test_malformed_torus_is_a_usage_error(capsys):
+    err = _usage_error(capsys, "basis", "--group", "U(1)", "--torus", "[[6]")
+    assert err["error"] == "SpecParseError"
+    assert "--torus" in err["message"]
+
+
+def test_missing_spec_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.spec"
+    err = _usage_error(capsys, "basis", "--spec", str(missing))
+    assert err["error"] == "SpecParseError"
+    assert str(missing) in err["message"]

@@ -179,6 +179,9 @@ def test_coset_representatives():
         key = (v[0] % 2, v[1] % 3)
         assert key not in seen
         seen.add(key)
+    # the order is pinned: the Smith box is enumerated with the last index fastest
+    assert coset_representatives(IntMatrix.from_rows([[4, 0], [0, 6]])) == \
+        [(-k, -k) for k in range(12)] + [(2 - k, 3 - k) for k in range(12)]
 
 
 def test_finite_abelian_group_str():
