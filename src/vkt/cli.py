@@ -221,10 +221,24 @@ def build_root_datum(job: JobSpec):
     return root_datum_from_spec(job.group)
 
 
+def _int_rows(rows):
+    return isinstance(rows, list) and all(
+        isinstance(row, list) and all(type(v) is int for v in row) for row in rows)
+
+
 def build_twisting(rd, twist_spec):
-    levels = tuple(twist_spec.get("levels", ()))
+    """The Twisting named by the twist table; raises SpecParseError when a
+    value has the wrong type."""
+    if not isinstance(twist_spec, dict):
+        raise SpecParseError(f"twist must be a table, got {twist_spec!r}")
+    levels = twist_spec.get("levels", [])
     eps = twist_spec.get("epsilon")
     torus = twist_spec.get("torus")
+    for key, rows in (("levels", [levels]), ("epsilon", [] if eps is None else [eps]),
+                      ("torus", [] if torus is None else torus)):
+        if not _int_rows(rows):
+            raise SpecParseError(f"twist {key} must be integers, got {twist_spec[key]!r}")
+    levels = tuple(levels)
     shift = twist_spec.get("shift", "none")
     if shift not in ("none", "dual_coxeter"):
         raise SpecParseError(f"unknown shift {shift!r}")

@@ -5,6 +5,10 @@ modulo the m-th cyclotomic polynomial, so is_zero is exactly "equals 0
 in the complex numbers".  Mixed-order sums are pushed to the lcm order
 before reduction.  CyclotomicPacking holds many such elements, all at one
 order, in one Python integer, for bulk sums and products.
+
+Characters are evaluated in one place, character_bins, at a torus point
+given by its integer lift y = m x; eval_character_at_point and
+eval_weight_at_point lift a rational point and call it.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from functools import lru_cache
 from math import lcm
 
 from .errors import InvariantError
+from .rootdata import dot, weight_multiplicities
 
 
 # -- integer polynomials (dense tuples, ascending degree) -------------------
@@ -119,13 +124,6 @@ class CyclotomicInt:
         """zeta_order ** power."""
         power %= order
         return cls(order, (0,) * power + (1,))
-
-    @classmethod
-    def from_fraction_exponent(cls, t):
-        """exp(2 pi i t) for rational t, at the denominator's order."""
-        t = Fraction(t)
-        m = t.denominator
-        return cls.root_power(m, t.numerator % m)
 
     def lift(self, order):
         if order == self.order:
@@ -254,42 +252,34 @@ class CyclotomicPacking:
 
 # -- evaluation of weights and characters ------------------------------------
 
-def pairing_fraction(weight, point):
-    """The rational number <weight, point> for a rational torus point."""
-    return sum(Fraction(w) * x for w, x in zip(weight, point))
+def character_bins(system, y, m):
+    """The weight system {weight: mult} evaluated at the torus point y/m,
+    for an integer lift y: bins[k] is the total multiplicity of the weights
+    with value zeta_m^k."""
+    bins = [0] * m
+    for nu, mult in system.items():
+        bins[dot(nu, y) % m] += mult
+    return bins
+
+
+def _at_point(system, point):
+    """character_bins at a rational torus point, lifted once to y/m with m
+    its least common denominator."""
+    point = [Fraction(c) for c in point]
+    m = lcm(*(c.denominator for c in point))
+    y = [c.numerator * (m // c.denominator) for c in point]
+    return CyclotomicInt(m, character_bins(system, y, m))
 
 
 def eval_weight_at_point(rd, weight, point) -> CyclotomicInt:
     """The value of the character `weight` at the rational torus point,
     exactly: exp(2 pi i <weight, point>) as a root of unity."""
-    weight = rd.check_weight(weight)
-    return CyclotomicInt.from_fraction_exponent(pairing_fraction(weight, point))
+    return _at_point({rd.check_weight(weight): 1}, point)
 
 
 def eval_character_at_point(rd, lam, point) -> CyclotomicInt:
-    """The character of the irreducible V_lam at a rational torus point.
-
-    Sums the full weight system at a common cyclotomic order; exact."""
-    from .rootdata import weight_multiplicities
-    wm = weight_multiplicities(rd, lam)
-    pairings = {nu: pairing_fraction(nu, point) for nu in wm}
-    m = 1
-    for t in pairings.values():
-        m = lcm(m, t.denominator)
-    counts = [0] * m
-    for nu, mult in wm.items():
-        t = pairings[nu]
-        counts[(t.numerator * (m // t.denominator)) % m] += mult
-    return CyclotomicInt(m, counts)
-
-
-def eval_weight_combination_at_point(rd, combo, point) -> CyclotomicInt:
-    """Character of a virtual representation {dominant weight: coeff}."""
-    total = CyclotomicInt.zero()
-    for lam, c in sorted(combo.items()):
-        if c:
-            total = total + eval_character_at_point(rd, lam, point) * c
-    return total
+    """The character of the irreducible V_lam at a rational torus point."""
+    return _at_point(weight_multiplicities(rd, lam), point)
 
 
 def __getattr__(name):

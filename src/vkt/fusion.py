@@ -8,6 +8,10 @@ reduction) and the character route (exact evaluation at the Verlinde
 classes, inverted by Verlinde orthogonality with the weight |Delta(x)|^2
 after an exact check of the Gram identity).  Tests require them to
 agree; neither is ever silently replaced by the other.
+
+The Verlinde classes, the ideal test and the character route read the
+integer class lifts of Twisting.verlinde_lifts and evaluate characters
+with cyclo.character_bins; verlinde_classes adds rational points for reports.
 """
 
 from __future__ import annotations
@@ -15,14 +19,13 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .affineweyl import box_reduce, orbit_normal_form, enumerate_basis_orbits
+from .affineweyl import box_reduce, orbit_normal_form, enumerate_basis_orbits, stabilizer_elements
 from .cyclo import (
     CyclotomicInt,
     CyclotomicPacking,
+    character_bins,
     cyclotomic_polynomial,
-    eval_weight_combination_at_point,
     residue_bound,
 )
 from .errors import InvariantError, NotATorus, NotPrimitive
@@ -98,14 +101,11 @@ class VerlindeClass:
 
 
 def verlinde_classes(rd: RootDatum, tau: Twisting):
-    """One representative per free Weyl orbit of regular points of F_eps."""
-    group = weyl_group_elements(rd)
-    m, _, lifts = tau.f_epsilon(regular_only=True)
-    classes = {}
-    for y in lifts:
-        orbit = {tuple(c % m for c in w.apply_coweight(y)) for w in group}
-        classes[min(orbit)] = len(orbit)
-    return [VerlindeClass(tuple(Fraction(c, m) for c in p), classes[p]) for p in sorted(classes)]
+    """One representative per free Weyl orbit of regular points of F_eps:
+    the class lifts of Twisting.verlinde_lifts as rational points."""
+    m, ys = tau.verlinde_lifts()
+    size = len(weyl_group_elements(rd))
+    return [VerlindeClass(tuple(Fraction(c, m) for c in y), size) for y in ys]
 
 
 class FusionRing:
@@ -140,7 +140,6 @@ class FusionRing:
         # the whole group can vanish (e.g. the smallest nonzero twists)
         self.unit_index = self.index[unit.representative] if self.basis else None
         self._product_cache = {}
-        self._classes = None
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -168,9 +167,7 @@ class FusionRing:
         return best[1]
 
     def verlinde_points(self):
-        if self._classes is None:
-            self._classes = verlinde_classes(self.rd, self.tau)
-        return self._classes
+        return verlinde_classes(self.rd, self.tau)
 
     def basis_coefficients(self, kc: KClass):
         """Coordinates of a KClass in the distinguished basis (the images of
@@ -248,11 +245,15 @@ def module_action(ring: FusionRing, combo, kc: KClass) -> KClass:
 
 
 def verlinde_ideal_member(ring: FusionRing, combo) -> bool:
-    """Exact test: does the virtual character vanish at every Verlinde class?"""
-    for vc in ring.verlinde_points():
-        if not eval_weight_combination_at_point(ring.rd, combo, vc.point).is_zero():
-            return False
-    return True
+    """Exact test: does the virtual character {dominant weight: coeff}
+    vanish at every Verlinde class?  Its weight system is binned at each
+    class lift and reduced modulo Phi_m once per class."""
+    system = {}
+    for lam, c in combo.items():
+        for nu, mult in weight_multiplicities(ring.rd, lam).items():
+            system[nu] = system.get(nu, 0) + c * mult
+    m, ys = ring.tau.verlinde_lifts()
+    return all(CyclotomicInt(m, character_bins(system, y, m)).is_zero() for y in ys)
 
 
 def ideal_generator_candidates(ring: FusionRing, bound):
@@ -299,11 +300,6 @@ def _canonical_coset_values(rd, tau, f):
     return values
 
 
-def _coset_is_regular(rd, tau, lam):
-    return not any(tau.b_inverse_integral(vec_sub(w.apply(lam), lam)) is not None
-                   for w in weyl_group_elements(rd) if not w.is_identity())
-
-
 def _pairing_table(rd, tau, regular_only):
     """(m, lifts, exponents) for delta_eval, built once per twisting and
     flag: the F_eps lifts y_j at order m, and for each box-reduced coset
@@ -314,7 +310,7 @@ def _pairing_table(rd, tau, regular_only):
         reps = [box_reduce(tau, lam)[0] for lam in coset_representatives(tau.b)]
         m, _, lifts = tau.f_epsilon(regular_only)
         if regular_only:
-            reps = [lam for lam in reps if _coset_is_regular(rd, tau, lam)]
+            reps = [lam for lam in reps if len(stabilizer_elements(rd, tau, lam)) == 1]
         return m, lifts, {lam: array("q", [dot(lam, y) % m for y in lifts]) for lam in reps}
     return tau.cached(("pairing", regular_only), build)
 
@@ -370,15 +366,6 @@ def torus_pushforward(rd: RootDatum, tau: Twisting, lam) -> KClass:
 
 # -- the character-table route to the structure constants ---------------------
 
-def _exponent_bins(system, y, m):
-    """The weight system {weight: mult} evaluated at the torus point y/m:
-    bins[k] is the total multiplicity of weights with value zeta_m^k."""
-    bins = [0] * m
-    for nu, mult in system.items():
-        bins[dot(nu, y) % m] += mult
-    return bins
-
-
 def _weyl_density(rd: RootDatum, y, m):
     """|Delta(x)|^2 = prod over positive roots of (2 - e^alpha - e^-alpha) at
     the torus point x = y/m, as bins modulo z^m - 1."""
@@ -413,15 +400,13 @@ def structure_constants_via_characters(ring: FusionRing):
     zeta_m, index c), sized from an a-priori bound so that unpacking is
     exact; each sum is reduced modulo Phi_m once, all c at a time."""
     rd, n = ring.rd, len(ring.basis)
-    pts = [vc.point for vc in ring.verlinde_points()]
-    if len(pts) != n:
+    m, ys = ring.tau.verlinde_lifts()
+    if len(ys) != n:
         raise ValueError("class count does not match basis size")
     if not n:
         return []
-    m = lcm(*(c.denominator for x in pts for c in x))
-    ys = [tuple(int(c * m) for c in x) for x in pts]
     systems = [weight_multiplicities(rd, lam) for lam in ring.transversal]
-    chars = [[_exponent_bins(system, y, m) for y in ys] for system in systems]
+    chars = [[character_bins(system, y, m) for y in ys] for system in systems]
     density = [_weyl_density(rd, y, m) for y in ys]
 
     # |coefficient| bounds follow the 1-norms through the three products: a

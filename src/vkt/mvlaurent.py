@@ -75,10 +75,6 @@ class LaurentPoly:
     def is_symmetric(self):
         return all(self.terms.get(-e, 0) == c for e, c in self.terms.items())
 
-    def bar(self):
-        """L -> L^{-1}."""
-        return LaurentPoly({-e: c for e, c in self.terms.items()})
-
     def items(self):
         return sorted(self.terms.items())
 

@@ -368,9 +368,6 @@ class RootDatum:
     def positive_roots(self):
         return tuple(r for r, _ in self.positive_root_pairs)
 
-    def positive_coroots(self):
-        return tuple(c for _, c in self.positive_root_pairs)
-
     def check_weight(self, weight):
         return as_weight(self.rank, weight)
 
@@ -457,7 +454,8 @@ def root_datum_from_spec(spec, torus_form=None):
             spec["cartan"], spec.get("torus_rank", 0), spec.get("torus_form", torus_form),
             spec_text=f"cartan={spec['cartan']}")
     text = spec.strip()
-    parts = [p.strip() for p in re.split(r"[x×]", text)] if text else []
+    # split at x or × outside parentheses, so "SU(x)" stays one factor
+    parts = [p.strip() for p in re.split(r"[x×](?![^()]*\))", text)] if text else []
     if not parts:
         raise SpecParseError("empty group spec")
     blocks = []

@@ -7,32 +7,29 @@ integer matrix in our dual coordinate bases), and eps is a W-invariant
 mod-2 vector grading the translation action.  The half-shift point
 lambda_eps = eps/2 and the finite groups F = coker(b) and F_eps (the
 torus points solving b(x) = lambda_eps mod the weight lattice) are
-derived.
+derived.  F_eps is built in integers only: each point x is held as its
+lift y = m x at one common order m.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from operator import mul
 
 from .errors import Degenerate, InvariantError, NotEquivariant
 from .rootdata import RootDatum, dot, weyl_group_elements
 from .zlattice import (
     IntMatrix,
-    box_points,
     cokernel_structure,
+    coset_representatives,
     inverse_rational,
-    smith_normal_form,
 )
 
 
-def torus_point(rank, coords):
-    """Normalize rational coordinates to the half-open unit box [0,1)^rank."""
-    out = tuple(Fraction(c) % 1 for c in coords)
-    if len(out) != rank:
-        raise ValueError(f"point length {len(out)} != rank {rank}")
-    return out
+def _with_points(m, lifts):
+    """(m, points, lifts): the lifts y at order m with their points y / m."""
+    return m, [tuple(Fraction(c, m) for c in y) for y in lifts], lifts
 
 
 class Twisting:
@@ -40,9 +37,9 @@ class Twisting:
 
     Holds the exact integer kernel for b^-1: the adjugate adj(b) and det b,
     so that b^-1 v = adj(b) v / det b with no rational arithmetic.  Data
-    derived from the twisting alone (the F_eps points, the pairing tables
-    of fusion.delta_eval) is built on first use and cached on the object
-    (see `cached`)."""
+    derived from the twisting alone (the integer lifts of the F_eps points,
+    their W-orbits, the pairing tables of fusion.delta_eval) is built on
+    first use and cached on the object (see `cached`)."""
 
     def __init__(self, rd: RootDatum, b: IntMatrix, eps=None, level_data=None):
         self.rd = rd
@@ -115,25 +112,56 @@ class Twisting:
         return self._cache[key]
 
     def f_epsilon(self, regular_only=False):
-        """(m, points, lifts): the F_eps points of f_epsilon_points and their
+        """(m, points, lifts): the points x of F_eps, sorted, and their
         integer lifts y = m x at one common order m, built on first use.
         With regular_only=True, only the points no nontrivial Weyl element
-        fixes; w fixes y/m iff its coweight matrix fixes y mod m."""
+        fixes, read off the W-orbit pass of `verlinde_lifts`."""
         if regular_only:
-            return self.cached("regular_f_epsilon", self._regular_f_epsilon)
-        return self.cached("f_epsilon", self._lift_f_epsilon)
+            return self.cached("f_epsilon_orbits", self._weyl_orbits)[0]
+        return self.cached("f_epsilon", self._build_f_epsilon)
 
-    def _lift_f_epsilon(self):
-        points = f_epsilon_points(self.rd, self)
-        m = lcm(*(c.denominator for x in points for c in x))
-        return m, points, [tuple(int(c * m) for c in x) for x in points]
+    def verlinde_lifts(self):
+        """(m, ys): the least lift of each free W-orbit of F_eps, sorted, at
+        the common order m of these points alone: one per Verlinde class."""
+        return self.cached("f_epsilon_orbits", self._weyl_orbits)[1]
 
-    def _regular_f_epsilon(self):
-        m, points, lifts = self.f_epsilon()
-        others = [w for w in weyl_group_elements(self.rd) if not w.is_identity()]
-        keep = [j for j, y in enumerate(lifts) if not any(
-            all((a - c) % m == 0 for a, c in zip(w.apply_coweight(y), y)) for w in others)]
-        return m, [points[j] for j in keep], [lifts[j] for j in keep]
+    def _build_f_epsilon(self):
+        """F_eps is {b^-1(eps/2 + lam) mod 1} over the cosets lam of
+        coker(b); at order 2|det b| its lift is sgn(det b) adj(b)(eps + 2 lam).
+        Dividing by the gcd of every coordinate with 2|det b| leaves the
+        least common order m.  Raises InvariantError unless the enumeration
+        finds exactly |det b| points."""
+        top = 2 * self.order_F()
+        sign = 1 if self.det_b > 0 else -1
+        raw = set()
+        for lam in coset_representatives(self.b):
+            v = self.adj_apply([e + 2 * x for e, x in zip(self.eps, lam)])
+            raw.add(tuple(sign * c % top for c in v))
+        if len(raw) != self.order_F():
+            raise InvariantError(f"found {len(raw)} points of F_eps, "
+                                 f"expected |det b| = {self.order_F()}")
+        g = gcd(top, *(c for y in raw for c in y))
+        lifts = sorted(tuple(c // g for c in y) for y in raw)
+        return _with_points(top // g, lifts)
+
+    def _weyl_orbits(self):
+        """The W-orbits of F_eps, each computed once from its least lift:
+        a point is regular iff its orbit has |W| elements.  Gives the
+        regular part of f_epsilon and the classes of verlinde_lifts."""
+        m, _, lifts = self.f_epsilon()
+        group = weyl_group_elements(self.rd)
+        seen, regular, classes = set(), [], []
+        for y in lifts:                  # sorted, so y is least in a new orbit
+            if y in seen:
+                continue
+            orbit = {tuple(c % m for c in w.apply_coweight(y)) for w in group}
+            seen |= orbit
+            if len(orbit) == len(group):
+                regular.extend(orbit)
+                classes.append(y)
+        g = gcd(m, *(c for y in classes for c in y))
+        classes = (m // g, [tuple(c // g for c in y) for y in classes])
+        return _with_points(m, sorted(regular)), classes
 
     def degree_parity(self):
         """Degree mod 2 of the (only) nonzero twisted K-group."""
@@ -242,19 +270,6 @@ def twisting_from_level(rd: RootDatum, levels, torus_block=None, eps=None) -> Tw
 def f_epsilon_points(rd: RootDatum, tau: Twisting):
     """All torus points x with b(x) = lambda_eps modulo the weight lattice.
 
-    Exactly |det b| points, reduced to [0,1)^rank, in sorted order; raises
-    InvariantError if the enumeration finds a different number.  Uncached:
-    Twisting.f_epsilon keeps them per twisting."""
-    n = rd.rank
-    if n == 0:
-        return [()]
-    x0 = [Fraction(a, 2 * tau.det_b) for a in tau.adj_apply(tau.eps)]
-    snf = smith_normal_form(tau.b)
-    d = snf.invariant_diagonal()
-    pts = set()
-    for idx in box_points(d):
-        shift = snf.V.apply([Fraction(r, di) for r, di in zip(idx, d)])
-        pts.add(torus_point(n, [a + b for a, b in zip(x0, shift)]))
-    if len(pts) != tau.order_F():
-        raise InvariantError(f"found {len(pts)} points of F_eps, expected |det b| = {tau.order_F()}")
-    return sorted(pts)
+    Exactly |det b| points, reduced to [0,1)^rank, in sorted order: the
+    integer lifts of Twisting.f_epsilon divided by their order."""
+    return list(tau.f_epsilon()[1])

@@ -209,3 +209,23 @@ def test_missing_spec_file_is_a_usage_error(tmp_path, capsys):
     err = _usage_error(capsys, "basis", "--spec", str(missing))
     assert err["error"] == "SpecParseError"
     assert str(missing) in err["message"]
+
+
+def test_torus_of_strings_is_a_usage_error(capsys):
+    err = _usage_error(capsys, "basis", "--group", "U(1)", "--torus", '[["a"]]')
+    assert err["error"] == "SpecParseError"
+    assert "torus" in err["message"]
+
+
+def test_torus_string_is_a_usage_error(capsys):
+    err = _usage_error(capsys, "basis", "--group", "U(1)", "--torus", '"abc"')
+    assert err["error"] == "SpecParseError"
+    assert "torus" in err["message"]
+
+
+def test_spec_levels_of_strings_is_a_usage_error(tmp_path, capsys):
+    spec = tmp_path / "job.spec"
+    spec.write_text('group = "SU(2)"\ntwist = { levels = ["a"] }\n')
+    err = _usage_error(capsys, "basis", "--spec", str(spec))
+    assert err["error"] == "SpecParseError"
+    assert "levels" in err["message"]

@@ -6,10 +6,10 @@ import vkt.fieldsolve
 from vkt.cyclo import (
     CyclotomicInt,
     CyclotomicPacking,
+    character_bins,
     cyclotomic_polynomial,
     eval_character_at_point,
     eval_weight_at_point,
-    eval_weight_combination_at_point,
     poly_divmod_exact,
     poly_mul,
     residue_bound,
@@ -139,12 +139,16 @@ def test_eval_character_numerical_shadow():
 
 
 def test_weight_combination():
+    # the weight system of chi_4 - chi_0 on SU(2), at x = 1/10 lifted to y = 1 at order 10
     su2 = root_datum_from_spec("SU(2)")
+    system = {(4,): 1, (2,): 1, (0,): 0, (-2,): 1, (-4,): 1}
+    bins = character_bins(system, (1,), 10)
+    assert bins == [0, 0, 1, 0, 1, 0, 1, 0, 1, 0]
     x = (Fraction(1, 10),)
-    combo = {(4,): 1, (0,): -1}
-    val = eval_weight_combination_at_point(su2, combo, x)
     direct = eval_character_at_point(su2, (4,), x) - eval_character_at_point(su2, (0,), x)
-    assert val == direct
+    assert CyclotomicInt(10, bins) == direct
+    # the same point lifted at a multiple order gives the same value
+    assert CyclotomicInt(20, character_bins(system, (2,), 20)) == direct
 
 
 def test_poly_divmod_exact():

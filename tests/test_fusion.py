@@ -9,7 +9,6 @@ import vkt.fieldsolve
 import vkt.fusion
 from vkt.affineweyl import OrbitReduction
 from vkt.cli import JobSpec, build_root_datum, build_twisting
-from vkt.cyclo import eval_character_at_point
 from vkt.errors import InvariantError, NotATorus, NotPrimitive
 from vkt.fieldsolve import FieldElement, invert_field_matrix
 from vkt.fusion import (
@@ -25,12 +24,13 @@ from vkt.fusion import (
     mult_by_U_matrix,
     structure_constants_via_characters,
     torus_pushforward,
-    verlinde_classes,
     verlinde_ideal_member,
 )
 from vkt.rootdata import root_datum_from_spec
 from vkt.twist import twisting_from_level
 from vkt.zlattice import coset_representatives
+
+from test_kernel import fraction_character, fraction_verlinde_classes
 
 
 def su2_ring(n, eps=(0,)):
@@ -150,9 +150,10 @@ def test_oracle_equivalence_small():
 def _inverse_solve(ring):
     """The structure constants by inverting the character matrix over
     Q(zeta_m) and applying the inverse to chi_a chi_b: the solve that the
-    orthogonality route replaces, kept here as its reference."""
-    pts = [vc.point for vc in verlinde_classes(ring.rd, ring.tau)]
-    chars = [[eval_character_at_point(ring.rd, lam, x) for x in pts] for lam in ring.transversal]
+    orthogonality route replaces, kept here as its reference.  The classes
+    and character values come from the Fraction oracles of test_kernel."""
+    pts = [x for x, _ in fraction_verlinde_classes(ring.rd, ring.tau)]
+    chars = [[fraction_character(ring.rd, lam, x) for x in pts] for lam in ring.transversal]
     n = len(chars)
     order = lcm(*(v.order for row in chars for v in row))
     inverse = invert_field_matrix([[chars[c][j] for c in range(n)] for j in range(n)], order)

@@ -1,10 +1,13 @@
-"""The twisting's integer b^-1 kernel and the per-twisting pairing caches,
-against the rational (Fraction) computations they replaced.
+"""The twisting's integer b^-1 kernel, the integer F_eps lifts and
+character evaluator, and the per-twisting pairing caches, against the
+rational (Fraction) computations they replaced.
 
 The oracles below are the earlier implementations: box reduction by the
-rational inverse of b and a floor, and the averaged pairing rebuilt in
-full (coset enumeration, F_eps points, rational fixed-point tests) on
-every call."""
+rational inverse of b and a floor, the F_eps points enumerated from the
+Smith normal form of b with Fraction shifts, characters evaluated with
+Fraction pairings at each point's own order, and the averaged pairing
+rebuilt in full (coset enumeration, F_eps points, rational fixed-point
+tests) on every call.  None of them calls the code it checks."""
 
 import random
 from fractions import Fraction
@@ -13,15 +16,32 @@ from itertools import product
 from math import lcm
 
 import vkt.fusion
-import vkt.twist
 import vkt.zlattice
 from vkt.affineweyl import box_reduce, stabilizer_elements
 from vkt.checks import check_delta_identity
 from vkt.cyclo import CyclotomicInt
-from vkt.fusion import FusionRing, delta_eval, verlinde_classes
-from vkt.rootdata import dot, root_datum_from_spec, vec_add, vec_sub, weyl_group_elements
+from vkt.fusion import (
+    FusionRing,
+    delta_eval,
+    dominant_weights_up_to,
+    verlinde_classes,
+    verlinde_ideal_member,
+)
+from vkt.rootdata import (
+    dot,
+    root_datum_from_spec,
+    vec_add,
+    vec_sub,
+    weight_multiplicities,
+    weyl_group_elements,
+)
 from vkt.twist import f_epsilon_points, twisting_from_level
-from vkt.zlattice import coset_representatives, inverse_rational, matvec_fraction
+from vkt.zlattice import (
+    coset_representatives,
+    inverse_rational,
+    matvec_fraction,
+    smith_normal_form,
+)
 
 # the acceptance grid, plus the indefinite and negative-determinant forms the
 # verify benchmark runs: det b = -24, -6 and 3
@@ -47,8 +67,15 @@ GRID = [
 ]
 
 
-def grid_twistings():
-    for name, levels, torus, eps in GRID:
+# a graded form with det b > 0 and a rank-3 form, for the F_eps builder alone
+F_EPSILON_EXTRA = [
+    ("SU(2) x U(1)", (3,), [[4]], (0, 1)),
+    ("SU(4)", (5,), None, None),
+]
+
+
+def grid_twistings(grid=GRID):
+    for name, levels, torus, eps in grid:
         rd = root_datum_from_spec(name)
         yield name, rd, twisting_from_level(rd, levels, torus_block=torus, eps=eps)
 
@@ -68,6 +95,45 @@ def fraction_box_reduce(tau, vec):
     return vec_add(vec, tau.b.apply(pi)), pi
 
 
+def fraction_f_epsilon_points(rd, tau):
+    # x0 = b^-1(eps/2) plus V (r_i / d_i) over the box of invariant factors d
+    if rd.rank == 0:
+        return [()]
+    x0 = fraction_b_inverse(tau, [Fraction(e, 2) for e in tau.eps])
+    snf = smith_normal_form(tau.b)
+    d = snf.invariant_diagonal()
+    pts = set()
+    for idx in product(*(range(di) for di in d)):
+        shift = snf.V.apply([Fraction(r, di) for r, di in zip(idx, d)])
+        pts.add(tuple((a + b) % 1 for a, b in zip(x0, shift)))
+    return sorted(pts)
+
+
+def fraction_character(rd, lam, point):
+    wm = weight_multiplicities(rd, lam)
+    pairings = {nu: sum(Fraction(w) * x for w, x in zip(nu, point)) for nu in wm}
+    m = lcm(1, *(t.denominator for t in pairings.values()))
+    counts = [0] * m
+    for nu, mult in wm.items():
+        t = pairings[nu]
+        counts[(t.numerator * (m // t.denominator)) % m] += mult
+    return CyclotomicInt(m, counts)
+
+
+def fraction_ideal_member(rd, class_points, combo):
+    for x in class_points:
+        total = CyclotomicInt.zero()
+        for lam, c in sorted(combo.items()):
+            total = total + fraction_character(rd, lam, x) * c
+        if not total.is_zero():
+            return False
+    return True
+
+
+def _order(points):
+    return lcm(1, *(c.denominator for x in points for c in x))
+
+
 def _fixes_point(w, x):
     return all(Fraction(c) % 1 == 0 for c in vec_sub(w.apply_coweight(x), x))
 
@@ -78,13 +144,13 @@ def fraction_delta_eval(rd, tau, f, g, regular_only=False):
         rep, pi = fraction_box_reduce(tau, lam)
         values[rep] = tau.translation_sign(pi) * v
     reps = [fraction_box_reduce(tau, lam)[0] for lam in coset_representatives(tau.b)]
-    points = f_epsilon_points(rd, tau)
+    points = fraction_f_epsilon_points(rd, tau)
     if regular_only:
         others = [w for w in weyl_group_elements(rd) if not w.is_identity()]
         reps = [lam for lam in reps if not any(
             all(x.denominator == 1 for x in fraction_b_inverse(tau, vec_sub(w.apply(lam), lam)))
             for w in others)]
-        points = [x for x in points if not any(_fixes_point(w, x) for w in others)]
+        points = fraction_regular_points(rd, tau)
     m = 1
     scaled = []
     for x in points:
@@ -103,12 +169,16 @@ def fraction_delta_eval(rd, tau, f, g, regular_only=False):
     return Fraction(total.integer_value(), tau.order_F())
 
 
-def fraction_verlinde_classes(rd, tau):
+def fraction_regular_points(rd, tau):
+    others = [w for w in weyl_group_elements(rd) if not w.is_identity()]
+    return [x for x in fraction_f_epsilon_points(rd, tau)
+            if not any(_fixes_point(w, x) for w in others)]
+
+
+def fraction_verlinde_classes(rd, tau, regular=None):
     group = weyl_group_elements(rd)
     classes = {}
-    for x in f_epsilon_points(rd, tau):
-        if any(_fixes_point(w, x) for w in group if not w.is_identity()):
-            continue
+    for x in regular or fraction_regular_points(rd, tau):
         orbit = {tuple(Fraction(c) % 1 for c in w.apply_coweight(x)) for w in group}
         classes[min(orbit)] = len(orbit)
     return [(p, classes[p]) for p in sorted(classes)]
@@ -167,6 +237,38 @@ def test_stabilizers_match_fraction_oracle():
             assert got == want, (name, lam)
 
 
+def test_f_epsilon_matches_snf_oracle():
+    for name, rd, tau in grid_twistings(GRID + F_EPSILON_EXTRA):
+        want = fraction_f_epsilon_points(rd, tau)
+        m = _order(want)
+        assert tau.f_epsilon() == (m, want, [tuple(int(c * m) for c in x) for x in want]), name
+        assert f_epsilon_points(rd, tau) == want, name
+        # the regular subset keeps the order of the whole of F_eps
+        regular = fraction_regular_points(rd, tau)
+        assert tau.f_epsilon(regular_only=True) == \
+            (m, regular, [tuple(int(c * m) for c in x) for x in regular]), name
+        # the class lifts sit at the order of the class points alone
+        classes = [x for x, _ in fraction_verlinde_classes(rd, tau, regular)]
+        order = _order(classes)
+        assert tau.verlinde_lifts() == (order, [tuple(int(c * order) for c in x) for x in classes])
+
+
+def test_verlinde_ideal_member_matches_fraction_oracle():
+    for name, rd, tau in grid_twistings():
+        ring = FusionRing(rd, tau)
+        # check_annihilation's search bound
+        largest = max((abs(v) for row in tau.b.to_rows() for v in row), default=4)
+        bound = min({1: 10, 2: 8}.get(rd.rank, 4), max(4, largest))
+        points = [x for x, _ in fraction_verlinde_classes(rd, tau)]
+        weights = dominant_weights_up_to(rd, bound)
+        for lam in weights:
+            want = fraction_ideal_member(rd, points, {lam: 1})
+            assert verlinde_ideal_member(ring, {lam: 1}) == want, (name, lam)
+        # a virtual character: the difference of the first two weights
+        combo = {weights[0]: 1, weights[1]: -1}
+        assert verlinde_ideal_member(ring, combo) == fraction_ideal_member(rd, points, combo), name
+
+
 def test_verlinde_classes_match_fraction_oracle():
     for name, rd, tau in grid_twistings():
         got = [(vc.point, vc.orbit_size) for vc in verlinde_classes(rd, tau)]
@@ -217,7 +319,7 @@ def test_tables_build_no_pairing_cache():
 
 def test_delta_identity_work_does_not_grow_with_trials(monkeypatch):
     # the cosets, F_eps points and exponent table are built once per twisting,
-    # not once per delta_eval call
+    # not once per delta_eval call; every SNF goes through vkt.zlattice
     calls = []
     real = vkt.zlattice.smith_normal_form
 
@@ -225,8 +327,7 @@ def test_delta_identity_work_does_not_grow_with_trials(monkeypatch):
         calls.append(M)
         return real(M)
 
-    for module in (vkt.zlattice, vkt.twist):
-        monkeypatch.setattr(module, "smith_normal_form", counting)
+    monkeypatch.setattr(vkt.zlattice, "smith_normal_form", counting)
     rd = root_datum_from_spec("SU(3)")
     counts = []
     for trials in (10, 60):

@@ -122,6 +122,14 @@ def test_bad_specs():
         root_datum_from_spec({"cartan": [[2, 1], [1, 2]]})
 
 
+def test_group_split_keeps_parentheses_whole():
+    # x inside parentheses is not a product sign
+    with pytest.raises(SpecParseError, match=r"'SU\(x\)'"):
+        root_datum_from_spec("SU(x)")
+    rd = root_datum_from_spec("SU(2)xU(1)")
+    assert (rd.rank, len(rd.factors), len(rd.torus_indices)) == (2, 1, 1)
+
+
 def test_so3_style_datum_rejected():
     # adjoint-group A1 lattice: root = basis vector, coroot = twice the dual
     with pytest.raises(NotTorsionFreePi1):
