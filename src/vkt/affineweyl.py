@@ -2,26 +2,63 @@
 
 The group is (coweight lattice) semidirect W.  On weight coordinates the
 element (pi, w) acts by lam -> w(lam) + b(pi), where b is the twisting's
-injection; the sign character is det(w) * (-1)**eps(pi).  A Weyl-orbit
-trace inside the fundamental box of b(coweights) gives orbit normal
-forms without any unbounded search.
+injection; the sign character is det(w) * (-1)**eps(pi).
+
+Orbit normal forms come from an integer alcove walk (Kac-Walton; Walton,
+Nucl. Phys. B340 (1990) 777; Kac, Infinite-dimensional Lie algebras,
+Ex. 13.35): a weight costs a few integer reflections, with no loop over W
+or over the cosets of b:
+
+* Walls.  Each simple factor's highest root theta has b(theta^vee) =
+  l_theta theta.  The closed alcove is <lam, alpha_i^vee> >= 0 for the
+  simple coroots and <lam, theta^vee> <= |l_theta| per factor.  The simple
+  reflections lam -> lam - <lam, alpha_i^vee> alpha_i have sign -1; the
+  affine reflection lam -> lam - (<lam, theta^vee> - |l_theta|) theta
+  translates by +-theta^vee and has sign -(-1)**eps(theta^vee).  Together
+  they generate W x (coroot lattice), which meets each orbit in the closed
+  alcove exactly once.
+* Free part.  The coweights modulo the coroots (pi_1, free) act through
+  b(coweights) / b(coroots).  A free coordinate f(lam) in Q^r, the
+  W-invariant projection of b^-1 lam, is moved into [0, 1)^r by a coweight
+  translation first; the walk back into the alcove leaves f unchanged.
+  On split data f is b^-1 on the torus block, so this is the box reduction
+  of the torus coordinates.
+* ZERO.  The stabilizer of an alcove point is generated by the reflections
+  in the walls through it, so the orbit is ZERO exactly when one of those
+  walls carries a sign -1 reflection.
+
+The canonical label of a surviving orbit stays the lexicographically least
+point of the orbit in the fundamental box of b(coweights), found by one
+scan over W per alcove point and cached on the twisting.  The basis is
+read off the lattice points of the closed alcove times the free box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import ceil, floor
 
+from .errors import InvariantError
 from .rootdata import (
     RootDatum,
     WeylElement,
+    dot,
+    reflect_into_chamber,
     vec_add,
     vec_sub,
     weyl_compose,
     weyl_group_elements,
 )
 from .twist import Twisting
-from .zlattice import IntMatrix, coset_representatives
+from .zlattice import (
+    IntMatrix,
+    box_points,
+    inverse_rational,
+    inverse_unimodular,
+    smith_normal_form,
+)
 
 
 @dataclass(frozen=True)
@@ -54,7 +91,6 @@ def affine_inverse(rd: RootDatum, g: AffineElement) -> AffineElement:
 
 def _weyl_inverse(rd, w):
     from .rootdata import canonical_weyl
-    from .zlattice import inverse_unimodular
     return canonical_weyl(rd, inverse_unimodular(w.matrix))
 
 
@@ -68,18 +104,27 @@ def sign_character(tau: Twisting, g: AffineElement) -> int:
     return g.weyl.determinant * tau.translation_sign(g.translation)
 
 
-@dataclass(frozen=True)
 class OrbitReduction:
     """Normal form of an orbit: canonical representative, sign, and witness.
 
     `representative` is None exactly when the orbit dies (its stabilizer
     contains an element of sign -1); then `sign` is meaningless.  Otherwise
     act(witness, input) == representative and sign == sign_character(witness).
+    `witness` may be given as a function building it, called when first read.
     """
 
-    representative: tuple
-    sign: int
-    witness: AffineElement
+    __slots__ = ("representative", "sign", "_witness")
+
+    def __init__(self, representative, sign, witness):
+        self.representative = representative
+        self.sign = sign
+        self._witness = witness
+
+    @property
+    def witness(self):
+        if callable(self._witness):
+            self._witness = self._witness()
+        return self._witness
 
     @property
     def is_zero(self):
@@ -95,28 +140,225 @@ def box_reduce(tau: Twisting, vec):
     return vec_add(vec, tau.apply_b(pi)), pi
 
 
+class Alcove:
+    """The closed alcove of one twisting: its walls, the free coordinates,
+    and the labels of the surviving alcove points found so far.
+
+    Walls come in the order of rootdata.reflect_into_chamber: the simple
+    reflections, then one affine theta-wall per simple factor.  The free
+    part uses a Smith normal form of the simple-coroot pairing C: its
+    transforms give a section S of C (weights with the given pairings), a
+    basis of the W-invariant weights ker C, and coweights lifting the free
+    coordinates; on split data all three are unit vectors."""
+
+    def __init__(self, rd: RootDatum, tau: Twisting):
+        self.rd, self.tau = rd, tau
+        n, m = rd.rank, len(rd.simple_roots)
+        if m:
+            snf = smith_normal_form(IntMatrix.from_rows([list(cv) for cv in rd.simple_coroots]))
+            v, u = snf.V, snf.U
+        else:
+            v, u = IntMatrix.identity(n), IntMatrix.identity(0)
+        cols = [v.column(j) for j in range(n)]
+        # S = V[:, :m] U, so that C S = I: section[j] pairs to e_j with C
+        self.section = [tuple(sum(cols[k][i] * u.at(k, j) for k in range(m))
+                              for i in range(n)) for j in range(m)]
+        self.invariant = cols[m:]
+        vinv = inverse_unimodular(v)
+        self.lifts = [vinv.row(j) for j in range(m, n)]
+        # f(lam) = (v_k . adj(b) lam) / det b for the invariant weights v_k
+        self.free_rows = [tuple(tau.adj_apply(vk)) for vk in self.invariant]
+
+        self.walls = list(rd.simple_walls)
+        self.signs = [-1] * m
+        self.translations = [(0,) * n] * m
+        self.reflections = list(zip(rd.simple_roots, rd.simple_coroots))
+        self.factors = []            # (simple indices, comarks, 2 |l_theta|)
+        for f in rd.factors:
+            theta, cotheta = f.highest_root
+            image = tau.apply_b(cotheta)
+            level2 = dot(image, cotheta)               # 2 l_theta
+            if any(2 * x != level2 * t for x, t in zip(image, theta)):
+                raise InvariantError(f"b(theta^vee) = {image} is not a multiple of theta = {theta}")
+            k = 1 if level2 > 0 else -1
+            self.walls.append((tuple((j, -c) for j, c in enumerate(cotheta) if c),
+                               tuple(-t for t in theta), -abs(level2),
+                               tuple(k * x for x in image)))
+            self.signs.append(-tau.translation_sign(cotheta))
+            self.translations.append(tuple(k * c for c in cotheta))
+            self.reflections.append((theta, cotheta))
+            self.factors.append((f.indices, tuple(dot(self.section[i], cotheta) for i in f.indices),
+                                 abs(level2)))
+        self._labels = {}
+        self._steps = None
+
+    # -- the walk -------------------------------------------------------------
+
+    def walk(self, lam):
+        """(alcove point, free translation pi0, word, sign): lam + b(pi0)
+        has free coordinates in [0, 1)^r, and the walls of `word` crossed in
+        order take it to the alcove point; `sign` is that element's sign."""
+        tau, d = self.tau, self.tau.det_b
+        pi0 = None
+        for row, lift in zip(self.free_rows, self.lifts):
+            z = dot(row, lam) // d
+            if z:
+                step = tuple(-z * c for c in lift)
+                pi0 = step if pi0 is None else vec_add(pi0, step)
+        if pi0 is not None:
+            lam = vec_add(lam, tau.apply_b(pi0))
+        point, word = reflect_into_chamber(lam, self.walls)
+        sign = 1 if pi0 is None else tau.translation_sign(pi0)
+        for k in word:
+            sign *= self.signs[k]
+        return point, pi0, word, sign
+
+    def is_zero(self, point):
+        """A wall through the alcove point carries a sign -1 reflection."""
+        for (coroot, _, bound2, _), s in zip(self.walls, self.signs):
+            if s < 0 and 2 * sum(point[j] * c for j, c in coroot) == bound2:
+                return True
+        return False
+
+    def witness(self, pi0, word):
+        """The affine element of a walk, as an AffineElement."""
+        rd = self.rd
+        if self._steps is None:
+            self._steps = [AffineElement(t, _reflection_element(rd, *pair))
+                           for t, pair in zip(self.translations, self.reflections)]
+        g = AffineElement(pi0 or (0,) * rd.rank, rd.identity_element)
+        for k in word:
+            g = affine_compose(rd, self._steps[k], g)
+        return g
+
+    # -- labels -------------------------------------------------------------
+
+    def label(self, point):
+        """(label, g, sign) for a surviving alcove point: the lexicographically
+        least box point of its orbit, the element g (first in the order of
+        weyl_group_elements) taking the point there, and g's sign."""
+        hit = self._labels.get(point)
+        if hit is None:
+            best = None
+            for w in weyl_group_elements(self.rd):
+                reduced, pi = box_reduce(self.tau, w.apply(point))
+                if best is None or reduced < best[0]:
+                    best = (reduced, AffineElement(pi, w))
+            hit = (best[0], best[1], sign_character(self.tau, best[1]))
+            self._labels[point] = hit
+        return hit
+
+    # -- the lattice points of the closed alcove ------------------------------
+
+    def points(self):
+        """Every lattice point of the closed alcove with free coordinates in
+        [0, 1)^r: one point per orbit, in a deterministic order.  A point is
+        S a + sum_k z_k v_k for alcove pairings a and integers z; its free
+        coordinates are (h0 + H z) / det b with h0 = f-rows . S a and H the
+        f-rows on the v_k, so z ranges over H^-1 (box - h0), bounded at the
+        box's corners."""
+        d, rank, r = self.tau.det_b, self.rd.rank, len(self.invariant)
+        h = [[dot(row, v) for v in self.invariant] for row in self.free_rows]
+        hinv = inverse_rational(IntMatrix.from_rows(h)) if r else []
+        ends = (0, d - 1) if d > 0 else (d + 1, 0)      # floor(y / d) == 0
+        for a in self._pairings():
+            base = (0,) * rank
+            for ai, col in zip(a, self.section):
+                if ai:
+                    base = vec_add(base, [ai * c for c in col])
+            h0 = [dot(row, base) for row in self.free_rows]
+            corners = [[ends[e] - c for e, c in zip(bits, h0)] for bits in box_points((2,) * r)]
+            ranges = [range(ceil(min(dot(row, y) for y in corners)),
+                            floor(max(dot(row, y) for y in corners)) + 1) for row in hinv]
+            for z in product(*ranges):
+                if all((c + dot(row, z)) // d == 0 for c, row in zip(h0, h)):
+                    point = base
+                    for zk, v in zip(z, self.invariant):
+                        point = vec_add(point, [zk * c for c in v])
+                    yield point
+
+    def _pairings(self):
+        """The simple-coroot pairings a of closed-alcove points: a_i >= 0 and
+        2 sum_i comark_i a_i <= 2 |l_theta| on each factor."""
+        vectors = [[0] * len(self.rd.simple_roots)]
+        for idx, comarks, bound in self.factors:
+            grown = []
+            for a in vectors:
+                for part in _bounded_vectors([2 * c for c in comarks], bound):
+                    b = list(a)
+                    for i, ai in zip(idx, part):
+                        b[i] = ai
+                    grown.append(b)
+            vectors = grown
+        return vectors
+
+
+def _bounded_vectors(weights, budget):
+    """The nonnegative integer vectors a with sum_i weights_i a_i <= budget."""
+    if not weights:
+        yield ()
+        return
+    for first in range(budget // weights[0] + 1):
+        for rest in _bounded_vectors(weights[1:], budget - weights[0] * first):
+            yield (first,) + rest
+
+
+def alcove(rd: RootDatum, tau: Twisting) -> Alcove:
+    """The twisting's Alcove, built once and cached on it."""
+    return tau.cached("alcove", lambda: Alcove(rd, tau))
+
+
 def orbit_normal_form(rd: RootDatum, tau: Twisting, lam) -> OrbitReduction:
     """Canonical representative of the affine orbit of lam, with sign.
 
-    The orbit's intersection with the fundamental box is {box_reduce(w lam)};
-    the representative is its lexicographically least member.  If two Weyl
-    images land on the same box point with opposite signs the stabilizer has
-    a sign -1 element and the orbit is ZERO.
-    """
+    Walks lam into the closed alcove (free part first), reads ZERO off the
+    walls through the alcove point, and otherwise returns the point's
+    cached label.  The witness is composed from the walk when first read."""
     lam = rd.check_weight(lam)
-    candidates = {}
-    for w in weyl_group_elements(rd):
-        reduced, pi = box_reduce(tau, w.apply(lam))
-        g = AffineElement(pi, w)
-        s = sign_character(tau, g)
-        prev = candidates.get(reduced)
-        if prev is None:
-            candidates[reduced] = (s, g)
-        elif prev[0] != s:
-            return OrbitReduction(None, 0, prev[1])
-    rep = min(candidates)
-    s, g = candidates[rep]
-    return OrbitReduction(rep, s, g)
+    alc = alcove(rd, tau)
+    point, pi0, word, sign = alc.walk(lam)
+    if alc.is_zero(point):
+        return OrbitReduction(None, 0, lambda: alc.witness(pi0, word))
+    label, g, s = alc.label(point)
+    return OrbitReduction(label, sign * s,
+                          lambda: affine_compose(rd, g, alc.witness(pi0, word)))
+
+
+def basis_alcove_points(rd: RootDatum, tau: Twisting):
+    """{label: alcove point} over the surviving orbits, built once per
+    twisting from the lattice points of the closed alcove.  Raises
+    InvariantError if two alcove points share a label."""
+    def build():
+        alc = alcove(rd, tau)
+        out = {}
+        for point in alc.points():
+            if not alc.is_zero(point):
+                label = alc.label(point)[0]
+                if label in out:
+                    raise InvariantError(f"alcove points {out[label]} and {point} "
+                                         f"share the orbit label {label}")
+                out[label] = point
+        return out
+    return tau.cached("basis", build)
+
+
+def enumerate_basis_orbits(rd: RootDatum, tau: Twisting):
+    """Canonical representatives of the contributing (non-ZERO) orbits,
+    one per surviving lattice point of the closed alcove.  Sorted
+    lexicographically."""
+    return sorted(basis_alcove_points(rd, tau))
+
+
+def alcove_translates(rd: RootDatum, tau: Twisting, point, radius):
+    """The alcove points of point's orbit reached by the free translations
+    sum_k z_k lift_k with |z_k| <= radius (just [point] when pi_1 = 0)."""
+    alc = alcove(rd, tau)
+    r = len(alc.lifts)
+    out = []
+    for z in box_points((2 * radius + 1,) * r, -radius):
+        pi = tuple(sum(zk * c[i] for zk, c in zip(z, alc.lifts)) for i in range(rd.rank))
+        out.append(reflect_into_chamber(vec_add(point, tau.apply_b(pi)), alc.walls)[0])
+    return out
 
 
 def stabilizer_elements(rd: RootDatum, tau: Twisting, lam):
@@ -131,26 +373,13 @@ def stabilizer_elements(rd: RootDatum, tau: Twisting, lam):
     return out
 
 
-def enumerate_basis_orbits(rd: RootDatum, tau: Twisting):
-    """Canonical representatives of the contributing (non-ZERO) orbits.
-
-    Complete: every coset of the weight lattice modulo b(coweights) is
-    visited once.  Sorted lexicographically."""
-    reps = set()
-    for lam in coset_representatives(tau.b):
-        red = orbit_normal_form(rd, tau, lam)
-        if not red.is_zero:
-            reps.add(red.representative)
-    return sorted(reps)
-
-
 def zero_criterion_discrepancies(rd: RootDatum, tau: Twisting):
     """Orbits where "stabilizer has a sign -1 element" and "stabilizer is
     nontrivial" disagree.  Empty when the grading vanishes; with a nonzero
     grading an affine reflection can carry sign +1 and the two readings of
     which orbits survive differ.  Reported, never silently resolved."""
     out = []
-    for lam in coset_representatives(tau.b):
+    for lam in tau.cosets():
         red = orbit_normal_form(rd, tau, lam)
         free = len(stabilizer_elements(rd, tau, lam)) == 1
         if red.is_zero == free:

@@ -20,7 +20,14 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .affineweyl import box_reduce, orbit_normal_form, enumerate_basis_orbits, stabilizer_elements
+from .affineweyl import (
+    alcove_translates,
+    basis_alcove_points,
+    box_reduce,
+    enumerate_basis_orbits,
+    orbit_normal_form,
+    stabilizer_elements,
+)
 from .cyclo import (
     CyclotomicInt,
     CyclotomicPacking,
@@ -39,7 +46,7 @@ from .rootdata import (
     weyl_group_elements,
 )
 from .twist import Twisting
-from .zlattice import IntMatrix, box_points, coset_representatives
+from .zlattice import IntMatrix, box_points
 
 
 class KClass:
@@ -125,8 +132,8 @@ class FusionRing:
         self.basis = tuple(enumerate_basis_orbits(rd, tau))
         self.index = {rep: i for i, rep in enumerate(self.basis)}
         self.rho_tilde = rd.rho_tilde
-        shifts = [tau.apply_b(pi) for pi in box_points((7,) * rd.rank, -3)]
-        self.transversal = tuple(self._transversal_weight(rep, shifts) for rep in self.basis)
+        points = basis_alcove_points(rd, tau)
+        self.transversal = tuple(self._transversal_weight(points[rep]) for rep in self.basis)
         self.signs = []
         for lam in self.transversal:
             red = orbit_normal_form(rd, tau, vec_add(lam, self.rho_tilde))
@@ -143,28 +150,17 @@ class FusionRing:
 
     # -- basis bookkeeping -------------------------------------------------
 
-    def _transversal_weight(self, rep, shifts):
-        """The dominant weight lam with lam + rho_tilde in the orbit of rep,
-        chosen as the orbit element nearest the box origin (L1 in b-inverse
-        coordinates, ties broken lexicographically), among the w(rep) + b(pi)
-        with b(pi) in `shifts`.  The L1 norm of adj(b) nu is |det b| times
+    def _transversal_weight(self, point):
+        """The dominant weight lam = nu - rho_tilde for the alcove point nu
+        of the orbit nearest the box origin (L1 in b-inverse coordinates,
+        ties broken lexicographically).  Only the free part moves nu: the
+        candidates are the orbit's alcove points within three free
+        translations of `point`.  The L1 norm of adj(b) nu is |det b| times
         that of b^-1 nu, so it gives the same order in integers."""
-        rd, tau = self.rd, self.tau
-        best = None
-        for w in weyl_group_elements(rd):
-            base = w.apply(rep)
-            for shift in shifts:
-                nu = vec_add(base, shift)
-                lam = vec_sub(nu, self.rho_tilde)
-                if not rd.is_dominant(lam):
-                    continue
-                size = sum(map(abs, tau.adj_apply(nu)))
-                key = (size, nu)
-                if best is None or key < best[0]:
-                    best = (key, lam)
-        if best is None:
-            raise ValueError(f"no dominant transversal weight found for orbit {rep}")
-        return best[1]
+        tau = self.tau
+        nu = min(alcove_translates(self.rd, tau, point, 3),
+                 key=lambda nu: (sum(map(abs, tau.adj_apply(nu))), nu))
+        return vec_sub(nu, self.rho_tilde)
 
     def verlinde_points(self):
         return verlinde_classes(self.rd, self.tau)
@@ -307,7 +303,7 @@ def _pairing_table(rd, tau, regular_only):
     row <lam_i, y_j> mod m, packed as 8-byte integers: the table holds
     |F|^2 entries."""
     def build():
-        reps = [box_reduce(tau, lam)[0] for lam in coset_representatives(tau.b)]
+        reps = [box_reduce(tau, lam)[0] for lam in tau.cosets()]
         m, _, lifts = tau.f_epsilon(regular_only)
         if regular_only:
             reps = [lam for lam in reps if len(stabilizer_elements(rd, tau, lam)) == 1]

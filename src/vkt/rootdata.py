@@ -108,6 +108,7 @@ class SimpleFactor:
     cartan: IntMatrix
     kappa: IntMatrix             # basic W-invariant pairing on the block
     dual_coxeter: int
+    highest_root: tuple          # (theta, theta^vee) in weight / coweight coordinates
 
 
 @dataclass(frozen=True)
@@ -220,6 +221,10 @@ class RootDatum:
                                for r in range(self.rank) for c in range(self.rank)])
             gens.append(WeylElement(mat, comat, (i,), -1))
         self.generators = tuple(gens)
+        # the simple reflections as walls of the dominant chamber (see
+        # reflect_into_chamber)
+        self.simple_walls = tuple(
+            (_sparse(self.simple_coroots[i]), self.simple_roots[i], 0, None) for i in range(m))
         self.identity_element = WeylElement(
             IntMatrix.identity(self.rank), IntMatrix.identity(self.rank), (), 1)
 
@@ -260,14 +265,14 @@ class RootDatum:
                     continue
                 h = sum(coords)
                 if best is None or h > best[0]:
-                    best = (h, cv)
+                    best = (h, cv, r)
             pairing = dot(self.rho, best[1])
             if pairing.denominator != 1:
                 raise InvariantError(f"<rho, highest coroot> = {pairing} is not an integer")
             factors.append(SimpleFactor(
                 name=_classify(sub), indices=comp,
                 cartan=IntMatrix.from_rows(sub), kappa=_basic_pairing(sub),
-                dual_coxeter=1 + pairing.numerator))
+                dual_coxeter=1 + pairing.numerator, highest_root=(best[2], best[1])))
         self.factors = tuple(factors)
 
         self.rho_tilde, self.rho_tilde_note = self._pick_rho_tilde()
@@ -651,22 +656,52 @@ def weyl_compose(rd: RootDatum, w1: WeylElement, w2: WeylElement) -> WeylElement
     return canonical_weyl(rd, w1.matrix * w2.matrix)
 
 
+def _sparse(coroot):
+    """The nonzero coordinates of a coroot as (index, value) pairs."""
+    return tuple((j, c) for j, c in enumerate(coroot) if c)
+
+
+def reflect_into_chamber(lam, walls):
+    """Reflect lam through the first wall it violates until it violates none.
+
+    A wall is (coroot, root, bound2, shift): `coroot` lists the nonzero
+    coordinates of a coweight c as (index, value) pairs, and lam violates
+    the wall when 2 <lam, c> < bound2; the reflection through it is
+    lam -> lam - <lam, c> root + shift (shift None for zero).  Returns
+    (lam, word) with `word` the indices of the walls crossed, in order."""
+    lam = list(lam)
+    word = []
+    while True:
+        for k, (coroot, root, bound2, shift) in enumerate(walls):
+            p = 0
+            for j, c in coroot:
+                p += lam[j] * c
+            if 2 * p < bound2:
+                lam = [x - p * r for x, r in zip(lam, root)]
+                if shift is not None:
+                    lam = [x + s for x, s in zip(lam, shift)]
+                word.append(k)
+                break
+        else:
+            return tuple(lam), word
+
+
+def dominant_walk(rd: RootDatum, weight):
+    """(dominant weight, sign, on_wall) by the simple-reflection walk: the
+    sign is (-1)**(number of reflections), and on_wall is set when the
+    dominant weight pairs to zero with a simple coroot."""
+    lam, word = reflect_into_chamber(weight, rd.simple_walls)
+    on_wall = any(dot(lam, cv) == 0 for cv in rd.simple_coroots)
+    return lam, -1 if len(word) & 1 else 1, on_wall
+
+
 def dominant_representative(rd: RootDatum, weight) -> DominantResult:
     """Move a weight into the dominant chamber, tracking the Weyl witness.
 
     The result's `element` w satisfies w(weight) = result.weight; `on_wall`
     is set when the weight is fixed by some reflection (equivalently, its
     dominant representative pairs to zero with some simple coroot)."""
-    lam = rd.check_weight(weight)
-    word = []
-    while True:
-        for i, cv in enumerate(rd.simple_coroots):
-            if dot(lam, cv) < 0:
-                lam = rd.generators[i].apply(lam)
-                word.append(i)
-                break
-        else:
-            break
+    lam, word = reflect_into_chamber(rd.check_weight(weight), rd.simple_walls)
     mat = IntMatrix.identity(rd.rank)
     comat = IntMatrix.identity(rd.rank)
     for i in reversed(word):
@@ -674,7 +709,28 @@ def dominant_representative(rd: RootDatum, weight) -> DominantResult:
         comat = comat * rd.generators[i].comatrix
     elem = WeylElement(mat, comat, tuple(reversed(word)), (-1) ** len(word))
     on_wall = any(dot(lam, cv) == 0 for cv in rd.simple_coroots)
-    return DominantResult(tuple(lam), elem, elem.determinant, on_wall)
+    return DominantResult(lam, elem, elem.determinant, on_wall)
+
+
+def weyl_orbit(rd: RootDatum, weight):
+    """The W-orbit of a weight, by breadth-first search over the simple
+    reflections: the work is the orbit's size times the rank, not |W|."""
+    orbit = {tuple(weight)}
+    frontier = list(orbit)
+    while frontier:
+        nxt = []
+        for lam in frontier:
+            for coroot, root, _, _ in rd.simple_walls:
+                p = 0
+                for j, c in coroot:
+                    p += lam[j] * c
+                if p:
+                    mu = tuple(x - p * r for x, r in zip(lam, root))
+                    if mu not in orbit:
+                        orbit.add(mu)
+                        nxt.append(mu)
+        frontier = nxt
+    return orbit
 
 
 # -- representations --------------------------------------------------------
@@ -696,7 +752,8 @@ def weight_multiplicities(rd: RootDatum, lam):
     """The full weight system of the irreducible V_lam, as {weight: mult}.
 
     Multiplicities of dominant weights come from the Freudenthal recursion;
-    the rest of the system is filled in by Weyl symmetry; InvariantError if
+    the rest of the system is filled in over each dominant weight's W-orbit
+    (weyl_orbit); InvariantError if
     the recursion meets a non-integer multiplicity.  Cached per datum
     (the cache fill is idempotent, so concurrent first calls are safe)."""
     lam = rd.check_weight(lam)
@@ -716,26 +773,23 @@ def weight_multiplicities(rd: RootDatum, lam):
 
     top = rd.inner_scaled(shifted(lam), shifted(lam))
 
-    # lattice points lam - (sums of simple roots) inside the norm bound;
-    # every weight of V_lam is reachable this way through weights only
-    candidates = {lam}
+    # the dominant weights of V_lam are the dominant mu <= lam, and each is
+    # reached from lam through dominant weights by subtracting positive roots
+    # (Stembridge, Adv. Math. 136 (1998) 340)
+    dominants = {lam}
     frontier = [lam]
     while frontier:
         nxt = []
         for mu in frontier:
-            for a in rd.simple_roots:
-                nu = vec_sub(mu, a)
-                if nu in candidates:
-                    continue
-                nu2 = shifted(nu)
-                if rd.inner_scaled(nu2, nu2) <= top:
-                    candidates.add(nu)
+            for alpha, _ in rd.positive_root_pairs:
+                nu = vec_sub(mu, alpha)
+                if nu not in dominants and rd.is_dominant(nu):
+                    dominants.add(nu)
                     nxt.append(nu)
         frontier = nxt
 
-    dominants = [mu for mu in candidates if rd.is_dominant(mu)]
-    dominants.sort(key=lambda mu: rd.inner_scaled(shifted(mu), shifted(mu)),
-                   reverse=True)
+    dominants = sorted(dominants, key=lambda mu: rd.inner_scaled(shifted(mu), shifted(mu)),
+                       reverse=True)
     mult = {}
     for mu in dominants:
         if mu == lam:
@@ -745,15 +799,15 @@ def weight_multiplicities(rd: RootDatum, lam):
         denom = top - rd.inner_scaled(mu2, mu2)
         acc = 0
         for alpha, _ in rd.positive_root_pairs:
+            # the alpha-string through the weight mu is unbroken: stop at the
+            # first mu + k alpha that is not a weight
             k = 1
             while True:
                 xi = vec_add(mu, vec_scale(k, alpha))
-                xi2 = shifted(xi)
-                if rd.inner_scaled(xi2, xi2) > top:
+                m = mult.get(dominant_walk(rd, xi)[0], 0)
+                if not m:
                     break
-                m = mult.get(dominant_representative(rd, xi).weight, 0)
-                if m:
-                    acc += m * rd.inner_scaled(xi, alpha)
+                acc += m * rd.inner_scaled(xi, alpha)
                 k += 1
         # the scale factors cancel to (2 * 4) / denominator-in-doubled-norms
         val, rem = divmod(8 * acc, denom)
@@ -762,11 +816,11 @@ def weight_multiplicities(rd: RootDatum, lam):
                                  f"multiplicity at {mu}")
         if val:
             mult[mu] = val
-    # expand by the Weyl group
+    # expand each dominant weight over its W-orbit
     system = {}
     for mu, m in mult.items():
-        for w in weyl_group_elements(rd):
-            system[w.apply(mu)] = m
+        for nu in weyl_orbit(rd, mu):
+            system[nu] = m
     rd._weight_system_cache[lam] = system
     return dict(system)
 
@@ -787,9 +841,9 @@ def tensor_decompose(rd: RootDatum, lam, mu):
     out = {}
     for nu, m in weight_multiplicities(rd, mu).items():
         eta = vec_add(vec_scale(2, vec_add(lam, nu)), rd.rho2)
-        res = dominant_representative(rd, eta)
-        if res.on_wall:
+        weight, sign, on_wall = dominant_walk(rd, eta)
+        if on_wall:
             continue
-        target = tuple((x - y) // 2 for x, y in zip(res.weight, rd.rho2))
-        out[target] = out.get(target, 0) + res.sign * m
+        target = tuple((x - y) // 2 for x, y in zip(weight, rd.rho2))
+        out[target] = out.get(target, 0) + sign * m
     return {k: v for k, v in sorted(out.items()) if v}

@@ -38,8 +38,9 @@ class Twisting:
     Holds the exact integer kernel for b^-1: the adjugate adj(b) and det b,
     so that b^-1 v = adj(b) v / det b with no rational arithmetic.  Data
     derived from the twisting alone (the integer lifts of the F_eps points,
-    their W-orbits, the pairing tables of fusion.delta_eval) is built on
-    first use and cached on the object (see `cached`)."""
+    their W-orbits, the cosets of coker(b), the alcove walls and orbit
+    labels of affineweyl, the pairing tables of fusion.delta_eval) is built
+    on first use and cached on the object (see `cached`)."""
 
     def __init__(self, rd: RootDatum, b: IntMatrix, eps=None, level_data=None):
         self.rd = rd
@@ -111,6 +112,11 @@ class Twisting:
             self._cache[key] = build()
         return self._cache[key]
 
+    def cosets(self):
+        """Representatives of the cosets of coker(b), built once per
+        twisting (shared: do not mutate)."""
+        return self.cached("cosets", lambda: coset_representatives(self.b))
+
     def f_epsilon(self, regular_only=False):
         """(m, points, lifts): the points x of F_eps, sorted, and their
         integer lifts y = m x at one common order m, built on first use.
@@ -134,7 +140,7 @@ class Twisting:
         top = 2 * self.order_F()
         sign = 1 if self.det_b > 0 else -1
         raw = set()
-        for lam in coset_representatives(self.b):
+        for lam in self.cosets():
             v = self.adj_apply([e + 2 * x for e, x in zip(self.eps, lam)])
             raw.add(tuple(sign * c % top for c in v))
         if len(raw) != self.order_F():

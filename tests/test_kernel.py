@@ -1,13 +1,15 @@
-"""The twisting's integer b^-1 kernel, the integer F_eps lifts and
-character evaluator, and the per-twisting pairing caches, against the
-rational (Fraction) computations they replaced.
+"""The twisting's integer b^-1 kernel, the alcove walk, the integer F_eps
+lifts and character evaluator, and the per-twisting pairing caches,
+against the computations they replaced.
 
 The oracles below are the earlier implementations: box reduction by the
-rational inverse of b and a floor, the F_eps points enumerated from the
-Smith normal form of b with Fraction shifts, characters evaluated with
-Fraction pairings at each point's own order, and the averaged pairing
-rebuilt in full (coset enumeration, F_eps points, rational fixed-point
-tests) on every call.  None of them calls the code it checks."""
+rational inverse of b and a floor, orbit normal forms by box-reducing all
+|W| images of a weight, the basis by reducing every coset of b, the
+F_eps points enumerated from the Smith normal form of b with Fraction
+shifts, characters evaluated with Fraction pairings at each point's own
+order, and the averaged pairing rebuilt in full (coset enumeration, F_eps
+points, rational fixed-point tests) on every call.  None of them calls the
+code it checks."""
 
 import random
 from fractions import Fraction
@@ -15,10 +17,24 @@ from functools import lru_cache
 from itertools import product
 from math import lcm
 
+import contextlib
+import io
+
+import vkt
+import vkt.checks
+import vkt.cli
 import vkt.fusion
 import vkt.zlattice
-from vkt.affineweyl import box_reduce, stabilizer_elements
-from vkt.checks import check_delta_identity
+from vkt.affineweyl import (
+    act,
+    alcove,
+    box_reduce,
+    enumerate_basis_orbits,
+    orbit_normal_form,
+    sign_character,
+    stabilizer_elements,
+)
+from vkt.checks import check_annihilation, check_delta_identity
 from vkt.cyclo import CyclotomicInt
 from vkt.fusion import (
     FusionRing,
@@ -28,6 +44,7 @@ from vkt.fusion import (
     verlinde_ideal_member,
 )
 from vkt.rootdata import (
+    RootDatum,
     dot,
     root_datum_from_spec,
     vec_add,
@@ -35,8 +52,9 @@ from vkt.rootdata import (
     weight_multiplicities,
     weyl_group_elements,
 )
-from vkt.twist import f_epsilon_points, twisting_from_level
+from vkt.twist import Twisting, f_epsilon_points, twisting_from_level
 from vkt.zlattice import (
+    IntMatrix,
     coset_representatives,
     inverse_rational,
     matvec_fraction,
@@ -74,9 +92,32 @@ F_EPSILON_EXTRA = [
 ]
 
 
+# the alcove walk's own cases (GRID holds the acceptance grid, [[-4]] with
+# eps = (0, 1) and [[2, -1], [-1, 2]]): negative levels, gradings that give
+# the affine reflection sign +1, Sp(2) and G2, and non-split (U(2)-style)
+# data whose free part is not a coordinate block
+WALK_EXTRA = [
+    ("SU(2)", (-2,), None, None),
+    ("SU(3)", (-2,), None, None),
+    ("Spin(5)", (-2,), None, None),
+    ("SU(2)", (4,), None, (1,)),
+    ("SU(2) x U(1)", (3,), [[4]], (0, 1)),
+    ("U(1)^2", (), [[2, 1], [1, 2]], (1, 0)),
+    ("Sp(2)", (5,), None, None),
+    ("G2", (5,), None, None),
+    ("U(2)", None, [[3, 1], [1, 3]], None),
+    ("U(2)", None, [[3, -1], [-1, 3]], None),
+]
+
+
 def grid_twistings(grid=GRID):
     for name, levels, torus, eps in grid:
-        rd = root_datum_from_spec(name)
+        if name == "U(2)":                 # the third field is b itself
+            rd = RootDatum.from_root_data(2, [(1, -1)], [(1, -1)])
+            yield name, rd, Twisting(rd, IntMatrix.from_rows(torus), eps)
+            continue
+        rd = RootDatum.from_cartan([[2, -1], [-3, 2]]) if name == "G2" \
+            else root_datum_from_spec(name)
         yield name, rd, twisting_from_level(rd, levels, torus_block=torus, eps=eps)
 
 
@@ -184,6 +225,25 @@ def fraction_verlinde_classes(rd, tau, regular=None):
     return [(p, classes[p]) for p in sorted(classes)]
 
 
+def scan_orbit_normal_form(rd, tau, lam):
+    """(representative, sign) by box-reducing every Weyl image of lam;
+    (None, 0) when two images meet with opposite signs."""
+    candidates = {}
+    for w in weyl_group_elements(rd):
+        reduced, pi = box_reduce(tau, w.apply(lam))
+        s = w.determinant * tau.translation_sign(pi)
+        prev = candidates.setdefault(reduced, s)
+        if prev != s:
+            return None, 0
+    rep = min(candidates)
+    return rep, candidates[rep]
+
+
+def scan_basis_orbits(rd, tau):
+    reps = {scan_orbit_normal_form(rd, tau, lam)[0] for lam in coset_representatives(tau.b)}
+    return sorted(reps - {None})
+
+
 def fraction_transversal_weight(ring, rep):
     rd, tau = ring.rd, ring.tau
     best = None
@@ -253,6 +313,29 @@ def test_f_epsilon_matches_snf_oracle():
         assert tau.verlinde_lifts() == (order, [tuple(int(c * order) for c in x) for x in classes])
 
 
+def test_orbit_normal_form_matches_scan_oracle():
+    rng = random.Random(9)
+    for name, rd, tau in grid_twistings(GRID + WALK_EXTRA):
+        weights = [tuple(lam) for lam in coset_representatives(tau.b)]
+        weights += [tuple(rng.randint(-30, 30) for _ in range(rd.rank)) for _ in range(40)]
+        for lam in weights:
+            red = orbit_normal_form(rd, tau, lam)
+            assert (red.representative, red.sign) == scan_orbit_normal_form(rd, tau, lam), \
+                (name, tau.eps, lam)
+            if not red.is_zero:
+                assert act(rd, tau, red.witness, lam) == red.representative, (name, lam)
+                assert sign_character(tau, red.witness) == red.sign, (name, lam)
+        # the walk reaches one alcove point per orbit, so each label is
+        # computed once: the label cache never holds two points of one orbit
+        labels = [hit[0] for hit in alcove(rd, tau)._labels.values()]
+        assert len(labels) == len(set(labels)), name
+
+
+def test_basis_matches_scan_oracle():
+    for name, rd, tau in grid_twistings(GRID + WALK_EXTRA):
+        assert enumerate_basis_orbits(rd, tau) == scan_basis_orbits(rd, tau), (name, tau.eps)
+
+
 def test_verlinde_ideal_member_matches_fraction_oracle():
     for name, rd, tau in grid_twistings():
         ring = FusionRing(rd, tau)
@@ -276,7 +359,7 @@ def test_verlinde_classes_match_fraction_oracle():
 
 
 def test_transversal_weights_match_fraction_oracle():
-    for name, rd, tau in grid_twistings():
+    for name, rd, tau in grid_twistings(GRID + WALK_EXTRA):
         ring = FusionRing(rd, tau)
         want = tuple(fraction_transversal_weight(ring, rep) for rep in ring.basis)
         assert ring.transversal == want, name
@@ -314,7 +397,8 @@ def test_tables_build_no_pairing_cache():
     rd = root_datum_from_spec("SU(3)")
     tau = twisting_from_level(rd, (5,))
     FusionRing(rd, tau).structure_constants()
-    assert not tau._cache
+    # only the alcove walls and labels: no pairing table, F_eps or cosets
+    assert set(tau._cache) == {"alcove", "basis"}
 
 
 def test_delta_identity_work_does_not_grow_with_trials(monkeypatch):
@@ -336,6 +420,45 @@ def test_delta_identity_work_does_not_grow_with_trials(monkeypatch):
         assert check_delta_identity(ring, trials=trials)["passed"]
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_cosets_are_built_once_per_verify(monkeypatch):
+    # F_eps, both pairing tables, the delta check and the grading flags share
+    # one coset list per twisting; patched wherever a vkt module binds it
+    calls = []
+    real = vkt.zlattice.coset_representatives
+
+    def counting(M):
+        calls.append(M)
+        return real(M)
+
+    for module in vars(vkt).values():
+        if getattr(module, "coset_representatives", None) is real:
+            monkeypatch.setattr(module, "coset_representatives", counting)
+    for argv in (["verify", "--group", "SU(3)", "--twist", "5"],
+                 ["verify", "--group", "SU(2) x U(1)", "--twist", "3", "--torus", "[[4]]",
+                  "--epsilon", "0,1"]):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert vkt.cli.main(argv) == 0
+        assert len(calls) == 1, argv
+
+
+def test_check_annihilation_evaluates_each_weight_once(monkeypatch):
+    calls = []
+    real = vkt.checks.verlinde_ideal_member
+
+    def counting(ring, combo):
+        calls.append(tuple(combo))
+        return real(ring, combo)
+
+    monkeypatch.setattr(vkt.checks, "verlinde_ideal_member", counting)
+    rd = root_datum_from_spec("SU(3)")
+    result = check_annihilation(FusionRing(rd, twisting_from_level(rd, (5,))))
+    assert result["passed"]
+    # search bound 8: 45 dominant weights, each evaluated once (73 calls before)
+    assert result["detail"]["bound"] == 8
+    assert len(calls) == len(set(calls)) == len(dominant_weights_up_to(rd, 8)) == 45
 
 
 def test_delta_identity_on_graded_twistings():

@@ -8,12 +8,12 @@ and character solving).
 import random
 
 from vkt.fusion import FusionRing, fusion_product
-from vkt.rootdata import root_datum_from_spec
+from vkt.rootdata import RootDatum, root_datum_from_spec
 from vkt.twist import shift_by_dual_coxeter, twisting_from_level
 
 
 def ring_at_loop_level(name, level, torus=None):
-    rd = root_datum_from_spec(name)
+    rd = root_datum_from_spec(name) if isinstance(name, str) else RootDatum.from_cartan(name)
     levels = shift_by_dual_coxeter(rd, (level,) * len(rd.factors))
     return FusionRing(rd, twisting_from_level(rd, levels, torus_block=torus))
 
@@ -76,6 +76,34 @@ def test_spin5_level1_is_ising():
     assert product_on_weights(ring, spinor, spinor) == {one: 1, vector: 1}
     assert product_on_weights(ring, spinor, vector) == {spinor: 1}
     assert product_on_weights(ring, vector, vector) == {one: 1}
+
+
+def assert_fibonacci(ring):
+    # two classes, 1 and t, with t x t = 1 + t
+    one = (0,) * ring.rd.rank
+    assert len(ring.basis) == 2 and one in ring.transversal
+    t = next(w for w in ring.transversal if w != one)
+    assert product_on_weights(ring, one, one) == {one: 1}
+    assert product_on_weights(ring, one, t) == {t: 1}
+    assert product_on_weights(ring, t, t) == {one: 1, t: 1}
+    return t
+
+
+def test_g2_level1_is_fibonacci():
+    # both orders of the simple roots; t is the 7-dimensional representation,
+    # the fundamental weight of the short simple root (a[1][0] = -3 makes
+    # the second root short)
+    for cartan, t in (([[2, -1], [-3, 2]], (0, 1)), ([[2, -3], [-1, 2]], (1, 0))):
+        assert assert_fibonacci(ring_at_loop_level(cartan, 1)) == t
+
+
+def test_f4_level1_is_fibonacci():
+    # |F| = 40000 cosets for a 2-element ring; t is the 26-dimensional
+    # representation, at the short end of the Dynkin diagram
+    ring = ring_at_loop_level([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]], 1)
+    assert ring.tau.order_F() == 40000
+    assert ring.rd.factors[0].name == "F4"
+    assert assert_fibonacci(ring) == (1, 0, 0, 0)
 
 
 def test_su2_level4_table_spot():

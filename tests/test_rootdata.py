@@ -1,9 +1,14 @@
+import random
+
 import pytest
 
+import vkt.rootdata
+from vkt.fusion import dominant_weights_up_to
 from vkt.errors import InvalidCartanData, NotTorsionFreePi1, SpecParseError
 from vkt.rootdata import (
     RootDatum,
     dominant_representative,
+    dominant_walk,
     root_datum_from_spec,
     tensor_decompose,
     weight_multiplicities,
@@ -191,6 +196,55 @@ def test_dominant_representative_regular_dominant_is_fixed():
     assert res.weight == (2, 3)
     assert res.element.is_identity()
     assert res.sign == 1
+
+
+G2_CARTAN = [[2, -1], [-3, 2]]
+F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+
+
+def test_dominant_walk_matches_dominant_representative():
+    rng = random.Random(12)
+    for rd in (su3(), root_datum_from_spec("Spin(5)"), root_datum_from_spec("SU(2) x U(1)"),
+               RootDatum.from_cartan(G2_CARTAN), RootDatum.from_root_data(2, [(1, -1)], [(1, -1)])):
+        for _ in range(50):
+            lam = tuple(rng.randint(-9, 9) for _ in range(rd.rank))
+            res = dominant_representative(rd, lam)
+            assert dominant_walk(rd, lam) == (res.weight, res.sign, res.on_wall), lam
+            assert res.element.apply(lam) == res.weight
+
+
+def test_weight_systems_and_products_build_no_weyl_witness(monkeypatch):
+    # the Freudenthal lookups and tensor_decompose use the integer walk
+    def refuse(*args):
+        raise AssertionError("dominant_representative builds IntMatrix witnesses")
+
+    monkeypatch.setattr(vkt.rootdata, "dominant_representative", refuse)
+    rd = RootDatum.from_cartan(G2_CARTAN)
+    assert sum(weight_multiplicities(rd, (1, 1)).values()) == weyl_dimension(rd, (1, 1))
+    assert sum(tensor_decompose(rd, (1, 0), (0, 1)).values()) == 3
+
+
+def _weyl_expansion(rd, system):
+    """The system rebuilt from its dominant weights by all of W."""
+    return {w.apply(mu): m for mu, m in system.items() if rd.is_dominant(mu)
+            for w in weyl_group_elements(rd)}
+
+
+def test_weight_systems_match_the_full_weyl_expansion():
+    # the groups of the acceptance grid, every dominant weight of height <= 3
+    for name in ("SU(2)", "SU(3)", "Spin(5)", "SU(2) x U(1)", "U(1)^2"):
+        rd = root_datum_from_spec(name)
+        for lam in dominant_weights_up_to(rd, 3):
+            system = weight_multiplicities(rd, lam)
+            assert system == _weyl_expansion(rd, system), (name, lam)
+    # the fundamental representations of G2 and F4
+    for cartan in (G2_CARTAN, F4_CARTAN):
+        rd = RootDatum.from_cartan(cartan)
+        for i in range(rd.rank):
+            lam = tuple(int(i == j) for j in range(rd.rank))
+            system = weight_multiplicities(rd, lam)
+            assert system == _weyl_expansion(rd, system), (cartan, lam)
+            assert sum(system.values()) == weyl_dimension(rd, lam)
 
 
 def test_su2_weight_strings():
