@@ -18,7 +18,7 @@ from .checks import run_all_checks
 from .errors import SpecParseError, VktError
 from .fusion import FusionRing, fusion_product, verlinde_classes
 from .mvlaurent import mv_s3, mv_su2, mv_u1
-from .rootdata import root_datum_from_spec, weyl_group_elements
+from .rootdata import root_datum_from_spec, weyl_order
 from .twist import shift_by_dual_coxeter, twisting_from_level
 
 
@@ -275,7 +275,7 @@ def cmd_info(job: JobSpec):
     tau = build_twisting(rd, job.twist) if job.twist else None
     out = report_header(job, rd, tau)
     out["info"] = rd.describe()
-    out["info"]["weyl_order"] = len(weyl_group_elements(rd))
+    out["info"]["weyl_order"] = weyl_order(rd)
     if tau is not None:
         out["twist"] = tau.describe()
     return out, 0

@@ -3,11 +3,12 @@ classes, ideal membership, the cyclic-generator matrix, the averaged
 distribution pairing, and the torus pushforward.
 
 Two independent routes to the structure constants live here: the
-reflection route (tensor decomposition followed by shifted orbit
-reduction) and the character route (exact evaluation at the Verlinde
-classes, inverted by Verlinde orthogonality with the weight |Delta(x)|^2
-after an exact check of the Gram identity).  Tests require them to
-agree; neither is ever silently replaced by the other.
+reflection route (the Kac-Walton rule: one affine alcove walk per weight
+of the smaller factor, with no separate tensor decomposition) and the
+character route (exact evaluation at the Verlinde classes, inverted by
+Verlinde orthogonality with the weight |Delta(x)|^2 after an exact check
+of the Gram identity).  Tests require them to agree; neither is ever
+silently replaced by the other.
 
 The Verlinde classes, the ideal test and the character route read the
 integer class lifts of Twisting.verlinde_lifts and evaluate characters
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .affineweyl import (
+    alcove,
     alcove_translates,
     basis_alcove_points,
     box_reduce,
@@ -38,12 +40,12 @@ from .cyclo import (
 from .errors import InvariantError, NotATorus, NotPrimitive
 from .rootdata import (
     RootDatum,
+    _weight_system,
     dot,
-    tensor_decompose,
     vec_add,
     vec_sub,
     weight_multiplicities,
-    weyl_group_elements,
+    weyl_order,
 )
 from .twist import Twisting
 from .zlattice import IntMatrix, box_points
@@ -111,7 +113,7 @@ def verlinde_classes(rd: RootDatum, tau: Twisting):
     """One representative per free Weyl orbit of regular points of F_eps:
     the class lifts of Twisting.verlinde_lifts as rational points."""
     m, ys = tau.verlinde_lifts()
-    size = len(weyl_group_elements(rd))
+    size = weyl_order(rd)
     return [VerlindeClass(tuple(Fraction(c, m) for c in y), size) for y in ys]
 
 
@@ -208,8 +210,16 @@ def class_from_weight(ring: FusionRing, lam) -> KClass:
 
 
 def fusion_product(ring: FusionRing, a, b) -> KClass:
-    """Product of two basis elements: tensor-decompose the transversal
-    weights, then push each summand back through the shifted reduction."""
+    """Product of two basis elements by the Kac-Walton rule (Walton, Nucl.
+    Phys. B340 (1990) 777; Kac, Infinite-dimensional Lie algebras,
+    Ex. 13.35): with lam, mu the transversal weights and mu the one with
+    fewer weights, N_ab^c counts the weights nu of V_mu, with multiplicity
+    and sign, by the affine orbit of lam + nu + rho_tilde.  Each such
+    weight takes one alcove walk; a walk that ends on a sign -1 wall drops
+    out, and any other ends on a basis point already labelled.  The affine
+    group contains W, and rho_tilde - rho is W-invariant, so this is the
+    Brauer-Klimyk decomposition followed by the shifted reduction, in one
+    walk per weight."""
     if not ring.tau.is_primitive():
         raise NotPrimitive("the twisting is not primitive in the implemented "
                            "normal form; only the module structure is defined")
@@ -217,10 +227,20 @@ def fusion_product(ring: FusionRing, a, b) -> KClass:
     cached = ring._product_cache.get(key)
     if cached is not None:
         return cached
+    rd = ring.rd
     lam, mu = ring.transversal[a], ring.transversal[b]
-    out = KClass.zero()
-    for nu, mult in tensor_decompose(ring.rd, lam, mu).items():
-        out = out + class_from_weight(ring, nu).scale(mult)
+    system, other = _weight_system(rd, mu), _weight_system(rd, lam)
+    if len(other) < len(system):
+        lam, system = mu, other
+    alc = alcove(rd, ring.tau)
+    shifted = vec_add(lam, ring.rho_tilde)
+    out = {}
+    for nu, mult in system.items():
+        point, _, _, sign = alc.walk(vec_add(shifted, nu))
+        if not alc.is_zero(point):
+            label, _, s = alc.label(point)
+            out[label] = out.get(label, 0) + sign * s * mult
+    out = KClass(out)
     ring._product_cache[key] = out
     return out
 

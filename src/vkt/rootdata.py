@@ -21,6 +21,7 @@ so on a simply connected factor the j-th simple root has coordinates
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -612,13 +613,32 @@ def _classify(a):
 
 # -- Weyl group ------------------------------------------------------------
 
+def weyl_order(rd: RootDatum):
+    """|W| as the product of the degrees, without enumerating W.
+
+    With n_k positive roots of height k, the exponent k occurs
+    n_k - n_(k+1) times (the height partition is dual to the partition of
+    the exponents; Kostant, Amer. J. Math. 81 (1959) 973), and each
+    exponent k gives the degree k + 1."""
+    heights = Counter(int(sum(rd._root_coords(r))) for r, _ in rd.positive_root_pairs)
+    order = 1
+    for k, count in heights.items():
+        order *= (k + 1) ** (count - heights.get(k + 1, 0))
+    return order
+
+
 def weyl_group_elements(rd: RootDatum, max_order=10 ** 6):
     """All elements of W, enumerated breadth-first from the generators.
 
     Words are shortest expressions; the result is cached on the datum and
-    deterministic (sorted by word length, then word)."""
+    deterministic (sorted by word length, then word).  Raises GroupTooLarge,
+    before enumerating anything, when |W| (weyl_order) exceeds max_order,
+    and InvariantError if the enumeration finds another count."""
     if rd._weyl_cache is not None:
         return rd._weyl_cache
+    order = weyl_order(rd)
+    if order > max_order:
+        raise GroupTooLarge(f"Weyl group exceeds {max_order} elements")
     ident = rd.identity_element
     seen = {ident.matrix.entries: ident}
     frontier = [ident]
@@ -633,9 +653,9 @@ def weyl_group_elements(rd: RootDatum, max_order=10 ** 6):
                                        (i,) + w.word, -w.determinant)
                     seen[key] = elem
                     nxt.append(elem)
-                    if len(seen) > max_order:
-                        raise GroupTooLarge(f"Weyl group exceeds {max_order} elements")
         frontier = nxt
+    if len(seen) != order:
+        raise InvariantError(f"enumerated {len(seen)} Weyl elements, expected {order}")
     elems = sorted(seen.values(), key=lambda e: (len(e.word), e.word))
     rd._weyl_cache = elems
     rd._weyl_lookup = {e.matrix.entries: e for e in elems}
@@ -755,16 +775,23 @@ def weight_multiplicities(rd: RootDatum, lam):
     the rest of the system is filled in over each dominant weight's W-orbit
     (weyl_orbit); InvariantError if
     the recursion meets a non-integer multiplicity.  Cached per datum
-    (the cache fill is idempotent, so concurrent first calls are safe)."""
+    (the cache fill is idempotent, so concurrent first calls are safe);
+    the caller gets its own copy."""
     lam = rd.check_weight(lam)
     if not rd.is_dominant(lam):
         raise ValueError("highest weight must be dominant")
+    return dict(_weight_system(rd, lam))
+
+
+def _weight_system(rd: RootDatum, lam):
+    """The cached weight system of V_lam for a dominant weight tuple lam,
+    not validated and not copied: callers must not mutate it."""
     cached = rd._weight_system_cache.get(lam)
     if cached is not None:
-        return dict(cached)
+        return cached
     if not rd.factors:
         rd._weight_system_cache[lam] = {lam: 1}
-        return {lam: 1}
+        return rd._weight_system_cache[lam]
 
     # work with the doubled, rho-shifted vectors 2*mu + 2*rho so the whole
     # recursion stays in integer arithmetic
@@ -822,7 +849,7 @@ def weight_multiplicities(rd: RootDatum, lam):
         for nu in weyl_orbit(rd, mu):
             system[nu] = m
     rd._weight_system_cache[lam] = system
-    return dict(system)
+    return system
 
 
 def tensor_decompose(rd: RootDatum, lam, mu):

@@ -39,8 +39,9 @@ class Twisting:
     so that b^-1 v = adj(b) v / det b with no rational arithmetic.  Data
     derived from the twisting alone (the integer lifts of the F_eps points,
     their W-orbits, the cosets of coker(b), the alcove walls and orbit
-    labels of affineweyl, the pairing tables of fusion.delta_eval) is built
-    on first use and cached on the object (see `cached`)."""
+    labels of affineweyl, the pairing tables of fusion.delta_eval, whether
+    it is primitive) is built on first use and cached on the object (see
+    `cached`)."""
 
     def __init__(self, rd: RootDatum, b: IntMatrix, eps=None, level_data=None):
         self.rd = rd
@@ -175,10 +176,10 @@ class Twisting:
 
     def is_primitive(self):
         """Conservative normal-form test: trivial grading, level-form b on
-        the simple blocks, and an even symmetric torus block."""
-        if any(self.eps):
-            return False
-        return self._detect_levels() is not None
+        the simple blocks, and an even symmetric torus block.  Decided once
+        per twisting."""
+        return self.cached("primitive",
+                           lambda: not any(self.eps) and self._detect_levels() is not None)
 
     def _detect_levels(self):
         """Recognize b as (sum of level_i * kappa_i) + even torus block."""

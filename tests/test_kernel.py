@@ -24,6 +24,7 @@ import vkt
 import vkt.checks
 import vkt.cli
 import vkt.fusion
+import vkt.rootdata
 import vkt.zlattice
 from vkt.affineweyl import (
     act,
@@ -38,6 +39,8 @@ from vkt.checks import check_annihilation, check_delta_identity
 from vkt.cyclo import CyclotomicInt
 from vkt.fusion import (
     FusionRing,
+    KClass,
+    class_from_weight,
     delta_eval,
     dominant_weights_up_to,
     verlinde_classes,
@@ -47,6 +50,7 @@ from vkt.rootdata import (
     RootDatum,
     dot,
     root_datum_from_spec,
+    tensor_decompose,
     vec_add,
     vec_sub,
     weight_multiplicities,
@@ -110,13 +114,33 @@ WALK_EXTRA = [
 ]
 
 
+# the product oracle's cases beyond the primitive part of GRID (which holds
+# SU(2) x U(1) 3 with [[4]] and U(1)^2 with [[2, +-1], [+-1, 2]]): rank 3,
+# Sp(2), G2 at loop levels 1-3 (twist levels 5-7) in both simple-root
+# orders, and the torus form [[-4]]
+PRODUCT_EXTRA = [
+    ("SU(4)", (5,), None, None),
+    ("Spin(7)", (6,), None, None),
+    ("Sp(2)", (7,), None, None),
+    ("G2", (5,), None, None),
+    ("G2", (6,), None, None),
+    ("G2", (7,), None, None),
+    ("G2 swapped", (5,), None, None),
+    ("G2 swapped", (6,), None, None),
+    ("G2 swapped", (7,), None, None),
+    ("SU(2) x U(1)", (3,), [[-4]], None),
+]
+
+CARTAN = {"G2": [[2, -1], [-3, 2]], "G2 swapped": [[2, -3], [-1, 2]]}
+
+
 def grid_twistings(grid=GRID):
     for name, levels, torus, eps in grid:
         if name == "U(2)":                 # the third field is b itself
             rd = RootDatum.from_root_data(2, [(1, -1)], [(1, -1)])
             yield name, rd, Twisting(rd, IntMatrix.from_rows(torus), eps)
             continue
-        rd = RootDatum.from_cartan([[2, -1], [-3, 2]]) if name == "G2" \
+        rd = RootDatum.from_cartan(CARTAN[name]) if name in CARTAN \
             else root_datum_from_spec(name)
         yield name, rd, twisting_from_level(rd, levels, torus_block=torus, eps=eps)
 
@@ -244,6 +268,15 @@ def scan_basis_orbits(rd, tau):
     return sorted(reps - {None})
 
 
+def brauer_klimyk_product(ring, a, b):
+    """The product by tensor decomposition of the transversal weights, then
+    the shifted orbit reduction of each summand."""
+    out = KClass.zero()
+    for nu, mult in tensor_decompose(ring.rd, ring.transversal[a], ring.transversal[b]).items():
+        out = out + class_from_weight(ring, nu).scale(mult)
+    return out
+
+
 def fraction_transversal_weight(ring, rep):
     rd, tau = ring.rd, ring.tau
     best = None
@@ -365,6 +398,57 @@ def test_transversal_weights_match_fraction_oracle():
         assert ring.transversal == want, name
 
 
+def test_products_match_brauer_klimyk_oracle():
+    cases = 0
+    for name, rd, tau in grid_twistings(GRID + PRODUCT_EXTRA):
+        if not tau.is_primitive():
+            continue
+        ring = FusionRing(rd, tau)
+        n = len(ring.basis)
+        for a in range(n):
+            for b in range(n):
+                assert ring.fusion_product(a, b) == brauer_klimyk_product(ring, a, b), \
+                    (name, tau.b.to_rows(), a, b)
+        cases += 1
+    assert cases == 25
+
+
+def test_products_need_no_tensor_decomposition(monkeypatch):
+    cases = [("SU(3)", (6,), None, None), ("G2 swapped", (6,), None, None),
+             ("SU(2) x U(1)", (3,), [[-4]], None)]
+    want = {name: FusionRing(rd, tau).structure_constants()
+            for name, rd, tau in grid_twistings(cases)}
+    # fresh data, so the weight systems too are built under the patches
+    rings = {name: FusionRing(rd, tau) for name, rd, tau in grid_twistings(cases)}
+
+    def boom(*args, **kwargs):
+        raise AssertionError("called from the product path")
+
+    for module in (vkt.rootdata, vkt.fusion):
+        for attr in ("tensor_decompose", "weyl_dimension"):
+            monkeypatch.setattr(module, attr, boom, raising=False)
+    # nor the per-summand reduction or weight validation
+    monkeypatch.setattr(vkt.fusion, "class_from_weight", boom)
+    monkeypatch.setattr(RootDatum, "check_weight", boom)
+    for name, ring in rings.items():
+        assert ring.structure_constants() == want[name], name
+
+
+def test_primitivity_is_decided_once_per_table(monkeypatch):
+    calls = []
+    real = Twisting._detect_levels
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Twisting, "_detect_levels", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert vkt.cli.main(["table", "--group", "SU(3)", "--twist", "9"]) == 0
+    # one scan of b for the whole table, not one per fusion_product call
+    assert len(calls) == 1
+
+
 def test_delta_eval_matches_uncached_oracle():
     rng = random.Random(8)
     for name, rd, tau in grid_twistings():
@@ -397,8 +481,9 @@ def test_tables_build_no_pairing_cache():
     rd = root_datum_from_spec("SU(3)")
     tau = twisting_from_level(rd, (5,))
     FusionRing(rd, tau).structure_constants()
-    # only the alcove walls and labels: no pairing table, F_eps or cosets
-    assert set(tau._cache) == {"alcove", "basis"}
+    # only the alcove walls and labels and the primitivity flag: no pairing
+    # table, F_eps or cosets
+    assert set(tau._cache) == {"alcove", "basis", "primitive"}
 
 
 def test_delta_identity_work_does_not_grow_with_trials(monkeypatch):

@@ -14,6 +14,7 @@ from vkt.rootdata import (
     weight_multiplicities,
     weyl_dimension,
     weyl_group_elements,
+    weyl_order,
 )
 
 
@@ -146,6 +147,38 @@ def test_group_too_large_guard():
     rd = root_datum_from_spec("SU(4)")
     with pytest.raises(GroupTooLarge):
         weyl_group_elements(rd, max_order=5)
+
+
+G2_CARTAN = [[2, -1], [-3, 2]]
+F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+E7_CARTAN = [[2, 0, -1, 0, 0, 0, 0], [0, 2, 0, -1, 0, 0, 0], [-1, 0, 2, -1, 0, 0, 0],
+             [0, -1, -1, 2, -1, 0, 0], [0, 0, 0, -1, 2, -1, 0], [0, 0, 0, 0, -1, 2, -1],
+             [0, 0, 0, 0, 0, -1, 2]]
+
+
+def test_weyl_order_matches_enumeration():
+    data = [root_datum_from_spec(name) for name in (
+        "SU(2)", "SU(3)", "SU(4)", "Spin(5)", "Spin(7)", "Sp(2)", "Sp(3)", "U(1)", "U(1)^2",
+        "SU(2) x U(1)", "SU(2) x SU(3)")]
+    data += [RootDatum.from_root_data(2, [(1, -1)], [(1, -1)]),
+             RootDatum.from_cartan(G2_CARTAN), RootDatum.from_cartan([[2, -3], [-1, 2]]),
+             RootDatum.from_cartan(F4_CARTAN)]
+    for rd in data:
+        assert weyl_order(rd) == len(weyl_group_elements(rd)), rd.spec_text
+    assert [weyl_order(rd) for rd in data[-3:]] == [12, 12, 1152]
+
+
+def test_large_weyl_group_refused_before_enumeration(monkeypatch):
+    rd = RootDatum.from_cartan(E7_CARTAN)
+    assert weyl_order(rd) == 2903040
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a Weyl element was built")
+
+    monkeypatch.setattr(vkt.rootdata, "WeylElement", boom)
+    from vkt.errors import GroupTooLarge
+    with pytest.raises(GroupTooLarge):
+        weyl_group_elements(rd)
 
 
 def test_u2_style_datum_accepted():
