@@ -190,6 +190,7 @@ class Alcove:
             self.factors.append((f.indices, tuple(dot(self.section[i], cotheta) for i in f.indices),
                                  abs(level2)))
         self._labels = {}
+        self._zero = {}
         self._steps = None
 
     # -- the walk -------------------------------------------------------------
@@ -214,11 +215,15 @@ class Alcove:
         return point, pi0, word, sign
 
     def is_zero(self, point):
-        """A wall through the alcove point carries a sign -1 reflection."""
-        for (coroot, _, bound2, _), s in zip(self.walls, self.signs):
-            if s < 0 and 2 * sum(point[j] * c for j, c in coroot) == bound2:
-                return True
-        return False
+        """A wall through the alcove point carries a sign -1 reflection.
+        Memoized per point: walks end on the finitely many closed-alcove
+        points."""
+        hit = self._zero.get(point)
+        if hit is None:
+            hit = self._zero[point] = any(
+                s < 0 and 2 * sum(point[j] * c for j, c in coroot) == bound2
+                for (coroot, _, bound2, _), s in zip(self.walls, self.signs))
+        return hit
 
     def witness(self, pi0, word):
         """The affine element of a walk, as an AffineElement."""

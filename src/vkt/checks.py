@@ -24,6 +24,7 @@ from .affineweyl import (
 from .fusion import (
     FusionRing,
     class_from_weight,
+    coset_reduction,
     delta_eval,
     dominant_weights_up_to,
     equivariant_function,
@@ -156,14 +157,13 @@ def check_delta_identity(ring: FusionRing, trials=100, seed=7):
     rd, tau = ring.rd, ring.tau
     rng = random.Random(seed)
     reps = [tuple(r) for r in tau.cosets()]
-    reduced = [box_reduce(tau, rep) for rep in reps]
+    reduced = [coset_reduction(tau, rep) for rep in reps]
     failures = []
     for t in range(trials):
         f = {rep: rng.randint(-3, 3) for rep in reps}
         g = tuple(rng.randint(-12, 12) for _ in range(rd.rank))
         # f on the box-reduced representatives, by translation equivariance
-        index = {red: tau.translation_sign(pi) * f[rep]
-                 for rep, (red, pi) in zip(reps, reduced)}
+        index = {red: sign * f[rep] for rep, (red, sign) in zip(reps, reduced)}
         rep_g, pi = box_reduce(tau, g)
         expected = tau.translation_sign(pi) * index.get(rep_g, 0)
         got = delta_eval(rd, tau, f, g)

@@ -3,8 +3,12 @@
 Elements are stored as the canonical residue of an integer polynomial
 modulo the m-th cyclotomic polynomial, so is_zero is exactly "equals 0
 in the complex numbers".  Mixed-order sums are pushed to the lcm order
-before reduction.  CyclotomicPacking holds many such elements, all at one
-order, in one Python integer, for bulk sums and products.
+before reduction.
+
+cyclotomic_modulus gives the bulk sums of the character route a ring map
+Z[zeta_m] -> Z/N, zeta_m -> t = 2^k, N = Phi_m(t): (1) a sum fixed by
+Gal(Q(zeta_m)/Q) is a rational integer; (2) if its absolute value is at
+most B and (3) N > 2B, its balanced residue mod N is the integer itself.
 
 Characters are evaluated in one place, character_bins, at a torus point
 given by its integer lift y = m x; eval_character_at_point and
@@ -17,9 +21,10 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
 from .errors import InvariantError
-from .rootdata import dot, weight_multiplicities
+from .rootdata import weight_multiplicities
 
 
 # -- integer polynomials (dense tuples, ascending degree) -------------------
@@ -81,20 +86,22 @@ def cyclotomic_polynomial(m):
     return p
 
 
-@lru_cache(maxsize=None)
-def residue_bound(m):
-    """The largest |coefficient| of x^j mod Phi_m over 0 <= j < m.
+def cyclotomic_modulus(m, bound):
+    """(N, t) for the least power of two t = 2**k, k >= 1, with
+    N = Phi_m(t) > 2 * bound.
 
-    A polynomial with coefficient 1-norm L has residue mod Phi_m bounded by
-    L * residue_bound(m) in every coefficient."""
+    Phi_m divides x^m - 1, so t^m = 1 mod N and zeta_m -> t is a ring map
+    Z[zeta_m] -> Z/N: an integer of absolute value at most `bound` in
+    Z[zeta_m] is its own balanced residue mod N."""
     phi = cyclotomic_polynomial(m)
-    residue = [1] + [0] * (len(phi) - 2)     # x^0 mod Phi_m
-    bound = 1
-    for _ in range(m):
-        top = residue[-1]                     # multiply by x, then reduce
-        residue = [lower - top * p for lower, p in zip([0] + residue[:-1], phi)]
-        bound = max(bound, *map(abs, residue))
-    return bound
+    k = 1
+    while True:
+        value = 0
+        for c in reversed(phi):
+            value = (value << k) + c
+        if value > 2 * bound:
+            return value, 1 << k
+        k += 1
 
 
 class CyclotomicInt:
@@ -201,65 +208,24 @@ class CyclotomicInt:
         return f"CyclotomicInt(order={self.order}, coeffs={self.coeffs})"
 
 
-class CyclotomicPacking:
-    """Kronecker packing of vectors of elements of Z[zeta_m] into one Python
-    integer each.
-
-    The coefficient of zeta_m^k in component c sits in a signed slot of
-    `bits` bits at bit bits * (c + slots * k).  Sums of packed integers add
-    every component, and a product with a packed single-component factor
-    multiplies every component by it, at the speed of integer arithmetic.
-    reduce() takes the residue mod Phi_m of every component at once, as the
-    balanced remainder mod Phi_m(2**(slots * bits)).  Results are exact
-    while each residue coefficient stays below the `bound` given, which is
-    the caller's a-priori bound; slots keep two spare bits above it."""
-
-    def __init__(self, order, slots, bound):
-        phi = cyclotomic_polynomial(order)
-        # Phi_m(2**chunk) > 3/4 * 2**(chunk * deg) needs sum |p_i| < 2**bits / 4
-        bound = max(bound, sum(map(abs, phi)))
-        self.order = order
-        self.bits = 8 * ((bound.bit_length() + 1) // 8 + 1)
-        self.chunk = slots * self.bits           # one power of zeta_m
-        self.modulus = sum(p << (self.chunk * k) for k, p in enumerate(phi))
-
-    def pack(self, bins, slot=0):
-        """sum_k bins[k] zeta_m^k, in component `slot`."""
-        return sum(v << (self.chunk * k + self.bits * slot)
-                   for k, v in enumerate(bins) if v)
-
-    def reduce(self, value):
-        """The packed residue mod Phi_m of every component."""
-        span = self.chunk * self.order
-        while value >> span not in (0, -1):      # zeta_m^m = 1
-            value = (value & ((1 << span) - 1)) + (value >> span)
-        r = value % self.modulus
-        return r - self.modulus if 2 * r > self.modulus else r
-
-    def integers(self, value):
-        """The rational integer in each component of a reduced value, or
-        None when some component is not a rational integer."""
-        if value >> (self.chunk - 1) not in (0, -1):
-            return None
-        bits = self.bits
-        half = 1 << (bits - 1)
-        offset = half * (((1 << self.chunk) - 1) // ((1 << bits) - 1))
-        raw = (value + offset).to_bytes(self.chunk // 8, "little")
-        step = bits // 8
-        return [int.from_bytes(raw[i:i + step], "little") - half
-                for i in range(0, len(raw), step)]
-
-
 # -- evaluation of weights and characters ------------------------------------
 
-def character_bins(system, y, m):
-    """The weight system {weight: mult} evaluated at the torus point y/m,
-    for an integer lift y: bins[k] is the total multiplicity of the weights
-    with value zeta_m^k."""
-    bins = [0] * m
-    for nu, mult in system.items():
-        bins[dot(nu, y) % m] += mult
-    return bins
+def character_bins(systems, y, m):
+    """Weight systems {weight: mult} evaluated at the torus point y/m, for
+    an integer lift y: bins[k] is the total multiplicity of the weights
+    with value zeta_m^k, one bin list per system.  Each weight is paired
+    with y once, however many systems hold it."""
+    exponent = {}
+    out = []
+    for system in systems:
+        bins = [0] * m
+        for nu, mult in system.items():
+            e = exponent.get(nu)
+            if e is None:
+                e = exponent[nu] = sum(map(mul, nu, y)) % m
+            bins[e] += mult
+        out.append(bins)
+    return out
 
 
 def _at_point(system, point):
@@ -268,7 +234,7 @@ def _at_point(system, point):
     point = [Fraction(c) for c in point]
     m = lcm(*(c.denominator for c in point))
     y = [c.numerator * (m // c.denominator) for c in point]
-    return CyclotomicInt(m, character_bins(system, y, m))
+    return CyclotomicInt(m, character_bins([system], y, m)[0])
 
 
 def eval_weight_at_point(rd, weight, point) -> CyclotomicInt:

@@ -6,9 +6,13 @@ Two independent routes to the structure constants live here: the
 reflection route (the Kac-Walton rule: one affine alcove walk per weight
 of the smaller factor, with no separate tensor decomposition) and the
 character route (exact evaluation at the Verlinde classes, inverted by
-Verlinde orthogonality with the weight |Delta(x)|^2 after an exact check
-of the Gram identity).  Tests require them to agree; neither is ever
-silently replaced by the other.
+Verlinde orthogonality with the weight |Delta(x)|^2 after a check of the
+Gram identity).  Tests require them to agree; neither is ever silently
+replaced by the other.
+
+The character route's sums are exact residues mod N = Phi_m(2^k): units
+mod m permute the classes (checked), so each sum is a rational integer;
+each is bounded by B; and N > 2B, so its balanced residue is the sum.
 
 The Verlinde classes, the ideal test and the character route read the
 integer class lifts of Twisting.verlinde_lifts and evaluate characters
@@ -20,6 +24,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from .affineweyl import (
     alcove,
@@ -30,13 +36,7 @@ from .affineweyl import (
     orbit_normal_form,
     stabilizer_elements,
 )
-from .cyclo import (
-    CyclotomicInt,
-    CyclotomicPacking,
-    character_bins,
-    cyclotomic_polynomial,
-    residue_bound,
-)
+from .cyclo import CyclotomicInt, character_bins, cyclotomic_modulus
 from .errors import InvariantError, NotATorus, NotPrimitive
 from .rootdata import (
     RootDatum,
@@ -269,7 +269,7 @@ def verlinde_ideal_member(ring: FusionRing, combo) -> bool:
         for nu, mult in weight_multiplicities(ring.rd, lam).items():
             system[nu] = system.get(nu, 0) + c * mult
     m, ys = ring.tau.verlinde_lifts()
-    return all(CyclotomicInt(m, character_bins(system, y, m)).is_zero() for y in ys)
+    return all(CyclotomicInt(m, character_bins([system], y, m)[0]).is_zero() for y in ys)
 
 
 def ideal_generator_candidates(ring: FusionRing, bound):
@@ -302,14 +302,24 @@ def mult_by_U_matrix(ring: FusionRing) -> IntMatrix:
 
 # -- the averaged distribution pairing ---------------------------------------
 
+def coset_reduction(tau: Twisting, lam):
+    """(box representative, translation sign) of the weight tuple lam,
+    memoized on the twisting: delta_eval and check_delta_identity reduce
+    each weight once, however many calls see it."""
+    memo = tau.cached("coset_reduction", dict)
+    hit = memo.get(lam)
+    if hit is None:
+        rep, pi = box_reduce(tau, lam)
+        hit = memo[lam] = (rep, tau.translation_sign(pi))
+    return hit
+
+
 def _canonical_coset_values(rd, tau, f):
     """Push an arbitrary weight-keyed function to box-canonical coset
     representatives via translation equivariance."""
     values = {}
     for lam, v in sorted(f.items()):
-        lam = rd.check_weight(lam)
-        rep, pi = box_reduce(tau, lam)
-        sign = tau.translation_sign(pi)
+        rep, sign = coset_reduction(tau, rd.check_weight(lam))
         if rep in values and values[rep] != sign * v:
             raise ValueError(f"inconsistent equivariant values on the coset of {rep}")
         values[rep] = sign * v
@@ -323,7 +333,7 @@ def _pairing_table(rd, tau, regular_only):
     row <lam_i, y_j> mod m, packed as 8-byte integers: the table holds
     |F|^2 entries."""
     def build():
-        reps = [box_reduce(tau, lam)[0] for lam in tau.cosets()]
+        reps = [coset_reduction(tau, tuple(lam))[0] for lam in tau.cosets()]
         m, _, lifts = tau.f_epsilon(regular_only)
         if regular_only:
             reps = [lam for lam in reps if len(stabilizer_elements(rd, tau, lam)) == 1]
@@ -382,19 +392,25 @@ def torus_pushforward(rd: RootDatum, tau: Twisting, lam) -> KClass:
 
 # -- the character-table route to the structure constants ---------------------
 
-def _weyl_density(rd: RootDatum, y, m):
-    """|Delta(x)|^2 = prod over positive roots of (2 - e^alpha - e^-alpha) at
-    the torus point x = y/m, as bins modulo z^m - 1."""
-    bins = [1] + [0] * (m - 1)
-    for alpha in rd.positive_roots():
-        e = dot(alpha, y) % m
-        nxt = [2 * c for c in bins]
-        for k, c in enumerate(bins):
-            if c:
-                nxt[(k + e) % m] -= c
-                nxt[(k - e) % m] -= c
-        bins = nxt
-    return bins
+def _check_galois_stable(tau: Twisting, m, ys):
+    """Every unit k mod m maps each class x = y/m to a regular point k x of
+    F_eps, so x -> k x permutes the classes (k is invertible and commutes
+    with W).  Tested on the lifts at the order of the regular set."""
+    top, _, regular = tau.f_epsilon(regular_only=True)
+    regular, scale = set(regular), top // m
+    for k in range(1, m + 1):
+        if gcd(k, m) == 1:
+            for y in ys:
+                if tuple(k * scale * c % top for c in y) not in regular:
+                    raise ValueError(f"the class set is not Galois-stable: {k} * {y} / {m} "
+                                     f"is not a regular point of F_eps")
+
+
+def _sum_bound(rd: RootDatum, systems, order):
+    """B = max(|F|, n 4^|Phi+| dim^3): |d(x)| <= 4^|Phi+| and |chi(x)| <= dim,
+    so B bounds |F| delta_ac and every sum over the n classes."""
+    dim = max(sum(system.values()) for system in systems)
+    return max(order, len(systems) * 4 ** len(rd.positive_root_pairs) * dim ** 3)
 
 
 def structure_constants_via_characters(ring: FusionRing):
@@ -403,51 +419,70 @@ def structure_constants_via_characters(ring: FusionRing):
     the reflection route.
 
     Each class x carries the weight d(x) = |Delta(x)|^2.  The route first
-    checks the Gram identity sum_x d(x) chi_a(x) conj(chi_c(x)) = |F| delta_ac
-    exactly; it makes the character matrix M invertible with inverse
+    checks the Gram identity sum_x d(x) chi_a(x) conj(chi_c(x)) = |F| delta_ac;
+    it makes the character matrix M invertible with inverse
     conj(M)^T D / |F|, so N_ab^c = |F|^-1 sum_x d(x) chi_a chi_b conj(chi_c)
     is the exact solve of M N_ab = chi_a chi_b, not a trusted shortcut.
     Raises ValueError when the class count differs from the basis size, the
-    Gram identity fails, or a constant is not an integer.
+    class set is not Galois-stable, the Gram identity fails, or a constant
+    is not an integer.
 
-    Every sum lives in Z[zeta_m] at the common order m of the class points,
-    with conj(chi)(x) = chi(-x) read off by negating exponent bins.  The
-    sums are Kronecker-packed into Python integers, one slot per (power of
-    zeta_m, index c), sized from an a-priori bound so that unpacking is
-    exact; each sum is reduced modulo Phi_m once, all c at a time."""
-    rd, n = ring.rd, len(ring.basis)
-    m, ys = ring.tau.verlinde_lifts()
+    Every sum is taken in Z/N through the ring map zeta_m -> t, N = Phi_m(t):
+    (1) units mod m permute the classes (checked), so each sum is a Galois-
+    fixed element of Z[zeta_m], a rational integer; (2) its absolute value is
+    at most B (_sum_bound); (3) N > 2B, so its balanced residue is the sum.
+    conj(chi)(x) = chi(-x) is read off with t^-k = t^(m-k).  The n^3 sums
+    are packed over c: one nonnegative integer per class holds
+    d(x_j) conj(chi_c(x_j)) mod N in slots wide enough for n N^2."""
+    rd, tau, n = ring.rd, ring.tau, len(ring.basis)
+    m, ys = tau.verlinde_lifts()
     if len(ys) != n:
         raise ValueError("class count does not match basis size")
     if not n:
         return []
-    systems = [weight_multiplicities(rd, lam) for lam in ring.transversal]
-    chars = [[character_bins(system, y, m) for y in ys] for system in systems]
-    density = [_weyl_density(rd, y, m) for y in ys]
+    _check_galois_stable(tau, m, ys)
+    systems = [_weight_system(rd, lam) for lam in ring.transversal]
+    order = tau.order_F()
+    modulus, t = cyclotomic_modulus(m, _sum_bound(rd, systems, order))
+    power = [1]                                   # power[k] = t^k mod N
+    for _ in range(m - 1):
+        power.append(power[-1] * t % modulus)
+    inverse = power[:1] + power[:0:-1]            # t^-k = t^(m-k)
 
-    # |coefficient| bounds follow the 1-norms through the three products: a
-    # residue mod Phi_m has 1-norm <= deg * nu * the 1-norm it reduces.
-    deg, nu = len(cyclotomic_polynomial(m)) - 1, residue_bound(m)
-    dim = max(sum(system.values()) for system in systems)
-    dnorm = max(sum(map(abs, d)) for d in density)
-    order = ring.tau.order_F()
-    packing = CyclotomicPacking(m, n, max(order, nu * n * dim ** 3 * dnorm * (deg * nu) ** 2))
-    pack, reduce = packing.pack, packing.reduce
-    chi = [[pack(bins) for bins in row] for row in chars]           # chi[a][j]
-    weighted = []                        # d(x_j) conj(chi_c(x_j)), every c
-    for j in range(n):
-        conj = sum(pack([chars[c][j][-k] for k in range(m)], c) for c in range(n))
-        weighted.append(reduce(pack(density[j]) * conj))
-    half = [[reduce(p * w) for p, w in zip(row, weighted)] for row in chi]  # chi_a d conj(chi_c)
+    chi = [[] for _ in systems]                   # chi[a][j] = chi_a(x_j) mod N
+    conj = [[] for _ in systems]
+    for y in ys:
+        for bins, row, bar in zip(character_bins(systems, y, m), chi, conj):
+            row.append(sum(map(mul, bins, power)) % modulus)
+            bar.append(sum(map(mul, bins, inverse)) % modulus)
+    width = (n * modulus ** 2).bit_length() // 8 + 1          # bytes per slot
+    packed = []                          # d(x_j) conj(chi_c(x_j)) mod N, every c
+    roots = rd.positive_roots()
+    for j, y in enumerate(ys):
+        d = 1
+        for alpha in roots:
+            e = dot(alpha, y) % m
+            d = d * (2 - power[e] - inverse[e]) % modulus
+        packed.append(sum((d * conj[c][j] % modulus) << (8 * width * c) for c in range(n)))
+
+    def sums(coeffs):
+        """The balanced residues of sum_j coeffs[j] d(x_j) conj(chi_c(x_j)) mod N."""
+        raw = sum(map(mul, coeffs, packed)).to_bytes(n * width, "little")
+        out = []
+        for i in range(0, n * width, width):
+            v = int.from_bytes(raw[i:i + width], "little") % modulus
+            out.append(v - modulus if 2 * v > modulus else v)
+        return out
+
     for a in range(n):
-        if reduce(sum(half[a])) != pack([order], a):
+        if sums(chi[a]) != [order if c == a else 0 for c in range(n)]:
             raise ValueError(f"Gram identity sum_x d(x) chi_a conj(chi_c) = |F| delta_ac "
                              f"fails for basis element {a}")
     out = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            row = packing.integers(reduce(sum(p * q for p, q in zip(chi[b], half[a]))))
-            if row is None or any(v % order for v in row):
+            row = sums([p * q % modulus for p, q in zip(chi[a], chi[b])])
+            if any(v % order for v in row):
                 raise ValueError("character route produced a non-integer")
             out[a][b] = out[b][a] = tuple(v // order for v in row)
     return out

@@ -39,9 +39,9 @@ class Twisting:
     so that b^-1 v = adj(b) v / det b with no rational arithmetic.  Data
     derived from the twisting alone (the integer lifts of the F_eps points,
     their W-orbits, the cosets of coker(b), the alcove walls and orbit
-    labels of affineweyl, the pairing tables of fusion.delta_eval, whether
-    it is primitive) is built on first use and cached on the object (see
-    `cached`)."""
+    labels of affineweyl, the pairing tables and coset reductions of
+    fusion.delta_eval, whether it is primitive) is built on first use and
+    cached on the object (see `cached`)."""
 
     def __init__(self, rd: RootDatum, b: IntMatrix, eps=None, level_data=None):
         self.rd = rd

@@ -5,14 +5,13 @@ import vkt.cyclo
 import vkt.fieldsolve
 from vkt.cyclo import (
     CyclotomicInt,
-    CyclotomicPacking,
     character_bins,
+    cyclotomic_modulus,
     cyclotomic_polynomial,
     eval_character_at_point,
     eval_weight_at_point,
     poly_divmod_exact,
     poly_mul,
-    residue_bound,
 )
 from vkt.fieldsolve import FieldElement, invert_field_matrix
 from vkt.rootdata import root_datum_from_spec
@@ -142,13 +141,13 @@ def test_weight_combination():
     # the weight system of chi_4 - chi_0 on SU(2), at x = 1/10 lifted to y = 1 at order 10
     su2 = root_datum_from_spec("SU(2)")
     system = {(4,): 1, (2,): 1, (0,): 0, (-2,): 1, (-4,): 1}
-    bins = character_bins(system, (1,), 10)
+    bins = character_bins([system], (1,), 10)[0]
     assert bins == [0, 0, 1, 0, 1, 0, 1, 0, 1, 0]
     x = (Fraction(1, 10),)
     direct = eval_character_at_point(su2, (4,), x) - eval_character_at_point(su2, (0,), x)
     assert CyclotomicInt(10, bins) == direct
     # the same point lifted at a multiple order gives the same value
-    assert CyclotomicInt(20, character_bins(system, (2,), 20)) == direct
+    assert CyclotomicInt(20, character_bins([system], (2,), 20)[0]) == direct
 
 
 def test_poly_divmod_exact():
@@ -170,33 +169,32 @@ def test_solve_field_system():
     assert [x.as_rational() for x in sol] == [1, 2]
 
 
-def test_residue_bound_is_the_largest_residue_coefficient():
-    for m in (1, 2, 3, 4, 6, 9, 12, 15, 30, 105):
+def test_cyclotomic_modulus_is_a_ring_map_above_twice_the_bound():
+    for m in (1, 2, 3, 4, 8, 15, 24, 32, 105):
         phi = cyclotomic_polynomial(m)
-        residues = [poly_divmod_exact((0,) * j + (1,), phi)[1] for j in range(m)]
-        assert residue_bound(m) == max(abs(c) for r in residues for c in r), m
-    assert residue_bound(105) > 1
+        for bound in (1, 10 ** 6, 3 ** 60):
+            modulus, t = cyclotomic_modulus(m, bound)
+            k = t.bit_length() - 1
+            assert t == 1 << k and k >= 1
+            # Phi_m(omega) = 0 and omega^m = 1 in Z/N, with omega = t
+            assert sum(c * pow(t, i, modulus) for i, c in enumerate(phi)) % modulus == 0
+            assert pow(t, m, modulus) == 1 % modulus
+            assert modulus > 2 * bound
+            # t is the least power of two that clears 2B
+            if k > 1:
+                assert sum(c * (t // 2) ** i for i, c in enumerate(phi)) <= 2 * bound
+            assert modulus % 2 == 1      # so a balanced residue is never a tie
 
 
-def test_cyclotomic_packing_multiplies_every_component():
-    rng = random.Random(5)
-    for m in (1, 2, 4, 6, 9, 12, 15, 105):
-        packing = CyclotomicPacking(m, 3, 10 ** 6)
-        a = [rng.randint(-4, 4) for _ in range(m)]
-        bs = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(3)]
-        got = packing.reduce(packing.pack(a) * sum(packing.pack(b, c) for c, b in enumerate(bs)))
-        want = sum(packing.pack((CyclotomicInt(m, a) * CyclotomicInt(m, b)).coeffs, c)
-                   for c, b in enumerate(bs))
-        assert got == want, m
-
-
-def test_cyclotomic_packing_reads_rational_integers():
-    packing = CyclotomicPacking(6, 2, 100)
-    assert packing.integers(packing.reduce(packing.pack([3]) + packing.pack([-5], 1))) == [3, -5]
-    # zeta_6 + zeta_6^5 = 1
-    assert packing.integers(packing.reduce(packing.pack([0, 1, 0, 0, 0, 1], 1))) == [0, 1]
-    assert packing.integers(packing.reduce(packing.pack([0, 1], 1))) is None
-    assert packing.integers(packing.reduce(packing.pack([-7, 0, -1]))) is None
+def test_character_bins_pair_each_weight_once():
+    # one bin list per system; a weight shared by two systems counts in both
+    su2 = root_datum_from_spec("SU(2)")
+    systems = [{(1,): 1, (-1,): 1}, {(2,): 1, (0,): 1, (-2,): 1}, {(1,): 2}]
+    assert character_bins(systems, (1,), 4) == [
+        [0, 1, 0, 1], [1, 0, 2, 0], [0, 2, 0, 0]]
+    bins = character_bins(systems, (1,), 8)
+    for lam, row in (((1,), bins[0]), ((2,), bins[1])):
+        assert CyclotomicInt(8, row) == eval_character_at_point(su2, lam, (Fraction(1, 8),))
 
 
 def test_field_solver_is_reachable_from_cyclo():

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +221,43 @@ def test_character_route_gram_guard():
     ring.transversal = (ring.transversal[1],) + ring.transversal[1:]
     with pytest.raises(ValueError, match="Gram identity"):
         structure_constants_via_characters(ring)
+
+
+GUARDS_UNDER_O = """
+import sys
+from vkt.fusion import FusionRing, structure_constants_via_characters
+from vkt.rootdata import root_datum_from_spec
+from vkt.twist import twisting_from_level
+
+if sys.flags.optimize < 1:
+    sys.exit("not run with -O")
+rd = root_datum_from_spec("SU(3)")
+galois = FusionRing(rd, twisting_from_level(rd, (5,)))
+m, ys = galois.tau.verlinde_lifts()
+# the origin of F_eps (eps = 0) is fixed by all of W, so it is not a class
+galois.tau.verlinde_lifts = lambda: (m, [(0, 0)] + ys[1:])
+gram = FusionRing(rd, twisting_from_level(rd, (5,)))
+gram.transversal = (gram.transversal[1],) + gram.transversal[1:]
+for ring, message in ((galois, "Galois"), (gram, "Gram identity")):
+    try:
+        structure_constants_via_characters(ring)
+    except ValueError as exc:
+        if message not in str(exc):
+            sys.exit(f"wrong error for the {message} guard: {exc}")
+    else:
+        sys.exit(f"the {message} guard did not fire")
+print("guards fired")
+"""
+
+
+def test_character_route_guards_survive_python_O():
+    src = str(Path(vkt.fusion.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-O", "-c", GUARDS_UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "guards fired"
 
 
 def test_ring_invariants_are_checked_without_assert(monkeypatch):

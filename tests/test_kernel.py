@@ -1,15 +1,16 @@
 """The twisting's integer b^-1 kernel, the alcove walk, the integer F_eps
-lifts and character evaluator, and the per-twisting pairing caches,
-against the computations they replaced.
+lifts and character evaluator, the per-twisting pairing caches and the
+modular character route, against the computations they replaced.
 
 The oracles below are the earlier implementations: box reduction by the
 rational inverse of b and a floor, orbit normal forms by box-reducing all
 |W| images of a weight, the basis by reducing every coset of b, the
 F_eps points enumerated from the Smith normal form of b with Fraction
 shifts, characters evaluated with Fraction pairings at each point's own
-order, and the averaged pairing rebuilt in full (coset enumeration, F_eps
-points, rational fixed-point tests) on every call.  None of them calls the
-code it checks."""
+order, the averaged pairing rebuilt in full (coset enumeration, F_eps
+points, rational fixed-point tests) on every call, and the character
+route's sums in Z[zeta_m] by Kronecker packing with a reduction mod Phi_m.
+None of them calls the code it checks."""
 
 import random
 from fractions import Fraction
@@ -20,9 +21,13 @@ from math import lcm
 import contextlib
 import io
 
+import pytest
+
 import vkt
+import vkt.affineweyl
 import vkt.checks
 import vkt.cli
+import vkt.cyclo
 import vkt.fusion
 import vkt.rootdata
 import vkt.zlattice
@@ -36,13 +41,14 @@ from vkt.affineweyl import (
     stabilizer_elements,
 )
 from vkt.checks import check_annihilation, check_delta_identity
-from vkt.cyclo import CyclotomicInt
+from vkt.cyclo import CyclotomicInt, cyclotomic_polynomial, poly_divmod_exact
 from vkt.fusion import (
     FusionRing,
     KClass,
     class_from_weight,
     delta_eval,
     dominant_weights_up_to,
+    structure_constants_via_characters,
     verlinde_classes,
     verlinde_ideal_member,
 )
@@ -130,6 +136,10 @@ PRODUCT_EXTRA = [
     ("G2 swapped", (7,), None, None),
     ("SU(2) x U(1)", (3,), [[-4]], None),
 ]
+
+# the character route's cases beyond the primitive part of GRID (which holds
+# U(1)^2 with [[2, +-1], [+-1, 2]] and SU(2) x U(1) 3 with [[4]])
+CHARACTER_EXTRA = PRODUCT_EXTRA + [("SU(3)", (9,), None, None)]
 
 CARTAN = {"G2": [[2, -1], [-3, 2]], "G2 swapped": [[2, -3], [-1, 2]]}
 
@@ -289,6 +299,141 @@ def fraction_transversal_weight(ring, rep):
                 if best is None or key < best[0]:
                     best = (key, lam)
     return best[1]
+
+
+@lru_cache(maxsize=None)
+def residue_bound(m):
+    """The largest |coefficient| of x^j mod Phi_m over 0 <= j < m.
+
+    A polynomial with coefficient 1-norm L has residue mod Phi_m bounded by
+    L * residue_bound(m) in every coefficient."""
+    phi = cyclotomic_polynomial(m)
+    residue = [1] + [0] * (len(phi) - 2)     # x^0 mod Phi_m
+    bound = 1
+    for _ in range(m):
+        top = residue[-1]                     # multiply by x, then reduce
+        residue = [lower - top * p for lower, p in zip([0] + residue[:-1], phi)]
+        bound = max(bound, *map(abs, residue))
+    return bound
+
+
+class CyclotomicPacking:
+    """Kronecker packing of vectors of elements of Z[zeta_m] into one Python
+    integer each.
+
+    The coefficient of zeta_m^k in component c sits in a signed slot of
+    `bits` bits at bit bits * (c + slots * k).  reduce() takes the residue
+    mod Phi_m of every component at once, as the balanced remainder mod
+    Phi_m(2**(slots * bits)).  Results are exact while each residue
+    coefficient stays below `bound`; slots keep two spare bits above it."""
+
+    def __init__(self, order, slots, bound):
+        phi = cyclotomic_polynomial(order)
+        # Phi_m(2**chunk) > 3/4 * 2**(chunk * deg) needs sum |p_i| < 2**bits / 4
+        bound = max(bound, sum(map(abs, phi)))
+        self.order = order
+        self.bits = 8 * ((bound.bit_length() + 1) // 8 + 1)
+        self.chunk = slots * self.bits           # one power of zeta_m
+        self.modulus = sum(p << (self.chunk * k) for k, p in enumerate(phi))
+
+    def pack(self, bins, slot=0):
+        """sum_k bins[k] zeta_m^k, in component `slot`."""
+        return sum(v << (self.chunk * k + self.bits * slot)
+                   for k, v in enumerate(bins) if v)
+
+    def reduce(self, value):
+        """The packed residue mod Phi_m of every component."""
+        span = self.chunk * self.order
+        while value >> span not in (0, -1):      # zeta_m^m = 1
+            value = (value & ((1 << span) - 1)) + (value >> span)
+        r = value % self.modulus
+        return r - self.modulus if 2 * r > self.modulus else r
+
+    def integers(self, value):
+        """The rational integer in each component of a reduced value, or
+        None when some component is not a rational integer."""
+        if value >> (self.chunk - 1) not in (0, -1):
+            return None
+        bits = self.bits
+        half = 1 << (bits - 1)
+        offset = half * (((1 << self.chunk) - 1) // ((1 << bits) - 1))
+        raw = (value + offset).to_bytes(self.chunk // 8, "little")
+        step = bits // 8
+        return [int.from_bytes(raw[i:i + step], "little") - half
+                for i in range(0, len(raw), step)]
+
+
+def weyl_density(rd, y, m):
+    """|Delta(x)|^2 = prod over positive roots of (2 - e^alpha - e^-alpha) at
+    the torus point x = y/m, as bins modulo z^m - 1."""
+    bins = [1] + [0] * (m - 1)
+    for alpha in rd.positive_roots():
+        e = dot(alpha, y) % m
+        nxt = [2 * c for c in bins]
+        for k, c in enumerate(bins):
+            if c:
+                nxt[(k + e) % m] -= c
+                nxt[(k - e) % m] -= c
+        bins = nxt
+    return bins
+
+
+@lru_cache(maxsize=None)
+def packed_character_sums(ring):
+    """(gram, sums): the exact integers sum_x d(x) chi_a conj(chi_c) and
+    S_ab^c = sum_x d(x) chi_a chi_b conj(chi_c) over the Verlinde classes,
+    with sums[a][b] for a <= b, by Kronecker-packed products in Z[zeta_m]
+    reduced mod Phi_m; slots sized from a-priori 1-norm bounds."""
+    rd, n = ring.rd, len(ring.basis)
+    m, ys = ring.tau.verlinde_lifts()
+    systems = [weight_multiplicities(rd, lam) for lam in ring.transversal]
+    chars = []
+    for system in systems:
+        row = []
+        for y in ys:
+            bins = [0] * m
+            for nu, mult in system.items():
+                bins[dot(nu, y) % m] += mult
+            row.append(bins)
+        chars.append(row)
+    density = [weyl_density(rd, y, m) for y in ys]
+    # |coefficient| bounds follow the 1-norms through the three products: a
+    # residue mod Phi_m has 1-norm <= deg * nu * the 1-norm it reduces
+    deg, nu = len(cyclotomic_polynomial(m)) - 1, residue_bound(m)
+    dim = max(sum(system.values()) for system in systems)
+    dnorm = max(sum(map(abs, d)) for d in density)
+    order = ring.tau.order_F()
+    packing = CyclotomicPacking(m, n, max(order, nu * n * dim ** 3 * dnorm * (deg * nu) ** 2))
+    pack, reduce = packing.pack, packing.reduce
+    chi = [[pack(bins) for bins in row] for row in chars]           # chi[a][j]
+    weighted = []                        # d(x_j) conj(chi_c(x_j)), every c
+    for j in range(n):
+        conj = sum(pack([chars[c][j][-k] for k in range(m)], c) for c in range(n))
+        weighted.append(reduce(pack(density[j]) * conj))
+    half = [[reduce(p * w) for p, w in zip(row, weighted)] for row in chi]  # chi_a d conj(chi_c)
+    gram = [packing.integers(reduce(sum(half[a]))) for a in range(n)]
+    sums = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            sums[a][b] = packing.integers(reduce(sum(p * q for p, q in zip(chi[b], half[a]))))
+    return gram, sums
+
+
+def packed_structure_constants(ring):
+    """N_ab^c = S_ab^c / |F| from the packed sums, after the Gram identity;
+    None where a check fails."""
+    n, order = len(ring.basis), ring.tau.order_F()
+    gram, sums = packed_character_sums(ring)
+    if gram != [[order if c == a else 0 for c in range(n)] for a in range(n)]:
+        return None
+    out = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            row = sums[a][b]
+            if row is None or any(v % order for v in row):
+                return None
+            out[a][b] = out[b][a] = tuple(v // order for v in row)
+    return out
 
 
 def test_grid_has_negative_determinants():
@@ -559,3 +704,155 @@ def test_delta_identity_on_graded_twistings():
         ring = FusionRing(rd, twisting_from_level(rd, levels, torus_block=torus, eps=eps))
         result = check_delta_identity(ring, trials=20)
         assert result["passed"], (name, torus, eps, result["detail"])
+
+
+# -- the modular character route -----------------------------------------------
+
+def test_residue_bound_is_the_largest_residue_coefficient():
+    for m in (1, 2, 3, 4, 6, 9, 12, 15, 30, 105):
+        phi = cyclotomic_polynomial(m)
+        residues = [poly_divmod_exact((0,) * j + (1,), phi)[1] for j in range(m)]
+        assert residue_bound(m) == max(abs(c) for r in residues for c in r), m
+    assert residue_bound(105) > 1
+
+
+def test_cyclotomic_packing_multiplies_every_component():
+    rng = random.Random(5)
+    for m in (1, 2, 4, 6, 9, 12, 15, 105):
+        packing = CyclotomicPacking(m, 3, 10 ** 6)
+        a = [rng.randint(-4, 4) for _ in range(m)]
+        bs = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(3)]
+        got = packing.reduce(packing.pack(a) * sum(packing.pack(b, c) for c, b in enumerate(bs)))
+        want = sum(packing.pack((CyclotomicInt(m, a) * CyclotomicInt(m, b)).coeffs, c)
+                   for c, b in enumerate(bs))
+        assert got == want, m
+
+
+def test_cyclotomic_packing_reads_rational_integers():
+    packing = CyclotomicPacking(6, 2, 100)
+    assert packing.integers(packing.reduce(packing.pack([3]) + packing.pack([-5], 1))) == [3, -5]
+    # zeta_6 + zeta_6^5 = 1
+    assert packing.integers(packing.reduce(packing.pack([0, 1, 0, 0, 0, 1], 1))) == [0, 1]
+    assert packing.integers(packing.reduce(packing.pack([0, 1], 1))) is None
+    assert packing.integers(packing.reduce(packing.pack([-7, 0, -1]))) is None
+
+
+def character_twistings():
+    for name, rd, tau in grid_twistings(GRID + CHARACTER_EXTRA):
+        if tau.is_primitive():
+            yield name, rd, tau
+
+
+@lru_cache(maxsize=None)
+def character_rings():
+    return tuple((name, FusionRing(rd, tau)) for name, rd, tau in character_twistings())
+
+
+def test_character_route_matches_packed_oracle():
+    rings = character_rings()
+    assert len(rings) == 26
+    for name, ring in rings:
+        want = packed_structure_constants(ring)
+        assert want is not None, name
+        assert structure_constants_via_characters(ring) == want == ring.structure_constants(), \
+            (name, ring.tau.b.to_rows())
+
+
+def test_character_sums_are_within_the_bound():
+    # the oracle's exact Gram values and S_ab^c never exceed B, the bound
+    # that sizes the modulus
+    for name, ring in character_rings():
+        rd, order = ring.rd, ring.tau.order_F()
+        gram, sums = packed_character_sums(ring)
+        values = [v for row in gram for v in row]
+        values += [v for row in sums for cell in row if cell is not None for v in cell]
+        systems = [vkt.rootdata._weight_system(rd, lam) for lam in ring.transversal]
+        bound = vkt.fusion._sum_bound(rd, systems, order)
+        assert max(map(abs, values)) <= bound and order <= bound, name
+
+
+def test_character_route_builds_no_cyclotomic_int(monkeypatch):
+    want = [ring.structure_constants() for _, ring in character_rings()]
+    # fresh rings, so the class lifts too are built under the patch
+    fresh = [FusionRing(rd, tau) for _, rd, tau in character_twistings()]
+
+    def refuse(self, *args):
+        raise AssertionError("the character route built a CyclotomicInt")
+
+    monkeypatch.setattr(vkt.cyclo.CyclotomicInt, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        CyclotomicInt(4, (1,))
+    for ring, table in zip(fresh, want):
+        assert structure_constants_via_characters(ring) == table
+
+
+def test_galois_guard_rejects_a_non_regular_class(monkeypatch):
+    rd = root_datum_from_spec("SU(3)")
+    tau = twisting_from_level(rd, (5,))
+    ring = FusionRing(rd, tau)
+    m, ys = tau.verlinde_lifts()
+    top, _, lifts = tau.f_epsilon()
+    regular = set(tau.f_epsilon(regular_only=True)[2])
+    scale = top // m
+    # a point of F_eps that some Weyl element fixes, lifted at the class order
+    singular = [tuple(c // scale for c in y) for y in lifts
+                if y not in regular and all(c % scale == 0 for c in y)]
+    assert singular
+    monkeypatch.setattr(tau, "verlinde_lifts", lambda: (m, [singular[-1]] + ys[1:]))
+    with pytest.raises(ValueError, match="Galois"):
+        structure_constants_via_characters(ring)
+    # a regular set holding the class lifts but not all their multiples by
+    # units: k = 1 passes, and some unit k > 1 must be caught
+    monkeypatch.setattr(tau, "verlinde_lifts", lambda: (m, ys))
+    classes = [tuple(c * scale for c in y) for y in ys]
+    monkeypatch.setattr(tau, "f_epsilon", lambda regular_only=False: (top, None, classes))
+    with pytest.raises(ValueError, match=r"Galois-stable: (?!1 \*)\d+ \*"):
+        structure_constants_via_characters(ring)
+
+
+def test_coset_canonicalization_is_done_once_per_twisting(monkeypatch):
+    # delta_eval box-reduces each key of f once per twisting, not once per
+    # call; the check itself reduces one g per trial for its expected value
+    calls = {vkt.fusion: 0, vkt.checks: 0}
+    for module in calls:
+        def counting(tau, lam, module=module, real=module.box_reduce):
+            calls[module] += 1
+            return real(tau, lam)
+        monkeypatch.setattr(module, "box_reduce", counting)
+    rd = root_datum_from_spec("SU(3)")
+    counts = []
+    for trials in (10, 60):
+        ring = FusionRing(rd, twisting_from_level(rd, (5,)))
+        calls.update(dict.fromkeys(calls, 0))
+        assert check_delta_identity(ring, trials=trials)["passed"]
+        assert calls[vkt.checks] == trials
+        counts.append(calls[vkt.fusion])
+    assert counts[0] == counts[1] == ring.tau.order_F()
+
+
+def test_inconsistent_values_are_refused_on_every_call():
+    rd = root_datum_from_spec("SU(2)")
+    tau = twisting_from_level(rd, (5,))
+    far = tau.apply_b((1,))                     # the coset of 0, translated
+    assert delta_eval(rd, tau, {(0,): 1, far: 1}, (0,)) == 1
+    for _ in range(2):                          # the second call reads the memo
+        with pytest.raises(ValueError, match="inconsistent equivariant values"):
+            delta_eval(rd, tau, {(0,): 1, far: 2}, (0,))
+
+
+def wall_scan_is_zero(alc, point):
+    return any(s < 0 and 2 * sum(point[j] * c for j, c in coroot) == bound2
+               for (coroot, _, bound2, _), s in zip(alc.walls, alc.signs))
+
+
+def test_is_zero_memo_matches_a_fresh_wall_scan():
+    rng = random.Random(12)
+    for name, rd, tau in grid_twistings(GRID + WALK_EXTRA):
+        alc = vkt.affineweyl.Alcove(rd, tau)
+        points = list(alc.points())
+        ends = [alc.walk(tuple(rng.randint(-30, 30) for _ in range(rd.rank)))[0]
+                for _ in range(60)]
+        for point in points + ends + points:    # the second pass reads the memo
+            assert alc.is_zero(point) == wall_scan_is_zero(alc, point), (name, point)
+        # the memo holds closed-alcove points only, one per point reached
+        assert set(alc._zero) == set(points), name
