@@ -25,7 +25,8 @@ or over the cosets of b:
   of the torus coordinates.
 * ZERO.  The stabilizer of an alcove point is generated by the reflections
   in the walls through it, so the orbit is ZERO exactly when one of those
-  walls carries a sign -1 reflection.
+  walls carries a sign -1 reflection.  Whether the stabilizer is trivial
+  at all is the root test RootDatum.is_regular, with no scan over W.
 
 The canonical label of a surviving orbit stays the lexicographically least
 point of the orbit in the fundamental box of b(coweights), found by one
@@ -366,33 +367,22 @@ def alcove_translates(rd: RootDatum, tau: Twisting, point, radius):
     return out
 
 
-def stabilizer_elements(rd: RootDatum, tau: Twisting, lam):
-    """The full stabilizer of lam in the affine group (finite: one element
-    per Weyl part w with b^-1(lam - w lam) integral)."""
-    lam = rd.check_weight(lam)
-    out = []
-    for w in weyl_group_elements(rd):
-        pi = tau.b_inverse_integral(vec_sub(lam, w.apply(lam)))
-        if pi is not None:
-            out.append(AffineElement(pi, w))
-    return out
-
-
 def zero_criterion_discrepancies(rd: RootDatum, tau: Twisting):
-    """Orbits where "stabilizer has a sign -1 element" and "stabilizer is
-    nontrivial" disagree.  Empty when the grading vanishes; with a nonzero
-    grading an affine reflection can carry sign +1 and the two readings of
-    which orbits survive differ.  Reported, never silently resolved."""
+    """Orbits where "stabilizer has a sign -1 element" (Alcove.is_zero) and
+    "stabilizer is nontrivial" (the root test at b^-1 of the alcove point)
+    disagree, keyed by their labels.  ZERO implies not free (InvariantError
+    otherwise), so these are surviving orbits that are not free: none when
+    the grading vanishes.  Reported, never silently resolved."""
+    alc = alcove(rd, tau)
     out = []
-    for lam in tau.cosets():
-        red = orbit_normal_form(rd, tau, lam)
-        free = len(stabilizer_elements(rd, tau, lam)) == 1
-        if red.is_zero == free:
-            key = red.representative if not red.is_zero \
-                else min(box_reduce(tau, w.apply(lam))[0] for w in weyl_group_elements(rd))
-            out.append({"orbit": list(key), "free": free, "survives": not red.is_zero})
-    uniq = {tuple(d["orbit"]): d for d in out}
-    return [uniq[k] for k in sorted(uniq)]
+    for point in alc.points():
+        free = rd.is_regular(tau.adj_apply(point), tau.det_b)
+        if alc.is_zero(point):
+            if free:
+                raise InvariantError(f"the ZERO orbit of {point} has a trivial stabilizer")
+        elif not free:
+            out.append({"orbit": list(alc.label(point)[0]), "free": False, "survives": True})
+    return sorted(out, key=lambda d: d["orbit"])
 
 
 # -- the geometric action on the Cartan algebra -----------------------------

@@ -33,7 +33,7 @@ from .fusion import (
     structure_constants_via_characters,
     verlinde_ideal_member,
 )
-from .rootdata import weyl_group_elements
+from .rootdata import simple_reflections_mod, weyl_group_elements
 
 
 def check_double_count(ring: FusionRing):
@@ -44,13 +44,18 @@ def check_double_count(ring: FusionRing):
 
 
 def check_f_epsilon(ring: FusionRing):
+    """Every point solves b(x) = lambda_eps mod the weight lattice, there are
+    |det b| of them, and each simple reflection maps the set of lifts to
+    itself mod m; `bad` lists the points failing either test."""
     rd, tau = ring.rd, ring.tau
-    _, pts, _ = tau.f_epsilon()
+    m, pts, lifts = tau.f_epsilon()
     ok = len(pts) == tau.order_F()
+    lift_set = set(lifts)
     bad = []
-    for x in pts:
+    for x, y in zip(pts, lifts):
         img = tau.b.apply(x)
-        if any((a - l) % 1 != 0 for a, l in zip(img, tau.lambda_eps)):
+        if any((a - l) % 1 != 0 for a, l in zip(img, tau.lambda_eps)) or \
+                not lift_set.issuperset(simple_reflections_mod(rd, y, m)):
             ok = False
             bad.append([str(c) for c in x])
     return {"name": "f_epsilon_solutions", "passed": ok,

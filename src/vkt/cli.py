@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__
+from .affineweyl import zero_criterion_discrepancies
 from .checks import run_all_checks
 from .errors import SpecParseError, VktError
 from .fusion import FusionRing, fusion_product, verlinde_classes
@@ -293,7 +294,6 @@ def cmd_basis(job: JobSpec):
         "signs": list(ring.signs),
         "unit_index": ring.unit_index,
     }
-    from .affineweyl import zero_criterion_discrepancies
     if any(tau.eps):
         out["basis"]["grading_flags"] = zero_criterion_discrepancies(rd, tau)
     return out, 0

@@ -17,7 +17,6 @@ eval_weight_at_point lift a rational point and call it.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -199,10 +198,6 @@ class CyclotomicInt:
 
     # equal values can live at different orders, so value hashing is unsafe
     __hash__ = None
-
-    def to_complex(self):
-        z = cmath.exp(2j * cmath.pi / self.order)
-        return sum(c * z ** i for i, c in enumerate(self.coeffs))
 
     def __repr__(self):
         return f"CyclotomicInt(order={self.order}, coeffs={self.coeffs})"

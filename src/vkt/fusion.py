@@ -34,7 +34,6 @@ from .affineweyl import (
     box_reduce,
     enumerate_basis_orbits,
     orbit_normal_form,
-    stabilizer_elements,
 )
 from .cyclo import CyclotomicInt, character_bins, cyclotomic_modulus
 from .errors import InvariantError, NotATorus, NotPrimitive
@@ -336,7 +335,7 @@ def _pairing_table(rd, tau, regular_only):
         reps = [coset_reduction(tau, tuple(lam))[0] for lam in tau.cosets()]
         m, _, lifts = tau.f_epsilon(regular_only)
         if regular_only:
-            reps = [lam for lam in reps if len(stabilizer_elements(rd, tau, lam)) == 1]
+            reps = [lam for lam in reps if rd.is_regular(tau.adj_apply(lam), tau.det_b)]
         return m, lifts, {lam: array("q", [dot(lam, y) % m for y in lifts]) for lam in reps}
     return tau.cached(("pairing", regular_only), build)
 

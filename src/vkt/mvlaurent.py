@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvariantError
 from .zlattice import FiniteAbelianGroup, IntMatrix, cokernel_structure, kernel_basis
 
 
@@ -140,7 +141,8 @@ def express_in_RT_basis(p: LaurentPoly):
         else:
             p0 = p0 + c * rho(-e)
             p1 = p1 - c * rho(-e - 1)
-    assert p0 + p1 * LaurentPoly.monomial(1) == p
+    if p0 + p1 * LaurentPoly.monomial(1) != p:
+        raise InvariantError("p0 + L p1 does not recover the Laurent polynomial")
     return SymmetricPoly(p0.terms), SymmetricPoly(p1.terms)
 
 
@@ -199,19 +201,23 @@ def mv_su2(n) -> PresentationReport:
         raise ValueError("twist must be >= 1")
     # the identity making the triangular form work: L^n = L rho(n-1) - rho(n-2)
     ln = LaurentPoly.monomial(n)
-    assert ln == LaurentPoly.monomial(1) * rho(n - 1) - rho(n - 2)
+    if ln != LaurentPoly.monomial(1) * rho(n - 1) - rho(n - 2):
+        raise InvariantError(f"L^{n} != L rho({n - 1}) - rho({n - 2})")
 
     cache = {}
     for k in range(n - 1):
-        assert _rho_reduce_mod(k, n, cache) == {k: 1}
-    assert _rho_reduce_mod(n - 1, n, cache) == {}
+        if _rho_reduce_mod(k, n, cache) != {k: 1}:
+            raise InvariantError(f"rho({k}) is not reduced modulo rho({n - 1})")
+    if _rho_reduce_mod(n - 1, n, cache) != {}:
+        raise InvariantError(f"rho({n - 1}) does not reduce to zero")
 
     # spot-check the reduction against honest polynomial arithmetic: the
     # difference rho(k) - (reduced form) must lie in (rho(n-1))
     for k in range(n - 1, 2 * n + 2):
         reduced = _rho_reduce_mod(k, n, cache)
         diff = rho(k) - _combine(reduced)
-        assert _divides_symmetric(rho(n - 1), diff)
+        if not _divides_symmetric(rho(n - 1), diff):
+            raise InvariantError(f"rho({k}) minus its reduction is not in (rho({n - 1}))")
 
     return PresentationReport(
         kernel_rank=0,
@@ -268,11 +274,13 @@ def mv_u1(n, eps=0) -> PresentationReport:
         return r, sign if q % 2 else 1
 
     # relation check: L^n reduces to sign * 1, and reduction respects shifts
-    assert reduce_exp(n) == (0, sign)
+    if reduce_exp(n) != (0, sign):
+        raise InvariantError(f"L^{n} does not reduce to {sign}")
     for k in range(-2 * n, 2 * n + 1):
         r, s = reduce_exp(k)
         rk, sk = reduce_exp(k + n)
-        assert rk == r and sk == s * sign
+        if rk != r or sk != s * sign:
+            raise InvariantError(f"the reduction of L^{k} does not respect the shift by {n}")
 
     table = {k: reduce_exp(k) for k in range(-2 * n, 2 * n + 1)}
     relation = f"-L^{n} = 1" if sign < 0 else f"L^{n} = 1"

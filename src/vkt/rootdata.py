@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import (
     GroupTooLarge,
@@ -368,6 +369,18 @@ class RootDatum:
     def is_dominant(self, weight):
         return all(dot(weight, cv) >= 0 for cv in self.simple_coroots)
 
+    def is_regular(self, v, d):
+        """Is the point x = v / d of t regular: is its stabilizer in
+        (coweights) x| W trivial?  v is an integer coweight vector, d != 0.
+        The stabilizer is finite and pi_1 is free, so it lies in the affine
+        Weyl group (coroots) x| W, where it is generated by the reflections
+        in the hyperplanes <alpha, x> in Z through x (Humphreys, Reflection
+        Groups and Coxeter Groups, Thm 4.8).  So x is regular iff
+        <alpha, v> != 0 mod d for every positive root alpha.  A weight lam
+        is tested at b^-1 lam, i.e. v = adj(b) lam and d = det b; an F_eps
+        lift y at its order m."""
+        return all(sum(map(mul, alpha, v)) % d for alpha, _ in self.positive_root_pairs)
+
     def is_torus(self):
         return not self.factors
 
@@ -674,6 +687,27 @@ def canonical_weyl(rd: RootDatum, matrix: IntMatrix) -> WeylElement:
 def weyl_compose(rd: RootDatum, w1: WeylElement, w2: WeylElement) -> WeylElement:
     """w1 * w2 as a canonical enumerated element."""
     return canonical_weyl(rd, w1.matrix * w2.matrix)
+
+
+def simple_reflections_mod(rd: RootDatum, y, m):
+    """The images of the coweight y under the simple reflections
+    y -> y - <alpha_i, y> alpha_i^vee, reduced mod m."""
+    out = []
+    for alpha, coalpha in zip(rd.simple_roots, rd.simple_coroots):
+        p = dot(alpha, y)
+        out.append(tuple((c - p * a) % m for c, a in zip(y, coalpha)))
+    return out
+
+
+def coweight_orbit_mod(rd: RootDatum, y, m):
+    """The W-orbit of the coweight y (reduced mod m) modulo m, by closure
+    under the simple reflections: the work is the orbit's size times the
+    rank, not |W|."""
+    orbit = frontier = {tuple(y)}
+    while frontier:
+        frontier = {z for x in frontier for z in simple_reflections_mod(rd, x, m)} - orbit
+        orbit = orbit | frontier
+    return orbit
 
 
 def _sparse(coroot):

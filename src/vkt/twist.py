@@ -8,7 +8,9 @@ mod-2 vector grading the translation action.  The half-shift point
 lambda_eps = eps/2 and the finite groups F = coker(b) and F_eps (the
 torus points solving b(x) = lambda_eps mod the weight lattice) are
 derived.  F_eps is built in integers only: each point x is held as its
-lift y = m x at one common order m.
+lift y = m x at one common order m.  Its regular points come from the
+root test RootDatum.is_regular and their W-orbits from closure under the
+simple reflections mod m, with no loop over W.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from math import gcd
 from operator import mul
 
 from .errors import Degenerate, InvariantError, NotEquivariant
-from .rootdata import RootDatum, dot, weyl_group_elements
+from .rootdata import RootDatum, coweight_orbit_mod, dot, weyl_order
 from .zlattice import (
     IntMatrix,
     cokernel_structure,
@@ -98,15 +100,6 @@ class Twisting:
         d = self.det_b
         return [x // d for x in self.adj_apply(vec)]
 
-    def b_inverse_integral(self, vec):
-        """b^-1 vec when it is integral, else None: it is integral iff
-        adj(b) vec = 0 mod det b."""
-        d = self.det_b
-        x = self.adj_apply(vec)
-        if any(c % d for c in x):
-            return None
-        return tuple(c // d for c in x)
-
     def cached(self, key, build):
         """build() computed once per twisting and kept under key."""
         if key not in self._cache:
@@ -122,7 +115,7 @@ class Twisting:
         """(m, points, lifts): the points x of F_eps, sorted, and their
         integer lifts y = m x at one common order m, built on first use.
         With regular_only=True, only the points no nontrivial Weyl element
-        fixes, read off the W-orbit pass of `verlinde_lifts`."""
+        fixes, by the root test RootDatum.is_regular."""
         if regular_only:
             return self.cached("f_epsilon_orbits", self._weyl_orbits)[0]
         return self.cached("f_epsilon", self._build_f_epsilon)
@@ -152,23 +145,28 @@ class Twisting:
         return _with_points(top // g, lifts)
 
     def _weyl_orbits(self):
-        """The W-orbits of F_eps, each computed once from its least lift:
-        a point is regular iff its orbit has |W| elements.  Gives the
-        regular part of f_epsilon and the classes of verlinde_lifts."""
+        """The regular part of F_eps and its W-orbits, with no loop over W:
+        a lift y is regular by the root test RootDatum.is_regular(y, m), and
+        its orbit is the closure coweight_orbit_mod.  Gives the regular part
+        of f_epsilon and, as the least lift of each orbit, the classes of
+        verlinde_lifts.  Raises InvariantError unless each orbit has |W| points."""
+        rd = self.rd
         m, _, lifts = self.f_epsilon()
-        group = weyl_group_elements(self.rd)
-        seen, regular, classes = set(), [], []
-        for y in lifts:                  # sorted, so y is least in a new orbit
+        regular = [y for y in lifts if rd.is_regular(y, m)]
+        size = weyl_order(rd)
+        seen, classes = set(), []
+        for y in regular:                # sorted, so y is least in a new orbit
             if y in seen:
                 continue
-            orbit = {tuple(c % m for c in w.apply_coweight(y)) for w in group}
+            orbit = coweight_orbit_mod(rd, y, m)
+            if len(orbit) != size:
+                raise InvariantError(f"the W-orbit of the regular lift {y} / {m} has "
+                                     f"{len(orbit)} points, expected |W| = {size}")
             seen |= orbit
-            if len(orbit) == len(group):
-                regular.extend(orbit)
-                classes.append(y)
+            classes.append(y)
         g = gcd(m, *(c for y in classes for c in y))
         classes = (m // g, [tuple(c // g for c in y) for y in classes])
-        return _with_points(m, sorted(regular)), classes
+        return _with_points(m, regular), classes
 
     def degree_parity(self):
         """Degree mod 2 of the (only) nonzero twisted K-group."""

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from vkt.affineweyl import (
     AffineElement,
+    Alcove,
     act,
     affine_compose,
     affine_identity,
@@ -14,10 +17,10 @@ from vkt.affineweyl import (
     geometric_stabilizer_brute,
     orbit_normal_form,
     sign_character,
-    stabilizer_elements,
     stabilizer_generators,
     zero_criterion_discrepancies,
 )
+from vkt.errors import InvariantError
 from vkt.rootdata import root_datum_from_spec, weyl_group_elements
 from vkt.twist import twisting_from_level
 
@@ -126,9 +129,21 @@ def test_zero_iff_not_free_when_ungraded():
         from vkt.zlattice import coset_representatives
         for lam in coset_representatives(tau.b):
             red = orbit_normal_form(rd, tau, lam)
-            free = len(stabilizer_elements(rd, tau, lam)) == 1
+            # lam is fixed by (pi, w) iff b^-1 lam is fixed geometrically
+            x = [Fraction(c, tau.det_b) for c in tau.adj_apply(lam)]
+            free = len(geometric_stabilizer_brute(rd, x)) == 1
             assert red.is_zero == (not free)
+            assert rd.is_regular(tau.adj_apply(lam), tau.det_b) == free
         assert zero_criterion_discrepancies(rd, tau) == []
+
+
+def test_a_free_zero_orbit_is_refused(monkeypatch):
+    # ZERO needs a sign -1 stabilizer element, so a free orbit read as ZERO
+    # is a defect, not a discrepancy
+    rd, tau = su3(5)
+    monkeypatch.setattr(Alcove, "is_zero", lambda self, point: True)
+    with pytest.raises(InvariantError, match="trivial stabilizer"):
+        zero_criterion_discrepancies(rd, tau)
 
 
 def test_graded_su2_discrepancy_is_flagged():

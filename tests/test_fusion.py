@@ -12,6 +12,7 @@ import vkt.cyclo
 import vkt.fieldsolve
 import vkt.fusion
 from vkt.affineweyl import OrbitReduction
+from vkt.checks import check_f_epsilon
 from vkt.cli import JobSpec, build_root_datum, build_twisting
 from vkt.errors import InvariantError, NotATorus, NotPrimitive
 from vkt.fieldsolve import FieldElement, invert_field_matrix
@@ -30,7 +31,7 @@ from vkt.fusion import (
     torus_pushforward,
     verlinde_ideal_member,
 )
-from vkt.rootdata import root_datum_from_spec
+from vkt.rootdata import root_datum_from_spec, simple_reflections_mod
 from vkt.twist import twisting_from_level
 from vkt.zlattice import coset_representatives
 
@@ -266,6 +267,25 @@ def test_ring_invariants_are_checked_without_assert(monkeypatch):
     monkeypatch.setattr(vkt.fusion, "orbit_normal_form", lambda *args: zero)
     with pytest.raises(InvariantError):
         su2_ring(4)
+
+
+def test_f_epsilon_check_flags_a_set_the_weyl_group_does_not_preserve(monkeypatch):
+    rd = root_datum_from_spec("SU(3)")
+    tau = twisting_from_level(rd, (5,))
+    ring = FusionRing(rd, tau)
+    result = check_f_epsilon(ring)
+    assert result["passed"] and result["detail"]["bad"] == []
+    # drop one regular point: the simple reflections of its neighbours now
+    # leave the set, though every remaining point still solves b(x) = lambda_eps
+    m, pts, lifts = tau.f_epsilon()
+    k = lifts.index(tau.f_epsilon(regular_only=True)[2][0])
+    kept_pts, kept = pts[:k] + pts[k + 1:], lifts[:k] + lifts[k + 1:]
+    monkeypatch.setattr(tau, "f_epsilon", lambda regular_only=False: (m, kept_pts, kept))
+    want = [[str(c) for c in x] for x, y in zip(kept_pts, kept)
+            if lifts[k] in simple_reflections_mod(rd, y, m)]
+    result = check_f_epsilon(ring)
+    assert not result["passed"]
+    assert len(want) == 2 and result["detail"]["bad"] == want
 
 
 def test_verlinde_ideal_member_su2():

@@ -13,6 +13,7 @@ route's sums in Z[zeta_m] by Kronecker packing with a reduction mod Phi_m.
 None of them calls the code it checks."""
 
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -38,7 +39,7 @@ from vkt.affineweyl import (
     enumerate_basis_orbits,
     orbit_normal_form,
     sign_character,
-    stabilizer_elements,
+    zero_criterion_discrepancies,
 )
 from vkt.checks import check_annihilation, check_delta_identity
 from vkt.cyclo import CyclotomicInt, cyclotomic_polynomial, poly_divmod_exact
@@ -221,10 +222,7 @@ def fraction_delta_eval(rd, tau, f, g, regular_only=False):
     reps = [fraction_box_reduce(tau, lam)[0] for lam in coset_representatives(tau.b)]
     points = fraction_f_epsilon_points(rd, tau)
     if regular_only:
-        others = [w for w in weyl_group_elements(rd) if not w.is_identity()]
-        reps = [lam for lam in reps if not any(
-            all(x.denominator == 1 for x in fraction_b_inverse(tau, vec_sub(w.apply(lam), lam)))
-            for w in others)]
+        reps = [lam for lam in reps if fraction_is_free(rd, tau, lam)]
         points = fraction_regular_points(rd, tau)
     m = 1
     scaled = []
@@ -242,6 +240,14 @@ def fraction_delta_eval(rd, tau, f, g, regular_only=False):
     total = CyclotomicInt(m, counts)
     assert total.is_integer()
     return Fraction(total.integer_value(), tau.order_F())
+
+
+def fraction_is_free(rd, tau, lam):
+    """No nontrivial (pi, w) fixes lam: b^-1(lam - w lam) is not integral
+    for any w != 1."""
+    return not any(
+        all(x.denominator == 1 for x in fraction_b_inverse(tau, vec_sub(lam, w.apply(lam))))
+        for w in weyl_group_elements(rd) if not w.is_identity())
 
 
 def fraction_regular_points(rd, tau):
@@ -271,6 +277,20 @@ def scan_orbit_normal_form(rd, tau, lam):
             return None, 0
     rep = min(candidates)
     return rep, candidates[rep]
+
+
+def scan_zero_criterion_discrepancies(rd, tau):
+    """The discrepancy list by visiting every coset of b: freeness by the
+    Fraction stabilizer scan, survival and the orbit key by the W scan."""
+    out = {}
+    for lam in coset_representatives(tau.b):
+        rep, _ = scan_orbit_normal_form(rd, tau, lam)
+        free = fraction_is_free(rd, tau, lam)
+        if (rep is None) == free:
+            key = rep if rep is not None else \
+                min(box_reduce(tau, w.apply(lam))[0] for w in weyl_group_elements(rd))
+            out[key] = {"orbit": list(key), "free": free, "survives": rep is not None}
+    return [out[k] for k in sorted(out)]
 
 
 def scan_basis_orbits(rd, tau):
@@ -458,21 +478,50 @@ def test_integrality_test_matches_fraction_oracle():
             vec = tau.apply_b(pi) if rng.random() < 0.5 else \
                 tuple(rng.randint(-40, 40) for _ in range(rd.rank))
             x = fraction_b_inverse(tau, vec)
-            want = tuple(int(c) for c in x) if all(c.denominator == 1 for c in x) else None
-            assert tau.b_inverse_integral(vec) == want, (name, vec)
-            assert tau.floor_b_inverse(vec) == [c.numerator // c.denominator for c in x]
+            assert tau.floor_b_inverse(vec) == [c.numerator // c.denominator for c in x], \
+                (name, vec)
 
 
 def test_stabilizers_match_fraction_oracle():
-    rng = random.Random(7)
-    for name, rd, tau in grid_twistings():
-        for _ in range(10):
-            lam = tuple(rng.randint(-12, 12) for _ in range(rd.rank))
-            want = [(tuple(int(c) for c in x), w.word) for w in weyl_group_elements(rd)
-                    for x in [fraction_b_inverse(tau, vec_sub(lam, w.apply(lam)))]
-                    if all(c.denominator == 1 for c in x)]
-            got = [(g.translation, g.weyl.word) for g in stabilizer_elements(rd, tau, lam)]
-            assert got == want, (name, lam)
+    # the root test at b^-1 lam against the Fraction scan over W, on every coset
+    for name, rd, tau in grid_twistings(GRID + WALK_EXTRA + F_EPSILON_EXTRA):
+        for lam in coset_representatives(tau.b):
+            lam = tuple(lam)
+            assert rd.is_regular(tau.adj_apply(lam), tau.det_b) == \
+                fraction_is_free(rd, tau, lam), (name, lam)
+
+
+def test_zero_criterion_discrepancies_match_coset_scan_oracle():
+    flagged = 0
+    for name, rd, tau in grid_twistings(GRID + WALK_EXTRA + F_EPSILON_EXTRA):
+        got = zero_criterion_discrepancies(rd, tau)
+        assert got == scan_zero_criterion_discrepancies(rd, tau), (name, tau.eps)
+        flagged += len(got)
+    assert flagged                 # the graded cases flag some orbits
+
+
+def test_regularity_needs_no_weyl_enumeration(monkeypatch):
+    # the Verlinde classes, the regular part of F_eps, the regular pairing
+    # table and the discrepancy list come from the root test and the
+    # simple reflections; on ungraded twistings no label is read either
+    def outputs(rd, tau):
+        return (verlinde_classes(rd, tau), tau.f_epsilon(regular_only=True),
+                vkt.fusion._pairing_table(rd, tau, True),
+                zero_criterion_discrepancies(rd, tau))
+
+    grid = [case for case in GRID + WALK_EXTRA + F_EPSILON_EXTRA if not any(case[3] or ())]
+    want = [outputs(rd, tau) for _, rd, tau in grid_twistings(grid)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("weyl_group_elements was called")
+
+    for module in list(sys.modules.values()):
+        if module.__name__.split(".")[0] == "vkt" and hasattr(module, "weyl_group_elements"):
+            monkeypatch.setattr(module, "weyl_group_elements", refuse)
+    with pytest.raises(AssertionError):
+        vkt.rootdata.weyl_group_elements(root_datum_from_spec("SU(2)"))
+    for (name, rd, tau), expected in zip(grid_twistings(grid), want):
+        assert outputs(rd, tau) == expected, name
 
 
 def test_f_epsilon_matches_snf_oracle():

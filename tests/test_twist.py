@@ -160,3 +160,13 @@ def test_f_epsilon_count_is_checked_without_assert(monkeypatch):
     monkeypatch.setattr(tau, "order_F", lambda: 7)
     with pytest.raises(InvariantError):
         f_epsilon_points(rd, tau)
+
+
+def test_a_short_regular_orbit_is_refused(monkeypatch):
+    # a root test that passed a singular point would give an orbit of fewer
+    # than |W| points; the simple-reflection closure catches it
+    rd = root_datum_from_spec("SU(3)")
+    tau = twisting_from_level(rd, (5,))
+    monkeypatch.setattr(rd, "is_regular", lambda v, d: True)
+    with pytest.raises(InvariantError, match=r"expected \|W\| = 6"):
+        tau.verlinde_lifts()
