@@ -6,7 +6,7 @@ integer and cyclotomic arithmetic, and cross-checks the answer against
 independent Mayer-Vietoris style computations.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     Degenerate,

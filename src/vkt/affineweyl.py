@@ -28,10 +28,9 @@ or over the cosets of b:
   walls carries a sign -1 reflection.  Whether the stabilizer is trivial
   at all is the root test RootDatum.is_regular, with no scan over W.
 
-The canonical label of a surviving orbit stays the lexicographically least
-point of the orbit in the fundamental box of b(coweights), found by one
-scan over W per alcove point and cached on the twisting.  The basis is
-read off the lattice points of the closed alcove times the free box.
+A surviving orbit is labelled by the point the walk lands on: the lattice
+point of the closed alcove with free coordinates in [0, 1)^r.  The basis
+is read off those points, so no label needs W.
 """
 
 from __future__ import annotations
@@ -142,8 +141,7 @@ def box_reduce(tau: Twisting, vec):
 
 
 class Alcove:
-    """The closed alcove of one twisting: its walls, the free coordinates,
-    and the labels of the surviving alcove points found so far.
+    """The closed alcove of one twisting: its walls and the free coordinates.
 
     Walls come in the order of rootdata.reflect_into_chamber: the simple
     reflections, then one affine theta-wall per simple factor.  The free
@@ -190,7 +188,6 @@ class Alcove:
             self.reflections.append((theta, cotheta))
             self.factors.append((f.indices, tuple(dot(self.section[i], cotheta) for i in f.indices),
                                  abs(level2)))
-        self._labels = {}
         self._zero = {}
         self._steps = None
 
@@ -236,23 +233,6 @@ class Alcove:
         for k in word:
             g = affine_compose(rd, self._steps[k], g)
         return g
-
-    # -- labels -------------------------------------------------------------
-
-    def label(self, point):
-        """(label, g, sign) for a surviving alcove point: the lexicographically
-        least box point of its orbit, the element g (first in the order of
-        weyl_group_elements) taking the point there, and g's sign."""
-        hit = self._labels.get(point)
-        if hit is None:
-            best = None
-            for w in weyl_group_elements(self.rd):
-                reduced, pi = box_reduce(self.tau, w.apply(point))
-                if best is None or reduced < best[0]:
-                    best = (reduced, AffineElement(pi, w))
-            hit = (best[0], best[1], sign_character(self.tau, best[1]))
-            self._labels[point] = hit
-        return hit
 
     # -- the lattice points of the closed alcove ------------------------------
 
@@ -317,42 +297,24 @@ def alcove(rd: RootDatum, tau: Twisting) -> Alcove:
 def orbit_normal_form(rd: RootDatum, tau: Twisting, lam) -> OrbitReduction:
     """Canonical representative of the affine orbit of lam, with sign.
 
-    Walks lam into the closed alcove (free part first), reads ZERO off the
-    walls through the alcove point, and otherwise returns the point's
-    cached label.  The witness is composed from the walk when first read."""
+    Walks lam into the closed alcove (free part first) and reads ZERO off
+    the walls through the alcove point; otherwise the point is the orbit's
+    label and the walk's sign its sign.  The witness is composed from the
+    walk when first read."""
     lam = rd.check_weight(lam)
     alc = alcove(rd, tau)
     point, pi0, word, sign = alc.walk(lam)
     if alc.is_zero(point):
-        return OrbitReduction(None, 0, lambda: alc.witness(pi0, word))
-    label, g, s = alc.label(point)
-    return OrbitReduction(label, sign * s,
-                          lambda: affine_compose(rd, g, alc.witness(pi0, word)))
-
-
-def basis_alcove_points(rd: RootDatum, tau: Twisting):
-    """{label: alcove point} over the surviving orbits, built once per
-    twisting from the lattice points of the closed alcove.  Raises
-    InvariantError if two alcove points share a label."""
-    def build():
-        alc = alcove(rd, tau)
-        out = {}
-        for point in alc.points():
-            if not alc.is_zero(point):
-                label = alc.label(point)[0]
-                if label in out:
-                    raise InvariantError(f"alcove points {out[label]} and {point} "
-                                         f"share the orbit label {label}")
-                out[label] = point
-        return out
-    return tau.cached("basis", build)
+        point, sign = None, 0
+    return OrbitReduction(point, sign, lambda: alc.witness(pi0, word))
 
 
 def enumerate_basis_orbits(rd: RootDatum, tau: Twisting):
-    """Canonical representatives of the contributing (non-ZERO) orbits,
-    one per surviving lattice point of the closed alcove.  Sorted
-    lexicographically."""
-    return sorted(basis_alcove_points(rd, tau))
+    """Canonical representatives of the contributing (non-ZERO) orbits: the
+    surviving lattice points of the closed alcove, sorted lexicographically
+    and built once per twisting."""
+    alc = alcove(rd, tau)
+    return tau.cached("basis", lambda: sorted(p for p in alc.points() if not alc.is_zero(p)))
 
 
 def alcove_translates(rd: RootDatum, tau: Twisting, point, radius):
@@ -370,9 +332,10 @@ def alcove_translates(rd: RootDatum, tau: Twisting, point, radius):
 def zero_criterion_discrepancies(rd: RootDatum, tau: Twisting):
     """Orbits where "stabilizer has a sign -1 element" (Alcove.is_zero) and
     "stabilizer is nontrivial" (the root test at b^-1 of the alcove point)
-    disagree, keyed by their labels.  ZERO implies not free (InvariantError
-    otherwise), so these are surviving orbits that are not free: none when
-    the grading vanishes.  Reported, never silently resolved."""
+    disagree, keyed by their alcove points.  ZERO implies not free
+    (InvariantError otherwise), so these are surviving orbits that are not
+    free: none when the grading vanishes.  Reported, never silently
+    resolved."""
     alc = alcove(rd, tau)
     out = []
     for point in alc.points():
@@ -381,7 +344,7 @@ def zero_criterion_discrepancies(rd: RootDatum, tau: Twisting):
             if free:
                 raise InvariantError(f"the ZERO orbit of {point} has a trivial stabilizer")
         elif not free:
-            out.append({"orbit": list(alc.label(point)[0]), "free": False, "survives": True})
+            out.append({"orbit": list(point), "free": False, "survives": True})
     return sorted(out, key=lambda d: d["orbit"])
 
 

@@ -30,7 +30,6 @@ from operator import mul
 from .affineweyl import (
     alcove,
     alcove_translates,
-    basis_alcove_points,
     box_reduce,
     enumerate_basis_orbits,
     orbit_normal_form,
@@ -133,8 +132,7 @@ class FusionRing:
         self.basis = tuple(enumerate_basis_orbits(rd, tau))
         self.index = {rep: i for i, rep in enumerate(self.basis)}
         self.rho_tilde = rd.rho_tilde
-        points = basis_alcove_points(rd, tau)
-        self.transversal = tuple(self._transversal_weight(points[rep]) for rep in self.basis)
+        self.transversal = tuple(self._transversal_weight(point) for point in self.basis)
         self.signs = []
         for lam in self.transversal:
             red = orbit_normal_form(rd, tau, vec_add(lam, self.rho_tilde))
@@ -215,10 +213,10 @@ def fusion_product(ring: FusionRing, a, b) -> KClass:
     fewer weights, N_ab^c counts the weights nu of V_mu, with multiplicity
     and sign, by the affine orbit of lam + nu + rho_tilde.  Each such
     weight takes one alcove walk; a walk that ends on a sign -1 wall drops
-    out, and any other ends on a basis point already labelled.  The affine
-    group contains W, and rho_tilde - rho is W-invariant, so this is the
-    Brauer-Klimyk decomposition followed by the shifted reduction, in one
-    walk per weight."""
+    out, and any other ends on the basis point that labels its orbit.  The
+    affine group contains W, and rho_tilde - rho is W-invariant, so this is
+    the Brauer-Klimyk decomposition followed by the shifted reduction, in
+    one walk per weight."""
     if not ring.tau.is_primitive():
         raise NotPrimitive("the twisting is not primitive in the implemented "
                            "normal form; only the module structure is defined")
@@ -237,8 +235,7 @@ def fusion_product(ring: FusionRing, a, b) -> KClass:
     for nu, mult in system.items():
         point, _, _, sign = alc.walk(vec_add(shifted, nu))
         if not alc.is_zero(point):
-            label, _, s = alc.label(point)
-            out[label] = out.get(label, 0) + sign * s * mult
+            out[point] = out.get(point, 0) + sign * mult
     out = KClass(out)
     ring._product_cache[key] = out
     return out

@@ -640,7 +640,11 @@ def weyl_order(rd: RootDatum):
     return order
 
 
-def weyl_group_elements(rd: RootDatum, max_order=10 ** 6):
+# the largest group vkt enumerates element by element: W, or the cosets of F
+MAX_GROUP_ORDER = 10 ** 6
+
+
+def weyl_group_elements(rd: RootDatum, max_order=MAX_GROUP_ORDER):
     """All elements of W, enumerated breadth-first from the generators.
 
     Words are shortest expressions; the result is cached on the datum and

@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .errors import Degenerate, InvariantError, NotEquivariant
-from .rootdata import RootDatum, coweight_orbit_mod, dot, weyl_order
+from .errors import Degenerate, GroupTooLarge, InvariantError, NotEquivariant
+from .rootdata import MAX_GROUP_ORDER, RootDatum, coweight_orbit_mod, dot, weyl_order
 from .zlattice import (
     IntMatrix,
     cokernel_structure,
@@ -40,8 +40,8 @@ class Twisting:
     Holds the exact integer kernel for b^-1: the adjugate adj(b) and det b,
     so that b^-1 v = adj(b) v / det b with no rational arithmetic.  Data
     derived from the twisting alone (the integer lifts of the F_eps points,
-    their W-orbits, the cosets of coker(b), the alcove walls and orbit
-    labels of affineweyl, the pairing tables and coset reductions of
+    their W-orbits, the cosets of coker(b), the alcove walls and basis
+    points of affineweyl, the pairing tables and coset reductions of
     fusion.delta_eval, whether it is primitive) is built on first use and
     cached on the object (see `cached`)."""
 
@@ -108,7 +108,10 @@ class Twisting:
 
     def cosets(self):
         """Representatives of the cosets of coker(b), built once per
-        twisting (shared: do not mutate)."""
+        twisting (shared: do not mutate).  Raises GroupTooLarge, before
+        enumerating anything, when |F| exceeds MAX_GROUP_ORDER."""
+        if self.order_F() > MAX_GROUP_ORDER:
+            raise GroupTooLarge(f"|F| = {self.order_F()} exceeds {MAX_GROUP_ORDER} cosets")
         return self.cached("cosets", lambda: coset_representatives(self.b))
 
     def f_epsilon(self, regular_only=False):

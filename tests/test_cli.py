@@ -2,8 +2,12 @@ import json
 
 import pytest
 
+import vkt.twist
+import vkt.zlattice
 from vkt.cli import JobSpec, main, parse_spec_text
 from vkt.errors import SpecParseError
+
+from test_known_tables import cartan_e
 
 
 def run_cli(capsys, *argv):
@@ -229,3 +233,20 @@ def test_spec_levels_of_strings_is_a_usage_error(tmp_path, capsys):
     err = _usage_error(capsys, "basis", "--spec", str(spec))
     assert err["error"] == "SpecParseError"
     assert "levels" in err["message"]
+
+
+def test_huge_f_is_refused_before_enumerating(tmp_path, capsys, monkeypatch):
+    # E6 at loop level 1 has |F| = 14 480 427 cosets, over the cap: classes
+    # refuses at once, with no coset enumerated
+    def refuse(*args, **kwargs):
+        raise AssertionError("coset_representatives was called")
+
+    for module in (vkt.twist, vkt.zlattice):
+        monkeypatch.setattr(module, "coset_representatives", refuse)
+    spec = tmp_path / "e6.spec"
+    spec.write_text(f"cartan = {cartan_e(6)}\ntwist = {{ levels = [1] }}\n")
+    code, out, err = run_cli(capsys, "classes", "--spec", str(spec), "--shift", "dual_coxeter")
+    assert (code, out) == (1, "")
+    err = json.loads(err)
+    assert err["error"] == "GroupTooLarge"
+    assert "14480427" in err["message"]

@@ -4,7 +4,8 @@ modular character route, against the computations they replaced.
 
 The oracles below are the earlier implementations: box reduction by the
 rational inverse of b and a floor, orbit normal forms by box-reducing all
-|W| images of a weight, the basis by reducing every coset of b, the
+|W| images of a weight, the basis by reducing every coset of b, orbit
+labels as the least box point of the orbit (one scan over W each), the
 F_eps points enumerated from the Smith normal form of b with Fraction
 shifts, characters evaluated with Fraction pairings at each point's own
 order, the averaged pairing rebuilt in full (coset enumeration, F_eps
@@ -33,6 +34,7 @@ import vkt.fusion
 import vkt.rootdata
 import vkt.zlattice
 from vkt.affineweyl import (
+    AffineElement,
     act,
     alcove,
     box_reduce,
@@ -293,6 +295,18 @@ def scan_zero_criterion_discrepancies(rd, tau):
     return [out[k] for k in sorted(out)]
 
 
+def scan_label(rd, tau, point):
+    """(label, g, sign): the lexicographically least box point of the orbit
+    of point, the element g (first in the order of weyl_group_elements)
+    taking point there, and g's sign."""
+    best = None
+    for w in weyl_group_elements(rd):
+        reduced, pi = box_reduce(tau, w.apply(point))
+        if best is None or reduced < best[0]:
+            best = (reduced, AffineElement(pi, w))
+    return best[0], best[1], sign_character(tau, best[1])
+
+
 def scan_basis_orbits(rd, tau):
     reps = {scan_orbit_normal_form(rd, tau, lam)[0] for lam in coset_representatives(tau.b)}
     return sorted(reps - {None})
@@ -500,18 +514,8 @@ def test_zero_criterion_discrepancies_match_coset_scan_oracle():
     assert flagged                 # the graded cases flag some orbits
 
 
-def test_regularity_needs_no_weyl_enumeration(monkeypatch):
-    # the Verlinde classes, the regular part of F_eps, the regular pairing
-    # table and the discrepancy list come from the root test and the
-    # simple reflections; on ungraded twistings no label is read either
-    def outputs(rd, tau):
-        return (verlinde_classes(rd, tau), tau.f_epsilon(regular_only=True),
-                vkt.fusion._pairing_table(rd, tau, True),
-                zero_criterion_discrepancies(rd, tau))
-
-    grid = [case for case in GRID + WALK_EXTRA + F_EPSILON_EXTRA if not any(case[3] or ())]
-    want = [outputs(rd, tau) for _, rd, tau in grid_twistings(grid)]
-
+def refuse_weyl_enumeration(monkeypatch):
+    """Make weyl_group_elements raise in every vkt namespace that binds it."""
     def refuse(*args, **kwargs):
         raise AssertionError("weyl_group_elements was called")
 
@@ -520,8 +524,39 @@ def test_regularity_needs_no_weyl_enumeration(monkeypatch):
             monkeypatch.setattr(module, "weyl_group_elements", refuse)
     with pytest.raises(AssertionError):
         vkt.rootdata.weyl_group_elements(root_datum_from_spec("SU(2)"))
+
+
+def test_regularity_needs_no_weyl_enumeration(monkeypatch):
+    # the Verlinde classes, the regular part of F_eps, the regular pairing
+    # table and the discrepancy list come from the root test, the simple
+    # reflections and the alcove points
+    def outputs(rd, tau):
+        return (verlinde_classes(rd, tau), tau.f_epsilon(regular_only=True),
+                vkt.fusion._pairing_table(rd, tau, True),
+                zero_criterion_discrepancies(rd, tau))
+
+    grid = GRID + WALK_EXTRA + F_EPSILON_EXTRA
+    want = [outputs(rd, tau) for _, rd, tau in grid_twistings(grid)]
+    refuse_weyl_enumeration(monkeypatch)
     for (name, rd, tau), expected in zip(grid_twistings(grid), want):
         assert outputs(rd, tau) == expected, name
+
+
+def test_ring_build_needs_no_weyl_enumeration(monkeypatch):
+    # the basis, transversal, signs, products, shifted reductions and
+    # discrepancy list read alcove points only: no orbit label needs W
+    def outputs(rd, tau):
+        ring = FusionRing(rd, tau)
+        table = ring.structure_constants() if tau.is_primitive() else None
+        classes = [class_from_weight(ring, lam) for lam in dominant_weights_up_to(rd, 3)]
+        return (ring.basis, ring.transversal, ring.signs, ring.unit_index, table, classes,
+                zero_criterion_discrepancies(rd, tau))
+
+    grid = GRID + WALK_EXTRA
+    want = [outputs(rd, tau) for _, rd, tau in grid_twistings(grid)]
+    refuse_weyl_enumeration(monkeypatch)
+    for (name, rd, tau), expected in zip(grid_twistings(grid), want):
+        assert outputs(rd, tau) == expected, (name, tau.eps)
 
 
 def test_f_epsilon_matches_snf_oracle():
@@ -547,20 +582,53 @@ def test_orbit_normal_form_matches_scan_oracle():
         weights += [tuple(rng.randint(-30, 30) for _ in range(rd.rank)) for _ in range(40)]
         for lam in weights:
             red = orbit_normal_form(rd, tau, lam)
-            assert (red.representative, red.sign) == scan_orbit_normal_form(rd, tau, lam), \
-                (name, tau.eps, lam)
+            rep, sign = scan_orbit_normal_form(rd, tau, lam)
+            assert red.is_zero == (rep is None), (name, tau.eps, lam)
             if not red.is_zero:
+                # the scan's representative is the old label of the alcove
+                # point, and its sign carries the sign of the element g
+                # taking the point there
+                label, _, s = scan_label(rd, tau, red.representative)
+                assert (label, sign) == (rep, red.sign * s), (name, tau.eps, lam)
                 assert act(rd, tau, red.witness, lam) == red.representative, (name, lam)
                 assert sign_character(tau, red.witness) == red.sign, (name, lam)
-        # the walk reaches one alcove point per orbit, so each label is
-        # computed once: the label cache never holds two points of one orbit
-        labels = [hit[0] for hit in alcove(rd, tau)._labels.values()]
-        assert len(labels) == len(set(labels)), name
 
 
 def test_basis_matches_scan_oracle():
+    # the old labels map the basis one-to-one onto the scan's basis
     for name, rd, tau in grid_twistings(GRID + WALK_EXTRA):
-        assert enumerate_basis_orbits(rd, tau) == scan_basis_orbits(rd, tau), (name, tau.eps)
+        labels = [scan_label(rd, tau, point)[0] for point in enumerate_basis_orbits(rd, tau)]
+        assert len(set(labels)) == len(labels), (name, tau.eps)
+        assert sorted(labels) == scan_basis_orbits(rd, tau), (name, tau.eps)
+
+
+def test_basis_labels_are_surviving_alcove_points():
+    # each label is the surviving closed-alcove point its orbit's walk ends
+    # on; primitive rings have no basis sign -1, some graded and U(2) ones
+    # keep one
+    simply_connected = negative = 0
+    for name, rd, tau in grid_twistings(GRID + WALK_EXTRA + PRODUCT_EXTRA):
+        alc = alcove(rd, tau)
+        ring = FusionRing(rd, tau)
+        for point in ring.basis:
+            assert all(dot(point, cv) >= 0 for cv in rd.simple_coroots), (name, point)
+            for f in rd.factors:
+                theta, cotheta = f.highest_root
+                level2 = dot(tau.apply_b(cotheta), cotheta)           # 2 l_theta
+                assert 2 * dot(point, cotheta) <= abs(level2), (name, point)
+            # the free coordinates (row . point) / det b lie in [0, 1)
+            assert all(dot(row, point) // tau.det_b == 0 for row in alc.free_rows), (name, point)
+            assert not wall_scan_is_zero(alc, point), (name, point)
+            red = orbit_normal_form(rd, tau, point)
+            assert (red.representative, red.sign) == (point, 1), (name, point)
+        if rd.split_form and not rd.torus_indices:
+            assert ring.basis == tuple(vec_add(lam, rd.rho_tilde) for lam in ring.transversal)
+            assert list(ring.transversal) == sorted(ring.transversal), name
+            simply_connected += 1
+        if tau.is_primitive():
+            assert set(ring.signs) <= {1}, name
+        negative += -1 in ring.signs
+    assert simply_connected == 24 and negative == 6
 
 
 def test_verlinde_ideal_member_matches_fraction_oracle():
@@ -675,8 +743,8 @@ def test_tables_build_no_pairing_cache():
     rd = root_datum_from_spec("SU(3)")
     tau = twisting_from_level(rd, (5,))
     FusionRing(rd, tau).structure_constants()
-    # only the alcove walls and labels and the primitivity flag: no pairing
-    # table, F_eps or cosets
+    # only the alcove walls, the basis points and the primitivity flag: no
+    # pairing table, F_eps or cosets
     assert set(tau._cache) == {"alcove", "basis", "primitive"}
 
 

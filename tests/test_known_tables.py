@@ -8,8 +8,10 @@ and character solving).
 import random
 
 from vkt.fusion import FusionRing, fusion_product
-from vkt.rootdata import RootDatum, root_datum_from_spec
+from vkt.rootdata import RootDatum, root_datum_from_spec, weyl_dimension
 from vkt.twist import shift_by_dual_coxeter, twisting_from_level
+
+from test_kernel import refuse_weyl_enumeration
 
 
 def ring_at_loop_level(name, level, torus=None):
@@ -104,6 +106,61 @@ def test_f4_level1_is_fibonacci():
     assert ring.tau.order_F() == 40000
     assert ring.rd.factors[0].name == "F4"
     assert assert_fibonacci(ring) == (1, 0, 0, 0)
+
+
+def cartan_e(n):
+    """The Cartan matrix of E_n in Bourbaki order: the chain 1-3-4-...-n,
+    with node 2 attached to node 4."""
+    a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in [(1, 3), (2, 4)] + [(k, k + 1) for k in range(3, n)]:
+        a[i - 1][j - 1] = a[j - 1][i - 1] = -1
+    return a
+
+
+def weights_by_dimension(ring):
+    return {weyl_dimension(ring.rd, w): w for w in ring.transversal}
+
+
+# |W| is 51 840 for E6, 2 903 040 for E7 and 696 729 600 for E8: these rings
+# are built with weyl_group_elements refusing every call
+
+def test_e6_level1_is_z3(monkeypatch):
+    refuse_weyl_enumeration(monkeypatch)
+    ring = ring_at_loop_level(cartan_e(6), 1)
+    assert ring.rd.factors[0].name == "E6"
+    one, f, fbar = (0,) * 6, (0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0)
+    assert set(ring.transversal) == {one, f, fbar}
+    assert product_on_weights(ring, f, f) == {fbar: 1}
+    assert product_on_weights(ring, f, fbar) == {one: 1}
+    assert product_on_weights(ring, fbar, fbar) == {f: 1}
+
+
+def test_e7_level1_is_z2(monkeypatch):
+    refuse_weyl_enumeration(monkeypatch)
+    ring = ring_at_loop_level(cartan_e(7), 1)
+    assert ring.rd.factors[0].name == "E7"
+    dims = weights_by_dimension(ring)
+    assert sorted(dims) == [1, 56]
+    assert product_on_weights(ring, dims[56], dims[56]) == {dims[1]: 1}
+
+
+def test_e8_level1_is_the_one_element_ring(monkeypatch):
+    refuse_weyl_enumeration(monkeypatch)
+    ring = ring_at_loop_level(cartan_e(8), 1)
+    assert ring.rd.factors[0].name == "E8"
+    assert ring.transversal == ((0,) * 8,)
+    assert ring.structure_constants() == [[(1,)]]
+
+
+def test_e8_level2_is_ising(monkeypatch):
+    refuse_weyl_enumeration(monkeypatch)
+    ring = ring_at_loop_level(cartan_e(8), 2)
+    dims = weights_by_dimension(ring)
+    assert sorted(dims) == [1, 248, 3875]
+    one, sigma, psi = dims[1], dims[248], dims[3875]
+    assert product_on_weights(ring, sigma, sigma) == {one: 1, psi: 1}
+    assert product_on_weights(ring, sigma, psi) == {sigma: 1}
+    assert product_on_weights(ring, psi, psi) == {one: 1}
 
 
 def test_su2_level4_table_spot():
