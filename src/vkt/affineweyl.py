@@ -68,9 +68,6 @@ class AffineElement:
     translation: tuple
     weyl: WeylElement
 
-    def is_identity(self):
-        return self.weyl.is_identity() and not any(self.translation)
-
 
 def affine_identity(rd: RootDatum) -> AffineElement:
     return AffineElement((0,) * rd.rank, rd.identity_element)
@@ -81,17 +78,6 @@ def affine_compose(rd: RootDatum, g1: AffineElement, g2: AffineElement) -> Affin
     return AffineElement(
         vec_add(g1.translation, g1.weyl.apply_coweight(g2.translation)),
         weyl_compose(rd, g1.weyl, g2.weyl))
-
-
-def affine_inverse(rd: RootDatum, g: AffineElement) -> AffineElement:
-    winv = _weyl_inverse(rd, g.weyl)
-    return AffineElement(
-        tuple(-x for x in winv.apply_coweight(g.translation)), winv)
-
-
-def _weyl_inverse(rd, w):
-    from .rootdata import canonical_weyl
-    return canonical_weyl(rd, inverse_unimodular(w.matrix))
 
 
 def act(rd: RootDatum, tau: Twisting, g: AffineElement, lam) -> tuple:
@@ -105,26 +91,18 @@ def sign_character(tau: Twisting, g: AffineElement) -> int:
 
 
 class OrbitReduction:
-    """Normal form of an orbit: canonical representative, sign, and witness.
+    """Normal form of an orbit: canonical representative and sign.
 
     `representative` is None exactly when the orbit dies (its stabilizer
     contains an element of sign -1); then `sign` is meaningless.  Otherwise
-    act(witness, input) == representative and sign == sign_character(witness).
-    `witness` may be given as a function building it, called when first read.
+    some g has act(g, input) == representative and sign == sign_character(g).
     """
 
-    __slots__ = ("representative", "sign", "_witness")
+    __slots__ = ("representative", "sign")
 
-    def __init__(self, representative, sign, witness):
+    def __init__(self, representative, sign):
         self.representative = representative
         self.sign = sign
-        self._witness = witness
-
-    @property
-    def witness(self):
-        if callable(self._witness):
-            self._witness = self._witness()
-        return self._witness
 
     @property
     def is_zero(self):
@@ -170,8 +148,6 @@ class Alcove:
 
         self.walls = list(rd.simple_walls)
         self.signs = [-1] * m
-        self.translations = [(0,) * n] * m
-        self.reflections = list(zip(rd.simple_roots, rd.simple_coroots))
         self.factors = []            # (simple indices, comarks, 2 |l_theta|)
         for f in rd.factors:
             theta, cotheta = f.highest_root
@@ -184,19 +160,17 @@ class Alcove:
                                tuple(-t for t in theta), -abs(level2),
                                tuple(k * x for x in image)))
             self.signs.append(-tau.translation_sign(cotheta))
-            self.translations.append(tuple(k * c for c in cotheta))
-            self.reflections.append((theta, cotheta))
             self.factors.append((f.indices, tuple(dot(self.section[i], cotheta) for i in f.indices),
                                  abs(level2)))
         self._zero = {}
-        self._steps = None
 
     # -- the walk -------------------------------------------------------------
 
     def walk(self, lam):
-        """(alcove point, free translation pi0, word, sign): lam + b(pi0)
-        has free coordinates in [0, 1)^r, and the walls of `word` crossed in
-        order take it to the alcove point; `sign` is that element's sign."""
+        """(alcove point, sign): a free translation pi0 gives lam + b(pi0)
+        free coordinates in [0, 1)^r, and the walls crossed from there take
+        it to the alcove point; some g with act(g, lam) = point has
+        sign = sign_character(g)."""
         tau, d = self.tau, self.tau.det_b
         pi0 = None
         for row, lift in zip(self.free_rows, self.lifts):
@@ -210,7 +184,7 @@ class Alcove:
         sign = 1 if pi0 is None else tau.translation_sign(pi0)
         for k in word:
             sign *= self.signs[k]
-        return point, pi0, word, sign
+        return point, sign
 
     def is_zero(self, point):
         """A wall through the alcove point carries a sign -1 reflection.
@@ -222,17 +196,6 @@ class Alcove:
                 s < 0 and 2 * sum(point[j] * c for j, c in coroot) == bound2
                 for (coroot, _, bound2, _), s in zip(self.walls, self.signs))
         return hit
-
-    def witness(self, pi0, word):
-        """The affine element of a walk, as an AffineElement."""
-        rd = self.rd
-        if self._steps is None:
-            self._steps = [AffineElement(t, _reflection_element(rd, *pair))
-                           for t, pair in zip(self.translations, self.reflections)]
-        g = AffineElement(pi0 or (0,) * rd.rank, rd.identity_element)
-        for k in word:
-            g = affine_compose(rd, self._steps[k], g)
-        return g
 
     # -- the lattice points of the closed alcove ------------------------------
 
@@ -299,14 +262,14 @@ def orbit_normal_form(rd: RootDatum, tau: Twisting, lam) -> OrbitReduction:
 
     Walks lam into the closed alcove (free part first) and reads ZERO off
     the walls through the alcove point; otherwise the point is the orbit's
-    label and the walk's sign its sign.  The witness is composed from the
-    walk when first read."""
+    label and the walk's sign its sign: some g has act(g, lam) equal to
+    the label and sign_character(g) equal to the sign."""
     lam = rd.check_weight(lam)
     alc = alcove(rd, tau)
-    point, pi0, word, sign = alc.walk(lam)
+    point, sign = alc.walk(lam)
     if alc.is_zero(point):
         point, sign = None, 0
-    return OrbitReduction(point, sign, lambda: alc.witness(pi0, word))
+    return OrbitReduction(point, sign)
 
 
 def enumerate_basis_orbits(rd: RootDatum, tau: Twisting):

@@ -44,22 +44,22 @@ def check_double_count(ring: FusionRing):
 
 
 def check_f_epsilon(ring: FusionRing):
-    """Every point solves b(x) = lambda_eps mod the weight lattice, there are
-    |det b| of them, and each simple reflection maps the set of lifts to
-    itself mod m; `bad` lists the points failing either test."""
+    """Every point x = y / m solves b(x) = lambda_eps mod the weight lattice,
+    that is 2 b(y) = m eps mod 2m, there are |det b| of them, and each
+    simple reflection maps the set of lifts to itself mod m; `bad` lists
+    the points failing either test."""
     rd, tau = ring.rd, ring.tau
-    m, pts, lifts = tau.f_epsilon()
-    ok = len(pts) == tau.order_F()
+    m, lifts = tau.f_epsilon()
+    ok = len(lifts) == tau.order_F()
     lift_set = set(lifts)
     bad = []
-    for x, y in zip(pts, lifts):
-        img = tau.b.apply(x)
-        if any((a - l) % 1 != 0 for a, l in zip(img, tau.lambda_eps)) or \
+    for y in lifts:
+        if any((2 * a - m * e) % (2 * m) for a, e in zip(tau.apply_b(y), tau.eps)) or \
                 not lift_set.issuperset(simple_reflections_mod(rd, y, m)):
             ok = False
-            bad.append([str(c) for c in x])
+            bad.append([str(Fraction(c, m)) for c in y])
     return {"name": "f_epsilon_solutions", "passed": ok,
-            "detail": {"count": len(pts), "expected": tau.order_F(), "bad": bad}}
+            "detail": {"count": len(lifts), "expected": tau.order_F(), "bad": bad}}
 
 
 def check_cyclic_generator(ring: FusionRing):
@@ -174,16 +174,20 @@ def check_delta_identity(ring: FusionRing, trials=100, seed=7):
         got = delta_eval(rd, tau, f, g)
         if got != expected:
             failures.append({"trial": t, "got": str(got), "expected": expected})
-    # equivariant data: full sum equals the Weyl-regular restriction
+    # equivariant data: the full sum is the value; the Weyl-regular
+    # restriction agrees with it on a free orbit and is 0 on a surviving
+    # orbit that is not free (nonzero grading only), which lies off the
+    # regular part
     for i in range(min(len(ring.basis), 4)):
         kc = ring.class_from_index(i)
         fn = equivariant_function(rd, tau, kc)
         f = {rep: fn(rep) for rep in reps}
+        free = rd.is_regular(tau.adj_apply(ring.basis[i]), tau.det_b)
         for t in range(8):
             g = tuple(rng.randint(-10, 10) for _ in range(rd.rank))
             full = delta_eval(rd, tau, f, g)
             reg = delta_eval(rd, tau, f, g, regular_only=True)
-            if not (full == reg == fn(g)):
+            if full != fn(g) or reg != (full if free else 0):
                 failures.append({"basis": i, "g": list(g), "full": str(full),
                                  "regular": str(reg), "value": fn(g)})
     return {"name": "delta_identity", "passed": not failures,

@@ -233,7 +233,7 @@ def fusion_product(ring: FusionRing, a, b) -> KClass:
     shifted = vec_add(lam, ring.rho_tilde)
     out = {}
     for nu, mult in system.items():
-        point, _, _, sign = alc.walk(vec_add(shifted, nu))
+        point, sign = alc.walk(vec_add(shifted, nu))
         if not alc.is_zero(point):
             out[point] = out.get(point, 0) + sign * mult
     out = KClass(out)
@@ -330,7 +330,7 @@ def _pairing_table(rd, tau, regular_only):
     |F|^2 entries."""
     def build():
         reps = [coset_reduction(tau, tuple(lam))[0] for lam in tau.cosets()]
-        m, _, lifts = tau.f_epsilon(regular_only)
+        m, lifts = tau.f_epsilon(regular_only)
         if regular_only:
             reps = [lam for lam in reps if rd.is_regular(tau.adj_apply(lam), tau.det_b)]
         return m, lifts, {lam: array("q", [dot(lam, y) % m for y in lifts]) for lam in reps}
@@ -392,7 +392,7 @@ def _check_galois_stable(tau: Twisting, m, ys):
     """Every unit k mod m maps each class x = y/m to a regular point k x of
     F_eps, so x -> k x permutes the classes (k is invertible and commutes
     with W).  Tested on the lifts at the order of the regular set."""
-    top, _, regular = tau.f_epsilon(regular_only=True)
+    top, regular = tau.f_epsilon(regular_only=True)
     regular, scale = set(regular), top // m
     for k in range(1, m + 1):
         if gcd(k, m) == 1:

@@ -305,10 +305,8 @@ class RootDatum:
             for row in gram:
                 for v in row:
                     den = lcm(den, v.denominator)
-            self._gram_den = den
             self._gram_int = [[int(v * den) for v in row] for row in gram]
         else:
-            self._gram_den = 1
             self._gram_int = []
         self._num_simple = m
 
@@ -358,13 +356,6 @@ class RootDatum:
                 gi = g[i]
                 acc += xi * sum(gi[j] * yj for j, yj in enumerate(y))
         return acc
-
-    def inner(self, x, y):
-        """A W-invariant positive-definite rational form on weight coordinates."""
-        acc = self.inner_scaled(x, y)
-        if isinstance(acc, Fraction):
-            return acc / self._gram_den
-        return Fraction(acc, self._gram_den)
 
     def is_dominant(self, weight):
         return all(dot(weight, cv) >= 0 for cv in self.simple_coroots)

@@ -29,11 +29,6 @@ from .zlattice import (
 )
 
 
-def _with_points(m, lifts):
-    """(m, points, lifts): the lifts y at order m with their points y / m."""
-    return m, [tuple(Fraction(c, m) for c in y) for y in lifts], lifts
-
-
 class Twisting:
     """Validated twisting data for a root datum.
 
@@ -115,8 +110,8 @@ class Twisting:
         return self.cached("cosets", lambda: coset_representatives(self.b))
 
     def f_epsilon(self, regular_only=False):
-        """(m, points, lifts): the points x of F_eps, sorted, and their
-        integer lifts y = m x at one common order m, built on first use.
+        """(m, lifts): the integer lifts y = m x of the points x of F_eps,
+        sorted, at one common order m, built on first use.
         With regular_only=True, only the points no nontrivial Weyl element
         fixes, by the root test RootDatum.is_regular."""
         if regular_only:
@@ -145,7 +140,7 @@ class Twisting:
                                  f"expected |det b| = {self.order_F()}")
         g = gcd(top, *(c for y in raw for c in y))
         lifts = sorted(tuple(c // g for c in y) for y in raw)
-        return _with_points(top // g, lifts)
+        return top // g, lifts
 
     def _weyl_orbits(self):
         """The regular part of F_eps and its W-orbits, with no loop over W:
@@ -154,7 +149,7 @@ class Twisting:
         of f_epsilon and, as the least lift of each orbit, the classes of
         verlinde_lifts.  Raises InvariantError unless each orbit has |W| points."""
         rd = self.rd
-        m, _, lifts = self.f_epsilon()
+        m, lifts = self.f_epsilon()
         regular = [y for y in lifts if rd.is_regular(y, m)]
         size = weyl_order(rd)
         seen, classes = set(), []
@@ -169,7 +164,7 @@ class Twisting:
             classes.append(y)
         g = gcd(m, *(c for y in classes for c in y))
         classes = (m // g, [tuple(c // g for c in y) for y in classes])
-        return _with_points(m, regular), classes
+        return (m, regular), classes
 
     def degree_parity(self):
         """Degree mod 2 of the (only) nonzero twisted K-group."""
@@ -280,4 +275,5 @@ def f_epsilon_points(rd: RootDatum, tau: Twisting):
 
     Exactly |det b| points, reduced to [0,1)^rank, in sorted order: the
     integer lifts of Twisting.f_epsilon divided by their order."""
-    return list(tau.f_epsilon()[1])
+    m, lifts = tau.f_epsilon()
+    return [tuple(Fraction(c, m) for c in y) for y in lifts]

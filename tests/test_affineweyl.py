@@ -9,7 +9,6 @@ from vkt.affineweyl import (
     act,
     affine_compose,
     affine_identity,
-    affine_inverse,
     box_reduce,
     enumerate_basis_orbits,
     generated_subgroup,
@@ -68,8 +67,6 @@ def test_sign_character_is_homomorphism():
         g2 = AffineElement((rng.randint(-2, 2), rng.randint(-2, 2)), rng.choice(ws))
         comp = affine_compose(rd, g1, g2)
         assert sign_character(tau, comp) == sign_character(tau, g1) * sign_character(tau, g2)
-        inv = affine_inverse(rd, g1)
-        assert affine_compose(rd, g1, inv).is_identity()
 
 
 def test_compose_acts_correctly():
@@ -96,7 +93,6 @@ def test_orbit_normal_form_su2_twist5():
     red = orbit_normal_form(rd, tau, (7,))
     assert red.representative == (3,)
     assert red.sign == -1
-    assert act(rd, tau, red.witness, (7,)) == (3,)
 
     assert orbit_normal_form(rd, tau, (5,)).is_zero
     assert orbit_normal_form(rd, tau, (0,)).is_zero
@@ -105,7 +101,6 @@ def test_orbit_normal_form_su2_twist5():
     fixed = orbit_normal_form(rd, tau, (2,))
     assert fixed.representative == (2,)
     assert fixed.sign == 1
-    assert fixed.witness.is_identity()
 
 
 def test_orbit_constancy_property():

@@ -263,7 +263,7 @@ def test_character_route_guards_survive_python_O():
 
 def test_ring_invariants_are_checked_without_assert(monkeypatch):
     # explicit errors, so the checks survive python -O
-    zero = OrbitReduction(representative=None, sign=0, witness=None)
+    zero = OrbitReduction(representative=None, sign=0)
     monkeypatch.setattr(vkt.fusion, "orbit_normal_form", lambda *args: zero)
     with pytest.raises(InvariantError):
         su2_ring(4)
@@ -277,15 +277,27 @@ def test_f_epsilon_check_flags_a_set_the_weyl_group_does_not_preserve(monkeypatc
     assert result["passed"] and result["detail"]["bad"] == []
     # drop one regular point: the simple reflections of its neighbours now
     # leave the set, though every remaining point still solves b(x) = lambda_eps
-    m, pts, lifts = tau.f_epsilon()
-    k = lifts.index(tau.f_epsilon(regular_only=True)[2][0])
-    kept_pts, kept = pts[:k] + pts[k + 1:], lifts[:k] + lifts[k + 1:]
-    monkeypatch.setattr(tau, "f_epsilon", lambda regular_only=False: (m, kept_pts, kept))
-    want = [[str(c) for c in x] for x, y in zip(kept_pts, kept)
+    m, lifts = tau.f_epsilon()
+    k = lifts.index(tau.f_epsilon(regular_only=True)[1][0])
+    kept = lifts[:k] + lifts[k + 1:]
+    monkeypatch.setattr(tau, "f_epsilon", lambda regular_only=False: (m, kept))
+    want = [[str(Fraction(c, m)) for c in y] for y in kept
             if lifts[k] in simple_reflections_mod(rd, y, m)]
     result = check_f_epsilon(ring)
     assert not result["passed"]
     assert len(want) == 2 and result["detail"]["bad"] == want
+
+
+def test_f_epsilon_check_flags_points_off_the_grading(monkeypatch):
+    # the ungraded F_0 is Weyl-stable, but no point of it solves
+    # b(x) = lambda_eps for eps = 1
+    rd = root_datum_from_spec("SU(2)")
+    ring = FusionRing(rd, twisting_from_level(rd, (4,), eps=(1,)))
+    m, lifts = twisting_from_level(rd, (4,)).f_epsilon()
+    monkeypatch.setattr(ring.tau, "f_epsilon", lambda regular_only=False: (m, lifts))
+    result = check_f_epsilon(ring)
+    assert not result["passed"]
+    assert result["detail"]["bad"] == [[str(Fraction(c, m)) for c in y] for y in lifts]
 
 
 def test_verlinde_ideal_member_su2():

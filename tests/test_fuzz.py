@@ -61,18 +61,24 @@ def test_randomized_cross_checks():
 
 def test_delta_identity_with_grading():
     # the averaged-pairing identity and its Weyl-regular restriction hold
-    # with a nonzero grading vector as well
-    rd = root_datum_from_spec("SU(2)")
-    tau = twisting_from_level(rd, (4,), eps=(1,))
-    ring = FusionRing(rd, tau)
-    result = check_delta_identity(ring, trials=60)
-    assert result["passed"], result["detail"]
-
-    u1 = root_datum_from_spec("U(1)")
-    tau1 = twisting_from_level(u1, (), torus_block=[[4]], eps=(1,))
-    ring1 = FusionRing(u1, tau1)
-    result1 = check_delta_identity(ring1, trials=60)
-    assert result1["passed"], result1["detail"]
+    # with a nonzero grading vector as well; SU(2) 2 and 3 with eps = 1 and
+    # SU(2) x U(1) 2 with eps = (1, *) keep surviving orbits that are not
+    # free, whose regular-only pairing is 0
+    cases = [
+        ("SU(2)", (4,), None, (1,)),
+        ("U(1)", (), [[4]], (1,)),
+        ("SU(2)", (2,), None, (1,)),
+        ("SU(2)", (3,), None, (1,)),
+        ("SU(2) x U(1)", (2,), [[2]], (1, 0)),
+        ("SU(2) x U(1)", (2,), [[2]], (1, 1)),
+        ("SU(2) x U(1)", (2,), [[-2]], (1, 0)),
+        ("SU(2) x U(1)", (2,), [[-2]], (1, 1)),
+    ]
+    for name, levels, torus, eps in cases:
+        rd = root_datum_from_spec(name)
+        tau = twisting_from_level(rd, levels, torus_block=torus, eps=eps)
+        result = check_delta_identity(FusionRing(rd, tau), trials=60)
+        assert result["passed"], (name, levels, torus, eps, result["detail"])
 
 
 def test_explicit_b_matrix_pipeline():

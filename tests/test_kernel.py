@@ -35,7 +35,6 @@ import vkt.rootdata
 import vkt.zlattice
 from vkt.affineweyl import (
     AffineElement,
-    act,
     alcove,
     box_reduce,
     enumerate_basis_orbits,
@@ -43,7 +42,16 @@ from vkt.affineweyl import (
     sign_character,
     zero_criterion_discrepancies,
 )
-from vkt.checks import check_annihilation, check_delta_identity
+from vkt.checks import (
+    check_algebra_axioms,
+    check_annihilation,
+    check_cyclic_generator,
+    check_delta_identity,
+    check_double_count,
+    check_f_epsilon,
+    check_grading_flags,
+    check_oracle_equivalence,
+)
 from vkt.cyclo import CyclotomicInt, cyclotomic_polynomial, poly_divmod_exact
 from vkt.fusion import (
     FusionRing,
@@ -51,7 +59,11 @@ from vkt.fusion import (
     class_from_weight,
     delta_eval,
     dominant_weights_up_to,
+    equivariant_function,
+    module_action,
+    mult_by_U_matrix,
     structure_constants_via_characters,
+    torus_pushforward,
     verlinde_classes,
     verlinde_ideal_member,
 )
@@ -559,16 +571,50 @@ def test_ring_build_needs_no_weyl_enumeration(monkeypatch):
         assert outputs(rd, tau) == expected, (name, tau.eps)
 
 
+def test_reductions_and_checks_need_no_weyl_enumeration(monkeypatch):
+    # orbit reductions carry only their point and sign, so everything built
+    # on them, and every check but orbit_constancy and stabilizer_reflections
+    # (which draw independent group elements), runs with W refused
+    def outputs(rd, tau):
+        rng = random.Random(21)
+        weights = [tuple(lam) for lam in tau.cosets()]
+        weights += [tuple(rng.randint(-30, 30) for _ in range(rd.rank)) for _ in range(20)]
+        reductions = [(red.representative, red.sign, red.is_zero)
+                      for red in (orbit_normal_form(rd, tau, lam) for lam in weights)]
+        ring = FusionRing(rd, tau)
+        classes = [ring.class_from_index(i) for i in range(len(ring.basis))]
+        actions = [module_action(ring, {lam: 1}, kc)
+                   for lam in dominant_weights_up_to(rd, 2) for kc in classes]
+        values = [[equivariant_function(rd, tau, kc)(lam) for lam in weights] for kc in classes]
+        matrix = mult_by_U_matrix(ring) if ring.basis else None
+        pushed = [torus_pushforward(rd, tau, lam) for lam in weights] if rd.is_torus() else None
+        checks = [check_double_count(ring), check_f_epsilon(ring), check_cyclic_generator(ring),
+                  check_annihilation(ring), check_oracle_equivalence(ring),
+                  check_algebra_axioms(ring), check_delta_identity(ring, trials=10),
+                  check_grading_flags(ring)]
+        return reductions, actions, values, matrix, pushed, checks
+
+    # |F| <= 64 keeps the graded, torus and negative-level twistings and
+    # leaves out the slowest rings
+    def small():
+        return [case for case in grid_twistings(GRID + WALK_EXTRA) if case[2].order_F() <= 64]
+
+    want = [outputs(rd, tau) for _, rd, tau in small()]
+    refuse_weyl_enumeration(monkeypatch)
+    for (name, rd, tau), expected in zip(small(), want):
+        assert outputs(rd, tau) == expected, (name, tau.eps)
+
+
 def test_f_epsilon_matches_snf_oracle():
     for name, rd, tau in grid_twistings(GRID + F_EPSILON_EXTRA):
         want = fraction_f_epsilon_points(rd, tau)
         m = _order(want)
-        assert tau.f_epsilon() == (m, want, [tuple(int(c * m) for c in x) for x in want]), name
+        assert tau.f_epsilon() == (m, [tuple(int(c * m) for c in x) for x in want]), name
         assert f_epsilon_points(rd, tau) == want, name
         # the regular subset keeps the order of the whole of F_eps
         regular = fraction_regular_points(rd, tau)
         assert tau.f_epsilon(regular_only=True) == \
-            (m, regular, [tuple(int(c * m) for c in x) for x in regular]), name
+            (m, [tuple(int(c * m) for c in x) for x in regular]), name
         # the class lifts sit at the order of the class points alone
         classes = [x for x, _ in fraction_verlinde_classes(rd, tau, regular)]
         order = _order(classes)
@@ -590,8 +636,6 @@ def test_orbit_normal_form_matches_scan_oracle():
                 # taking the point there
                 label, _, s = scan_label(rd, tau, red.representative)
                 assert (label, sign) == (rep, red.sign * s), (name, tau.eps, lam)
-                assert act(rd, tau, red.witness, lam) == red.representative, (name, lam)
-                assert sign_character(tau, red.witness) == red.sign, (name, lam)
 
 
 def test_basis_matches_scan_oracle():
@@ -908,8 +952,8 @@ def test_galois_guard_rejects_a_non_regular_class(monkeypatch):
     tau = twisting_from_level(rd, (5,))
     ring = FusionRing(rd, tau)
     m, ys = tau.verlinde_lifts()
-    top, _, lifts = tau.f_epsilon()
-    regular = set(tau.f_epsilon(regular_only=True)[2])
+    top, lifts = tau.f_epsilon()
+    regular = set(tau.f_epsilon(regular_only=True)[1])
     scale = top // m
     # a point of F_eps that some Weyl element fixes, lifted at the class order
     singular = [tuple(c // scale for c in y) for y in lifts
@@ -922,7 +966,7 @@ def test_galois_guard_rejects_a_non_regular_class(monkeypatch):
     # units: k = 1 passes, and some unit k > 1 must be caught
     monkeypatch.setattr(tau, "verlinde_lifts", lambda: (m, ys))
     classes = [tuple(c * scale for c in y) for y in ys]
-    monkeypatch.setattr(tau, "f_epsilon", lambda regular_only=False: (top, None, classes))
+    monkeypatch.setattr(tau, "f_epsilon", lambda regular_only=False: (top, classes))
     with pytest.raises(ValueError, match=r"Galois-stable: (?!1 \*)\d+ \*"):
         structure_constants_via_characters(ring)
 

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import vkt
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "vkt"
 
 
@@ -14,3 +16,7 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_public_name_resolves():
+    assert [name for name in vkt.__all__ if not hasattr(vkt, name)] == []
