@@ -316,15 +316,8 @@ def zero_criterion_discrepancies(rd: RootDatum, tau: Twisting):
 # x -> w(x) + pi; stabilizers are generated by the affine reflections
 # through the root hyperplanes <alpha, x> = k containing x.
 
-def geometric_act(rd: RootDatum, g: AffineElement, x):
-    return vec_add(g.weyl.apply_coweight(x), g.translation)
-
-
-def stabilizer_generators(rd: RootDatum, tau: Twisting, x):
-    """Affine reflections through the hyperplanes containing x.
-
-    The twisting plays no role in the geometric action; the argument is
-    kept for interface uniformity."""
+def stabilizer_generators(rd: RootDatum, x):
+    """Affine reflections through the hyperplanes containing x."""
     x = tuple(Fraction(c) for c in x)
     gens = []
     for alpha, coalpha in rd.positive_root_pairs:

@@ -163,19 +163,15 @@ def parse_spec_text(text):
             sc.error("trailing content after value")
 
 
-def emit_value(v):
-    if isinstance(v, str):
-        return f'"{v}"'
-    if isinstance(v, bool):
-        raise SpecParseError("booleans are not part of the spec format")
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, list):
-        return "[" + ", ".join(emit_value(x) for x in v) + "]"
-    if isinstance(v, dict):
-        inner = ", ".join(f"{k} = {emit_value(x)}" for k, x in v.items())
-        return "{ " + inner + " }"
-    raise SpecParseError(f"cannot emit value of type {type(v).__name__}")
+# the keys a spec file and its twist table may hold
+SPEC_KEYS = ("group", "cartan", "torus_rank", "torus_form", "twist", "command", "format")
+TWIST_KEYS = ("levels", "epsilon", "torus", "shift")
+
+
+def _reject_unknown_keys(table, known, where):
+    for key in table:
+        if key not in known:
+            raise SpecParseError(f"unknown {where} key {key!r} (known keys: {', '.join(known)})")
 
 
 @dataclass
@@ -187,26 +183,16 @@ class JobSpec:
     command: str = ""
     format: str = "json"
 
-    def emit(self):
-        lines = []
-        if isinstance(self.group, str):
-            lines.append(f"group = {emit_value(self.group)}")
-        elif isinstance(self.group, dict):
-            for k in ("cartan", "torus_rank", "torus_form"):
-                if k in self.group:
-                    lines.append(f"{k} = {emit_value(self.group[k])}")
-        if self.twist:
-            lines.append(f"twist = {emit_value(self.twist)}")
-        if self.command:
-            lines.append(f"command = {emit_value(self.command)}")
-        lines.append(f"format = {emit_value(self.format)}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def parse(cls, text):
+        """The job in spec text; raises SpecParseError on an unknown key or a
+        group name next to Cartan keys."""
         data = parse_spec_text(text)
+        _reject_unknown_keys(data, SPEC_KEYS, "spec")
         group_keys = {k: data[k] for k in ("cartan", "torus_rank", "torus_form")
                       if k in data}
+        if "group" in data and group_keys:
+            raise SpecParseError(f"group cannot be given together with {next(iter(group_keys))!r}")
         group = data.get("group", group_keys or None)
         return cls(group=group,
                    twist=data.get("twist", {}),
@@ -228,10 +214,11 @@ def _int_rows(rows):
 
 
 def build_twisting(rd, twist_spec):
-    """The Twisting named by the twist table; raises SpecParseError when a
-    value has the wrong type."""
+    """The Twisting named by the twist table; raises SpecParseError on an
+    unknown key or a value of the wrong type."""
     if not isinstance(twist_spec, dict):
         raise SpecParseError(f"twist must be a table, got {twist_spec!r}")
+    _reject_unknown_keys(twist_spec, TWIST_KEYS, "twist")
     levels = twist_spec.get("levels", [])
     eps = twist_spec.get("epsilon")
     torus = twist_spec.get("torus")
@@ -359,6 +346,9 @@ def cmd_verify(job: JobSpec):
 
 
 def cmd_example(job: JobSpec, which, n, eps=0):
+    least = {"s3": 0, "u1": 1, "su2": 1}.get(which)
+    if least is not None and n < least:
+        raise SpecParseError(f"example {which} needs n >= {least}, got {n}")
     out = {"version": __version__, "example": which, "n": n}
     if which == "s3":
         k0, k1 = mv_s3(n)

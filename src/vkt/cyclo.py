@@ -125,12 +125,6 @@ class CyclotomicInt:
     def integer(cls, n, order=1):
         return cls(order, (n,))
 
-    @classmethod
-    def root_power(cls, order, power):
-        """zeta_order ** power."""
-        power %= order
-        return cls(order, (0,) * power + (1,))
-
     def lift(self, order):
         if order == self.order:
             return self

@@ -161,9 +161,6 @@ class FusionRing:
                  key=lambda nu: (sum(map(abs, tau.adj_apply(nu))), nu))
         return vec_sub(nu, self.rho_tilde)
 
-    def verlinde_points(self):
-        return verlinde_classes(self.rd, self.tau)
-
     def basis_coefficients(self, kc: KClass):
         """Coordinates of a KClass in the distinguished basis (the images of
         the transversal irreducibles)."""
@@ -178,9 +175,6 @@ class FusionRing:
 
     # -- products ------------------------------------------------------------
 
-    def fusion_product(self, a, b) -> KClass:
-        return fusion_product(self, a, b)
-
     def structure_constants(self):
         """The full tensor N[a][b][c] on the distinguished basis (cached,
         idempotent fill)."""
@@ -189,7 +183,7 @@ class FusionRing:
         for a in range(n):
             row = []
             for b in range(n):
-                row.append(tuple(self.basis_coefficients(self.fusion_product(a, b))))
+                row.append(tuple(self.basis_coefficients(fusion_product(self, a, b))))
             out.append(row)
         return out
 
@@ -266,12 +260,6 @@ def verlinde_ideal_member(ring: FusionRing, combo) -> bool:
             system[nu] = system.get(nu, 0) + c * mult
     m, ys = ring.tau.verlinde_lifts()
     return all(CyclotomicInt(m, character_bins([system], y, m)[0]).is_zero() for y in ys)
-
-
-def ideal_generator_candidates(ring: FusionRing, bound):
-    """Dominant weights of height up to `bound` lying in the vanishing ideal."""
-    return [lam for lam in dominant_weights_up_to(ring.rd, bound)
-            if verlinde_ideal_member(ring, {lam: 1})]
 
 
 def dominant_weights_up_to(rd: RootDatum, bound):

@@ -35,10 +35,6 @@ class LaurentPoly:
         return cls({})
 
     @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    @classmethod
     def monomial(cls, e, c=1):
         return cls({e: c})
 
@@ -106,44 +102,6 @@ def clebsch_gordan(k, l):
     """Indices in the product rho(k) * rho(l): k+l, k+l-2, ..., |k-l|."""
     lo, hi = sorted((k, l))
     return list(range(hi - lo, hi + lo + 1, 2))
-
-
-def rho_expand(p: LaurentPoly):
-    """Write a symmetric Laurent polynomial as {k: coeff} over the rho basis."""
-    if not p.is_symmetric():
-        raise ValueError("rho expansion needs a symmetric polynomial")
-    out = {}
-    work = dict(p.terms)
-    while work:
-        top = max(e for e in work if work[e])
-        if top < 0:
-            raise ValueError("symmetric polynomial with negative top exponent")
-        c = work[top]
-        out[top] = c
-        for e in range(-top, top + 1, 2):
-            work[e] = work.get(e, 0) - c
-        work = {e: v for e, v in work.items() if v}
-    return out
-
-
-def express_in_RT_basis(p: LaurentPoly):
-    """The unique pair (p0, p1) of symmetric polynomials with p = p0 + p1 * L.
-
-    Uses L^n = L rho(n-1) - rho(n-2) and L^{-n} = rho(n) - L rho(n-1)."""
-    p0 = LaurentPoly.zero()
-    p1 = LaurentPoly.zero()
-    for e, c in p.items():
-        if e == 0:
-            p0 = p0 + LaurentPoly({0: c})
-        elif e > 0:
-            p0 = p0 - c * rho(e - 2)
-            p1 = p1 + c * rho(e - 1)
-        else:
-            p0 = p0 + c * rho(-e)
-            p1 = p1 - c * rho(-e - 1)
-    if p0 + p1 * LaurentPoly.monomial(1) != p:
-        raise InvariantError("p0 + L p1 does not recover the Laurent polynomial")
-    return SymmetricPoly(p0.terms), SymmetricPoly(p1.terms)
 
 
 def _rho_reduce_mod(k, n, cache):

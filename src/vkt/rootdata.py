@@ -93,9 +93,6 @@ class WeylElement:
     def apply_coweight(self, coweight):
         return self.comatrix.apply(coweight)
 
-    def is_identity(self):
-        return not self.word
-
 
 @dataclass(frozen=True)
 class SimpleFactor:

@@ -75,12 +75,9 @@ class Twisting:
     def order_F(self):
         return abs(self.det_b)
 
-    def eps_of_translation(self, pi):
-        """The grading of the translation pi, in {0, 1}."""
-        return dot(self.eps, pi) % 2
-
     def translation_sign(self, pi):
-        return -1 if self.eps_of_translation(pi) else 1
+        """(-1)**eps(pi): the sign of the translation pi under the grading."""
+        return -1 if dot(self.eps, pi) % 2 else 1
 
     def apply_b(self, pi):
         return tuple(sum(map(mul, row, pi)) for row in self._rows)

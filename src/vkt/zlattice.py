@@ -44,15 +44,6 @@ class IntMatrix:
     def zeros(cls, rows, cols):
         return cls(rows, cols, [0] * (rows * cols))
 
-    @classmethod
-    def diagonal(cls, diag, rows=None, cols=None):
-        rows = len(diag) if rows is None else rows
-        cols = len(diag) if cols is None else cols
-        ent = [0] * (rows * cols)
-        for i, d in enumerate(diag):
-            ent[i * cols + i] = d
-        return cls(rows, cols, ent)
-
     def at(self, i, j):
         return self.entries[i * self.cols + j]
 
@@ -94,10 +85,6 @@ class IntMatrix:
             raise ValueError("vector length mismatch")
         return tuple(sum(self.at(i, j) * vec[j] for j in range(self.cols))
                      for i in range(self.rows))
-
-    def is_diagonal(self):
-        return all(self.at(i, j) == 0
-                   for i in range(self.rows) for j in range(self.cols) if i != j)
 
     def is_symmetric(self):
         return self.rows == self.cols and all(
@@ -168,9 +155,6 @@ class FiniteAbelianGroup:
         for f in self.invariant_factors:
             n *= f
         return n
-
-    def is_trivial(self):
-        return not self.invariant_factors and self.free_rank == 0
 
     def __str__(self):
         parts = [f"Z/{f}" for f in self.invariant_factors] + ["Z"] * self.free_rank
@@ -302,11 +286,6 @@ def _xgcd(p, q):
     return p, x0, y0
 
 
-def rank(M: IntMatrix) -> int:
-    d = smith_normal_form(M).invariant_diagonal()
-    return sum(1 for x in d if x != 0)
-
-
 def kernel_basis(M: IntMatrix):
     """A Z-basis (list of integer tuples) of ker(M); saturated by construction."""
     snf = smith_normal_form(M)
@@ -368,13 +347,6 @@ def inverse_rational(M: IntMatrix):
                 c = a[i][col]
                 a[i] = [x - c * y for x, y in zip(a[i], a[col])]
     return [row[n:] for row in a]
-
-
-def solve_rational(M: IntMatrix, vec):
-    """The unique rational solution x of M x = vec for invertible M."""
-    inv = inverse_rational(M)
-    return tuple(sum(inv[i][j] * Fraction(vec[j]) for j in range(M.cols))
-                 for i in range(M.rows))
 
 
 def matvec_fraction(rows, vec):

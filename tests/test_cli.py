@@ -36,17 +36,24 @@ def test_spec_parse_error_carries_position():
 
 
 def test_jobspec_roundtrip():
+    # each job's spec text parses back to the job
     job = JobSpec(group="SU(2) x U(1)",
                   twist={"levels": [3], "torus": [[2]], "epsilon": [0, 1],
                          "shift": "none"},
                   command="basis", format="json")
-    again = JobSpec.parse(job.emit())
-    assert again == job
+    assert JobSpec.parse(
+        'group = "SU(2) x U(1)"\n'
+        'twist = { levels = [3], torus = [[2]], epsilon = [0, 1], shift = "none" }\n'
+        'command = "basis"\n'
+        'format = "json"\n') == job
 
     explicit = JobSpec(group={"cartan": [[2, -1], [-1, 2]], "torus_rank": 1},
                        twist={"levels": [2], "torus": [[4]]}, format="tsv")
-    again = JobSpec.parse(explicit.emit())
-    assert again == explicit
+    assert JobSpec.parse(
+        "cartan = [[2, -1], [-1, 2]]\n"
+        "torus_rank = 1\n"
+        "twist = { levels = [2], torus = [[4]] }\n"
+        'format = "tsv"\n') == explicit
 
 
 def test_cmd_info(capsys):
@@ -250,3 +257,25 @@ def test_huge_f_is_refused_before_enumerating(tmp_path, capsys, monkeypatch):
     err = json.loads(err)
     assert err["error"] == "GroupTooLarge"
     assert "14480427" in err["message"]
+
+
+@pytest.mark.parametrize("which, n", [("su2", "0"), ("u1", "0"), ("s3", "-1")])
+def test_example_size_out_of_range_is_a_usage_error(capsys, which, n):
+    err = _usage_error(capsys, "example", which, n)
+    assert err["error"] == "SpecParseError"
+    assert which in err["message"]
+
+
+@pytest.mark.parametrize("text, key", [
+    ('group = "SU(2)"\ntwist = { levles = [5] }\n', "levles"),
+    ('group = "SU(2)"\ntwist = { levels = [5] }\nformt = "tsv"\n', "formt"),
+    ('group = "SU(3)"\ncartan = [[2, -1], [-1, 2]]\ntwist = { levels = [4] }\n', "cartan"),
+    ('group = "SU(2) x U(1)"\ntorus_rank = 1\ntwist = { levels = [2] }\n', "torus_rank"),
+    ('group = "U(1)"\ntorus_form = [[1]]\ntwist = { torus = [[3]] }\n', "torus_form"),
+], ids=["twist-levles", "formt", "group-cartan", "group-torus_rank", "group-torus_form"])
+def test_unknown_or_conflicting_spec_key_is_a_usage_error(tmp_path, capsys, text, key):
+    spec = tmp_path / "job.spec"
+    spec.write_text(text)
+    err = _usage_error(capsys, "basis", "--spec", str(spec))
+    assert err["error"] == "SpecParseError"
+    assert repr(key) in err["message"]

@@ -60,6 +60,7 @@ from vkt.fusion import (
     delta_eval,
     dominant_weights_up_to,
     equivariant_function,
+    fusion_product,
     module_action,
     mult_by_U_matrix,
     structure_constants_via_characters,
@@ -261,11 +262,11 @@ def fraction_is_free(rd, tau, lam):
     for any w != 1."""
     return not any(
         all(x.denominator == 1 for x in fraction_b_inverse(tau, vec_sub(lam, w.apply(lam))))
-        for w in weyl_group_elements(rd) if not w.is_identity())
+        for w in weyl_group_elements(rd) if w.word)
 
 
 def fraction_regular_points(rd, tau):
-    others = [w for w in weyl_group_elements(rd) if not w.is_identity()]
+    others = [w for w in weyl_group_elements(rd) if w.word]
     return [x for x in fraction_f_epsilon_points(rd, tau)
             if not any(_fixes_point(w, x) for w in others)]
 
@@ -713,7 +714,7 @@ def test_products_match_brauer_klimyk_oracle():
         n = len(ring.basis)
         for a in range(n):
             for b in range(n):
-                assert ring.fusion_product(a, b) == brauer_klimyk_product(ring, a, b), \
+                assert fusion_product(ring, a, b) == brauer_klimyk_product(ring, a, b), \
                     (name, tau.b.to_rows(), a, b)
         cases += 1
     assert cases == 25
@@ -865,6 +866,24 @@ def test_delta_identity_on_graded_twistings():
         ring = FusionRing(rd, twisting_from_level(rd, levels, torus_block=torus, eps=eps))
         result = check_delta_identity(ring, trials=20)
         assert result["passed"], (name, torus, eps, result["detail"])
+
+
+def test_delta_identity_catches_a_wrong_equivariant_value(monkeypatch):
+    # a stand-in that is right on the coset representatives, which feed the
+    # pairing, and off by one elsewhere: only the comparison of the full
+    # pairing with the value at g can see it
+    real = vkt.checks.equivariant_function
+
+    def off_by_one(rd, tau, kc):
+        value = real(rd, tau, kc)
+        reps = {tuple(rep) for rep in tau.cosets()}
+        return lambda lam: value(lam) + (tuple(lam) not in reps)
+
+    monkeypatch.setattr(vkt.checks, "equivariant_function", off_by_one)
+    rd = root_datum_from_spec("SU(2)")
+    result = check_delta_identity(FusionRing(rd, twisting_from_level(rd, (5,))), trials=10)
+    assert not result["passed"]
+    assert result["detail"]["failures"]
 
 
 # -- the modular character route -----------------------------------------------

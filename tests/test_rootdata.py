@@ -227,7 +227,7 @@ def test_dominant_representative_regular_dominant_is_fixed():
     rd = su3()
     res = dominant_representative(rd, (2, 3))
     assert res.weight == (2, 3)
-    assert res.element.is_identity()
+    assert not res.element.word
     assert res.sign == 1
 
 

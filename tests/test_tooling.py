@@ -1,11 +1,14 @@
 """Source-level rules for the package itself."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import vkt
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "vkt"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "vkt"
 
 
 def test_no_assert_statements_in_the_package():
@@ -20,3 +23,36 @@ def test_no_assert_statements_in_the_package():
 
 def test_every_public_name_resolves():
     assert [name for name in vkt.__all__ if not hasattr(vkt, name)] == []
+
+
+def _names(node):
+    """Every name the node's subtree reads or imports."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def test_every_module_level_definition_has_a_caller():
+    # a function or class in src/vkt is named elsewhere in the package, is
+    # public API (vkt.__all__), or is wrapped by the benchmark's tracer;
+    # dunder hooks such as a module __getattr__ are called by Python itself
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    used = sum((_names(tree) for tree in trees), Counter())
+    bench = "\n".join(path.read_text() for path in sorted((ROOT / "bench").glob("*.py")))
+    unused = []
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if used[name] > _names(node)[name] or name in vkt.__all__ \
+                    or re.search(rf"\b{name}\b", bench):
+                continue
+            unused.append(name)
+    assert unused == []

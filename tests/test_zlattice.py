@@ -5,9 +5,10 @@ from vkt.zlattice import (
     IntMatrix,
     cokernel_structure,
     coset_representatives,
+    inverse_rational,
     inverse_unimodular,
     kernel_basis,
-    rank,
+    matvec_fraction,
     smith_normal_form,
 )
 
@@ -18,7 +19,8 @@ def check_decomposition(M):
     assert snf.U.determinant() in (1, -1)
     assert snf.V.determinant() in (1, -1)
     d = snf.invariant_diagonal()
-    assert snf.D.is_diagonal()
+    D = snf.D
+    assert all(D.at(i, j) == 0 for i in range(D.rows) for j in range(D.cols) if i != j)
     assert all(x >= 0 for x in d)
     for i in range(len(d) - 1):
         if d[i]:
@@ -81,9 +83,9 @@ def test_cokernel_generators():
     (gen,) = g.generator_reps
     # the representative generates the Z/5 quotient: k * gen lies in the
     # column lattice exactly when 5 divides k
-    from vkt.zlattice import solve_rational
+    inv = inverse_rational(M)
     for k in range(1, 11):
-        x = solve_rational(M, [k * c for c in gen])
+        x = matvec_fraction(inv, [k * c for c in gen])
         integral = all(v.denominator == 1 for v in x)
         assert integral == (k % 5 == 0), k
 
@@ -95,7 +97,7 @@ def test_cokernel_generators():
 
 def test_cokernel_identity():
     g = cokernel_structure(IntMatrix.identity(2))
-    assert g.is_trivial()
+    assert g.order() == 1
     assert str(g) == "0"
 
 
@@ -148,7 +150,8 @@ def test_rank_plus_nullity():
         r = rng.randint(1, 4)
         c = rng.randint(1, 4)
         M = IntMatrix(r, c, [rng.randint(-5, 5) for _ in range(r * c)])
-        assert rank(M) + len(kernel_basis(M)) == c
+        rank = sum(1 for x in smith_normal_form(M).invariant_diagonal() if x)
+        assert rank + len(kernel_basis(M)) == c
         for v in kernel_basis(M):
             assert all(x == 0 for x in M.apply(v))
 
