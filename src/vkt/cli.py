@@ -64,13 +64,19 @@ class _Scanner:
             self.error(f"expected {c!r}, found {self.peek()!r}")
         self.advance()
 
-    def ident(self):
-        start = self.pos
+    def entry(self, table):
+        """Read `key = value` into table, refusing a key it already holds."""
+        line, col, start = self.line, self.col, self.pos
         while self.peek().isalnum() or self.peek() == "_":
             self.advance()
         if start == self.pos:
             self.error("expected a key")
-        return self.text[start:self.pos]
+        key = self.text[start:self.pos]
+        if key in table:
+            raise SpecParseError(f"duplicate key {key!r}", line, col)
+        self.skip_space()
+        self.expect("=")
+        table[key] = self.value()
 
     def value(self):
         self.skip_space()
@@ -134,10 +140,7 @@ class _Scanner:
             return out
         while True:
             self.skip_space(newlines=True)
-            key = self.ident()
-            self.skip_space()
-            self.expect("=")
-            out[key] = self.value()
+            self.entry(out)
             self.skip_space(newlines=True)
             if self.peek() == ",":
                 self.advance()
@@ -154,10 +157,7 @@ def parse_spec_text(text):
         sc.skip_space(newlines=True)
         if sc.pos >= len(sc.text):
             return out
-        key = sc.ident()
-        sc.skip_space()
-        sc.expect("=")
-        out[key] = sc.value()
+        sc.entry(out)
         sc.skip_space()
         if sc.pos < len(sc.text) and sc.peek() not in "\r\n":
             sc.error("trailing content after value")
@@ -185,10 +185,12 @@ class JobSpec:
 
     @classmethod
     def parse(cls, text):
-        """The job in spec text; raises SpecParseError on an unknown key or a
-        group name next to Cartan keys."""
+        """The job in spec text; raises SpecParseError on an unknown key, a
+        group name next to Cartan keys, or a twist that is not a table."""
         data = parse_spec_text(text)
         _reject_unknown_keys(data, SPEC_KEYS, "spec")
+        if not isinstance(data.get("twist", {}), dict):
+            raise SpecParseError(f"twist must be a table, got {data['twist']!r}")
         group_keys = {k: data[k] for k in ("cartan", "torus_rank", "torus_form")
                       if k in data}
         if "group" in data and group_keys:
@@ -216,8 +218,6 @@ def _int_rows(rows):
 def build_twisting(rd, twist_spec):
     """The Twisting named by the twist table; raises SpecParseError on an
     unknown key or a value of the wrong type."""
-    if not isinstance(twist_spec, dict):
-        raise SpecParseError(f"twist must be a table, got {twist_spec!r}")
     _reject_unknown_keys(twist_spec, TWIST_KEYS, "twist")
     levels = twist_spec.get("levels", [])
     eps = twist_spec.get("epsilon")

@@ -1,6 +1,8 @@
 """The fusion ring: orbit basis, truncated tensor product, Verlinde
 classes, ideal membership, the cyclic-generator matrix, the averaged
-distribution pairing, and the torus pushforward.
+distribution pairing (its kernel over F_eps is one integer per coset of
+b(coweights), as b is symmetric and F_eps Galois-stable, so a call is |F|
+look-ups), and the torus pushforward.
 
 Two independent routes to the structure constants live here: the
 reflection route (the Kac-Walton rule: one affine alcove walk per weight
@@ -21,7 +23,6 @@ with cyclo.character_bins; verlinde_classes adds rational points for reports.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -30,7 +31,6 @@ from operator import mul
 from .affineweyl import (
     alcove,
     alcove_translates,
-    box_reduce,
     enumerate_basis_orbits,
     orbit_normal_form,
 )
@@ -238,7 +238,7 @@ def fusion_product(ring: FusionRing, a, b) -> KClass:
 def module_action(ring: FusionRing, combo, kc: KClass) -> KClass:
     """The representation-ring action on a KClass, by convolution with the
     full weight system of the virtual character {dominant weight: coeff}."""
-    out = KClass.zero()
+    out = {}
     for lam, c in sorted(combo.items()):
         if not c:
             continue
@@ -246,8 +246,8 @@ def module_action(ring: FusionRing, combo, kc: KClass) -> KClass:
             for rep, k in kc.items():
                 red = orbit_normal_form(ring.rd, ring.tau, vec_add(rep, nu))
                 if not red.is_zero:
-                    out = out + KClass({red.representative: red.sign}).scale(c * m * k)
-    return out
+                    out[red.representative] = out.get(red.representative, 0) + red.sign * c * m * k
+    return KClass(out)
 
 
 def verlinde_ideal_member(ring: FusionRing, combo) -> bool:
@@ -286,70 +286,73 @@ def mult_by_U_matrix(ring: FusionRing) -> IntMatrix:
 
 # -- the averaged distribution pairing ---------------------------------------
 
-def coset_reduction(tau: Twisting, lam):
-    """(box representative, translation sign) of the weight tuple lam,
-    memoized on the twisting: delta_eval and check_delta_identity reduce
-    each weight once, however many calls see it."""
-    memo = tau.cached("coset_reduction", dict)
-    hit = memo.get(lam)
-    if hit is None:
-        rep, pi = box_reduce(tau, lam)
-        hit = memo[lam] = (rep, tau.translation_sign(pi))
-    return hit
+def _key_and_sign(tau: Twisting, v):
+    """(key, sign) of the weights mu with adj(b) mu = v: key = v mod |det b|
+    names their coset of b(coweights), and mu = mu_key + b(pi) with
+    pi = (v - key) / det b, whose translation sign is (-1)^eps(pi)."""
+    key = tuple(c % tau.order_F() for c in v)
+    return key, tau.translation_sign([(c - k) // tau.det_b for c, k in zip(v, key)])
 
 
 def _canonical_coset_values(rd, tau, f):
-    """Push an arbitrary weight-keyed function to box-canonical coset
-    representatives via translation equivariance."""
+    """Push an arbitrary weight-keyed function to the coset points mu_key by
+    translation equivariance; each weight's key is memoized per twisting."""
+    memo = tau.cached("coset_key", dict)
     values = {}
     for lam, v in sorted(f.items()):
-        rep, sign = coset_reduction(tau, rd.check_weight(lam))
-        if rep in values and values[rep] != sign * v:
-            raise ValueError(f"inconsistent equivariant values on the coset of {rep}")
-        values[rep] = sign * v
+        lam = rd.check_weight(lam)
+        if lam not in memo:
+            memo[lam] = _key_and_sign(tau, tau.adj_apply(lam))
+        key, sign = memo[lam]
+        if key in values and values[key] != sign * v:
+            raise ValueError(f"inconsistent equivariant values on the coset {key}")
+        values[key] = sign * v
     return values
 
 
-def _pairing_table(rd, tau, regular_only):
-    """(m, lifts, exponents) for delta_eval, built once per twisting and
-    flag: the F_eps lifts y_j at order m, and for each box-reduced coset
-    representative lam_i (the Weyl-regular ones with regular_only) the
-    row <lam_i, y_j> mod m, packed as 8-byte integers: the table holds
-    |F|^2 entries."""
+def _pairing_kernel(tau: Twisting, regular_only):
+    """{coset key: K(mu_key)} with K(mu) = sum_y zeta_m^<mu, y> over the F_eps
+    lifts y at order m (the Weyl-regular ones with regular_only), built once
+    per twisting and flag; raises ValueError unless each K is an integer."""
     def build():
-        reps = [coset_reduction(tau, tuple(lam))[0] for lam in tau.cosets()]
         m, lifts = tau.f_epsilon(regular_only)
-        if regular_only:
-            reps = [lam for lam in reps if rd.is_regular(tau.adj_apply(lam), tau.det_b)]
-        return m, lifts, {lam: array("q", [dot(lam, y) % m for y in lifts]) for lam in reps}
-    return tau.cached(("pairing", regular_only), build)
+        kernel = {}
+        for lam in tau.cosets():
+            key, sign = _key_and_sign(tau, tau.adj_apply(lam))
+            counts = [0] * m
+            for y in lifts:
+                counts[sum(map(mul, lam, y)) % m] += 1
+            total = CyclotomicInt(m, counts)
+            if not total.is_integer():
+                raise ValueError("averaged pairing did not reduce to an integer")
+            kernel[key] = sign * total.integer_value()
+        return kernel
+    return tau.cached(("kernel", regular_only), build)
 
 
 def delta_eval(rd: RootDatum, tau: Twisting, f, g, regular_only=False) -> Fraction:
-    """The averaged pairing (1/|F|) sum f(lam) zeta^{<g - lam, x>} over coset
-    representatives lam and the points x of F_eps.
+    """The averaged pairing (1/|F|) sum f(lam) K(g - lam) over coset
+    representatives lam, with the kernel K(mu) = sum zeta^<mu, x> over the
+    points x of F_eps.
 
     `f` maps weights to integers on (any) coset representatives and is
     extended by translation equivariance; for equivariant data the result
     equals the evaluation f(g).  With regular_only=True both sums restrict
     to the Weyl-regular part, which changes nothing when f is fully
-    equivariant.  The sum runs over all |F|^2 pairs on every call; only
-    the exponents <lam, x> are tabulated per twisting."""
-    g = rd.check_weight(g)
+    equivariant.
+
+    b is symmetric with b(x) in eps/2 + (weights), so K(mu + b(pi)) =
+    (-1)^eps(pi) K(mu), and F_eps is Galois-stable, so K is an integer: a call
+    is adj(b) g and |F| O(rank) look-ups in _pairing_kernel, no CyclotomicInt."""
+    a = tau.adj_apply(rd.check_weight(g))
     values = _canonical_coset_values(rd, tau, f)
-    m, lifts, exponents = _pairing_table(rd, tau, regular_only)
-    gy = [dot(g, y) for y in lifts]
-    counts = [0] * m
-    for lam, row in exponents.items():
-        v = values.get(lam, 0)
-        if not v:
-            continue
-        for a, e in zip(gy, row):
-            counts[(a - e) % m] += v
-    total = CyclotomicInt(m, counts)
-    if not total.is_integer():
-        raise ValueError("averaged pairing did not reduce to an integer")
-    return Fraction(total.integer_value(), tau.order_F())
+    kernel = _pairing_kernel(tau, regular_only)
+    total = 0
+    for key, v in values.items():
+        if v and (not regular_only or rd.is_regular(key, tau.det_b)):
+            near, sign = _key_and_sign(tau, [x - k for x, k in zip(a, key)])
+            total += sign * v * kernel[near]
+    return Fraction(total, tau.order_F())
 
 
 def equivariant_function(rd: RootDatum, tau: Twisting, kc: KClass):

@@ -460,6 +460,8 @@ def root_datum_from_spec(spec, torus_form=None):
         return RootDatum.from_cartan(
             spec["cartan"], spec.get("torus_rank", 0), spec.get("torus_form", torus_form),
             spec_text=f"cartan={spec['cartan']}")
+    if not isinstance(spec, str):
+        raise SpecParseError(f"a group is a name or a table, got {spec!r}")
     text = spec.strip()
     # split at x or × outside parentheses, so "SU(x)" stays one factor
     parts = [p.strip() for p in re.split(r"[x×](?![^()]*\))", text)] if text else []

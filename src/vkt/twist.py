@@ -36,7 +36,7 @@ class Twisting:
     so that b^-1 v = adj(b) v / det b with no rational arithmetic.  Data
     derived from the twisting alone (the integer lifts of the F_eps points,
     their W-orbits, the cosets of coker(b), the alcove walls and basis
-    points of affineweyl, the pairing tables and coset reductions of
+    points of affineweyl, the pairing kernels and coset keys of
     fusion.delta_eval, whether it is primitive) is built on first use and
     cached on the object (see `cached`)."""
 

@@ -279,3 +279,38 @@ def test_unknown_or_conflicting_spec_key_is_a_usage_error(tmp_path, capsys, text
     err = _usage_error(capsys, "basis", "--spec", str(spec))
     assert err["error"] == "SpecParseError"
     assert repr(key) in err["message"]
+
+
+def test_spec_twist_that_is_not_a_table_is_a_usage_error(tmp_path, capsys):
+    # with and without a --twist option to write into it
+    spec = tmp_path / "job.spec"
+    spec.write_text('group = "SU(2)"\ntwist = [5]\n')
+    for extra in ((), ("--twist", "3")):
+        err = _usage_error(capsys, "basis", "--spec", str(spec), *extra)
+        assert err["error"] == "SpecParseError"
+        assert "twist must be a table" in err["message"]
+
+
+@pytest.mark.parametrize("text", ["group = 5\n", "group = [2]\n", "group = { group = 5 }\n"],
+                         ids=["int", "list", "nested-int"])
+def test_group_that_is_not_a_name_is_a_usage_error(tmp_path, capsys, text):
+    spec = tmp_path / "job.spec"
+    spec.write_text(text + "twist = { levels = [5] }\n")
+    err = _usage_error(capsys, "basis", "--spec", str(spec))
+    assert err["error"] == "SpecParseError"
+    assert "a group is a name or a table" in err["message"]
+
+
+@pytest.mark.parametrize("text, where", [
+    ('group = "SU(2)"\ngroup = "SU(3)"\ntwist = { levels = [5] }\n', (2, 1)),
+    ('group = "SU(2)"\ntwist = { levels = [5], levels = [4] }\n', (2, 25)),
+], ids=["top-level", "inline-table"])
+def test_repeated_spec_key_is_a_usage_error(tmp_path, capsys, text, where):
+    with pytest.raises(SpecParseError) as caught:
+        parse_spec_text(text)
+    assert (caught.value.line, caught.value.column) == where
+    spec = tmp_path / "job.spec"
+    spec.write_text(text)
+    err = _usage_error(capsys, "basis", "--spec", str(spec))
+    assert err["error"] == "SpecParseError"
+    assert f"line {where[0]}, column {where[1]}: duplicate key" in err["message"]

@@ -224,9 +224,22 @@ def test_character_route_gram_guard():
         structure_constants_via_characters(ring)
 
 
+def test_pairing_integrality_guard(monkeypatch):
+    # without its first lift the regular part of F_eps is not Galois-stable
+    rd = root_datum_from_spec("SU(3)")
+    tau = twisting_from_level(rd, (5,))
+    m, lifts = tau.f_epsilon(regular_only=True)
+    full = tau.f_epsilon
+    monkeypatch.setattr(tau, "f_epsilon",
+                        lambda regular_only=False: (m, lifts[1:]) if regular_only else full())
+    assert delta_eval(rd, tau, {(0, 0): 1}, (0, 0)) == 1      # the full kernel is intact
+    with pytest.raises(ValueError, match="did not reduce to an integer"):
+        delta_eval(rd, tau, {(0, 0): 1}, (0, 0), regular_only=True)
+
+
 GUARDS_UNDER_O = """
 import sys
-from vkt.fusion import FusionRing, structure_constants_via_characters
+from vkt.fusion import FusionRing, delta_eval, structure_constants_via_characters
 from vkt.rootdata import root_datum_from_spec
 from vkt.twist import twisting_from_level
 
@@ -239,9 +252,18 @@ m, ys = galois.tau.verlinde_lifts()
 galois.tau.verlinde_lifts = lambda: (m, [(0, 0)] + ys[1:])
 gram = FusionRing(rd, twisting_from_level(rd, (5,)))
 gram.transversal = (gram.transversal[1],) + gram.transversal[1:]
-for ring, message in ((galois, "Galois"), (gram, "Gram identity")):
+# without its first lift the regular part of F_eps is not Galois-stable
+pairing = twisting_from_level(rd, (5,))
+top, lifts = pairing.f_epsilon(regular_only=True)
+full = pairing.f_epsilon
+pairing.f_epsilon = lambda regular_only=False: (top, lifts[1:]) if regular_only else full()
+for call, message in (
+        (lambda: structure_constants_via_characters(galois), "Galois"),
+        (lambda: structure_constants_via_characters(gram), "Gram identity"),
+        (lambda: delta_eval(rd, pairing, {(0, 0): 1}, (0, 0), regular_only=True),
+         "did not reduce to an integer")):
     try:
-        structure_constants_via_characters(ring)
+        call()
     except ValueError as exc:
         if message not in str(exc):
             sys.exit(f"wrong error for the {message} guard: {exc}")

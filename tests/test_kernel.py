@@ -541,11 +541,11 @@ def refuse_weyl_enumeration(monkeypatch):
 
 def test_regularity_needs_no_weyl_enumeration(monkeypatch):
     # the Verlinde classes, the regular part of F_eps, the regular pairing
-    # table and the discrepancy list come from the root test, the simple
+    # kernel and the discrepancy list come from the root test, the simple
     # reflections and the alcove points
     def outputs(rd, tau):
         return (verlinde_classes(rd, tau), tau.f_epsilon(regular_only=True),
-                vkt.fusion._pairing_table(rd, tau, True),
+                vkt.fusion._pairing_kernel(tau, True),
                 zero_criterion_discrepancies(rd, tau))
 
     grid = GRID + WALK_EXTRA + F_EPSILON_EXTRA
@@ -757,8 +757,10 @@ def test_primitivity_is_decided_once_per_table(monkeypatch):
 
 
 def test_delta_eval_matches_uncached_oracle():
+    # graded forms with det b of either sign, negative levels, non-split U(2)
+    # data, Sp(2), G2 and rank 3, against the |F|^2 Fraction sum
     rng = random.Random(8)
-    for name, rd, tau in grid_twistings():
+    for name, rd, tau in grid_twistings(GRID + WALK_EXTRA + F_EPSILON_EXTRA):
         reps = [tuple(r) for r in coset_representatives(tau.b)]
         f = {rep: rng.randint(-3, 3) for rep in reps}
         g = tuple(rng.randint(-12, 12) for _ in range(rd.rank))
@@ -770,18 +772,21 @@ def test_delta_eval_matches_uncached_oracle():
 def test_pairing_tables_are_cached_per_twisting_and_flag():
     rd = root_datum_from_spec("SU(2)")
     tau = twisting_from_level(rd, (5,))
-    full = vkt.fusion._pairing_table(rd, tau, False)
-    regular = vkt.fusion._pairing_table(rd, tau, True)
-    assert vkt.fusion._pairing_table(rd, tau, False) is full
-    assert vkt.fusion._pairing_table(rd, tau, True) is regular
-    # SU(2) twist 5: 10 cosets and F_eps points, 8 of each Weyl-regular
-    assert (len(full[1]), len(full[2])) == (10, 10)
-    assert (len(regular[1]), len(regular[2])) == (8, 8)
+    full = vkt.fusion._pairing_kernel(tau, False)
+    regular = vkt.fusion._pairing_kernel(tau, True)
+    assert vkt.fusion._pairing_kernel(tau, False) is full
+    assert vkt.fusion._pairing_kernel(tau, True) is regular
+    # SU(2) twist 5: one integer per coset, |F| = 10 for either flag; at the
+    # coset of 0 the kernel counts the points, 10 in F_eps and 8 regular
+    for kernel in (full, regular):
+        assert sorted(kernel) == [(k,) for k in range(10)]
+        assert all(type(v) is int for v in kernel.values())
+    assert (full[(0,)], regular[(0,)]) == (10, 8)
     # an equal twisting is a different object with its own caches
     twin = twisting_from_level(rd, (5,))
     assert not twin._cache
-    assert vkt.fusion._pairing_table(rd, twin, False) is not full
-    assert vkt.fusion._pairing_table(rd, twin, False) == full
+    assert vkt.fusion._pairing_kernel(twin, False) is not full
+    assert vkt.fusion._pairing_kernel(twin, False) == full
 
 
 def test_tables_build_no_pairing_cache():
@@ -789,12 +794,12 @@ def test_tables_build_no_pairing_cache():
     tau = twisting_from_level(rd, (5,))
     FusionRing(rd, tau).structure_constants()
     # only the alcove walls, the basis points and the primitivity flag: no
-    # pairing table, F_eps or cosets
+    # pairing kernel, F_eps or cosets
     assert set(tau._cache) == {"alcove", "basis", "primitive"}
 
 
 def test_delta_identity_work_does_not_grow_with_trials(monkeypatch):
-    # the cosets, F_eps points and exponent table are built once per twisting,
+    # the cosets, F_eps points and pairing kernels are built once per twisting,
     # not once per delta_eval call; every SNF goes through vkt.zlattice
     calls = []
     real = vkt.zlattice.smith_normal_form
@@ -815,7 +820,7 @@ def test_delta_identity_work_does_not_grow_with_trials(monkeypatch):
 
 
 def test_cosets_are_built_once_per_verify(monkeypatch):
-    # F_eps, both pairing tables, the delta check and the grading flags share
+    # F_eps, both pairing kernels, the delta check and the grading flags share
     # one coset list per twisting; patched wherever a vkt module binds it
     calls = []
     real = vkt.zlattice.coset_representatives
@@ -991,23 +996,26 @@ def test_galois_guard_rejects_a_non_regular_class(monkeypatch):
 
 
 def test_coset_canonicalization_is_done_once_per_twisting(monkeypatch):
-    # delta_eval box-reduces each key of f once per twisting, not once per
-    # call; the check itself reduces one g per trial for its expected value
-    calls = {vkt.fusion: 0, vkt.checks: 0}
-    for module in calls:
-        def counting(tau, lam, module=module, real=module.box_reduce):
-            calls[module] += 1
-            return real(tau, lam)
-        monkeypatch.setattr(module, "box_reduce", counting)
+    # delta_eval names each key of f by its coset key once per twisting, not
+    # once per call, and never box-reduces; the check box-reduces each coset
+    # representative once and one g per trial for its expected value
+    assert "box_reduce" not in vars(vkt.fusion)
+    calls = []
+    real = vkt.checks.box_reduce
+
+    def counting(tau, lam):
+        calls.append(lam)
+        return real(tau, lam)
+
+    monkeypatch.setattr(vkt.checks, "box_reduce", counting)
     rd = root_datum_from_spec("SU(3)")
-    counts = []
     for trials in (10, 60):
         ring = FusionRing(rd, twisting_from_level(rd, (5,)))
-        calls.update(dict.fromkeys(calls, 0))
+        calls.clear()
         assert check_delta_identity(ring, trials=trials)["passed"]
-        assert calls[vkt.checks] == trials
-        counts.append(calls[vkt.fusion])
-    assert counts[0] == counts[1] == ring.tau.order_F()
+        order = ring.tau.order_F()
+        assert len(calls) == order + trials
+        assert len(ring.tau._cache["coset_key"]) == order
 
 
 def test_inconsistent_values_are_refused_on_every_call():
