@@ -44,11 +44,12 @@ from .errors import InvariantError
 from .rootdata import (
     RootDatum,
     WeylElement,
+    closure,
     dot,
     reflect_into_chamber,
     vec_add,
+    vec_scale,
     vec_sub,
-    weyl_compose,
     weyl_group_elements,
 )
 from .twist import Twisting
@@ -67,17 +68,6 @@ class AffineElement:
 
     translation: tuple
     weyl: WeylElement
-
-
-def affine_identity(rd: RootDatum) -> AffineElement:
-    return AffineElement((0,) * rd.rank, rd.identity_element)
-
-
-def affine_compose(rd: RootDatum, g1: AffineElement, g2: AffineElement) -> AffineElement:
-    """(pi1, w1)(pi2, w2) = (pi1 + w1 pi2, w1 w2)."""
-    return AffineElement(
-        vec_add(g1.translation, g1.weyl.apply_coweight(g2.translation)),
-        weyl_compose(rd, g1.weyl, g2.weyl))
 
 
 def act(rd: RootDatum, tau: Twisting, g: AffineElement, lam) -> tuple:
@@ -317,24 +307,30 @@ def zero_criterion_discrepancies(rd: RootDatum, tau: Twisting):
 # through the root hyperplanes <alpha, x> = k containing x.
 
 def stabilizer_generators(rd: RootDatum, x):
-    """Affine reflections through the hyperplanes containing x."""
+    """Affine reflections through the hyperplanes containing x: for each
+    positive root alpha with <alpha, x> = k in Z, the element (k alpha^vee,
+    s_alpha).  The word of s_alpha = w s_j w^-1 comes from descending
+    alpha = w(alpha_j) to the simple root alpha_j by simple reflections
+    that lower its height."""
     x = tuple(Fraction(c) for c in x)
+    n = rd.rank
     gens = []
     for alpha, coalpha in rd.positive_root_pairs:
         val = sum(Fraction(a) * c for a, c in zip(alpha, x))
-        if val.denominator == 1:
-            k = val.numerator
-            refl = _reflection_element(rd, alpha, coalpha)
-            gens.append(AffineElement(tuple(k * c for c in coalpha), refl))
+        if val.denominator != 1:
+            continue
+        beta, descent = alpha, []
+        while beta not in rd.simple_roots:
+            i = next(i for i, cv in enumerate(rd.simple_coroots) if dot(beta, cv) > 0)
+            beta = vec_sub(beta, vec_scale(dot(beta, rd.simple_coroots[i]), rd.simple_roots[i]))
+            descent.append(i)
+        word = tuple(descent) + (rd.simple_roots.index(beta),) + tuple(reversed(descent))
+        refl = WeylElement(
+            IntMatrix(n, n, [int(r == c) - alpha[r] * coalpha[c] for r in range(n) for c in range(n)]),
+            IntMatrix(n, n, [int(r == c) - coalpha[r] * alpha[c] for r in range(n) for c in range(n)]),
+            word, -1)
+        gens.append(AffineElement(tuple(val.numerator * c for c in coalpha), refl))
     return gens
-
-
-def _reflection_element(rd, alpha, coalpha):
-    mat = IntMatrix(rd.rank, rd.rank,
-                    [int(r == c) - alpha[r] * coalpha[c]
-                     for r in range(rd.rank) for c in range(rd.rank)])
-    from .rootdata import canonical_weyl
-    return canonical_weyl(rd, mat)
 
 
 def geometric_stabilizer_brute(rd: RootDatum, x):
@@ -349,18 +345,10 @@ def geometric_stabilizer_brute(rd: RootDatum, x):
 
 
 def generated_subgroup(rd: RootDatum, generators):
-    """Closure of a finite set of affine elements under composition."""
-    elems = {(affine_identity(rd).translation, rd.identity_element.matrix.entries):
-             affine_identity(rd)}
-    frontier = list(elems.values())
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in generators:
-                comp = affine_compose(rd, h, g)
-                key = (comp.translation, comp.weyl.matrix.entries)
-                if key not in elems:
-                    elems[key] = comp
-                    nxt.append(comp)
-        frontier = nxt
-    return sorted(elems.values(), key=lambda e: (e.translation, e.weyl.word))
+    """The Weyl parts of the group generated by affine elements, as the
+    closure of their weight-coordinate matrices under composition.  On
+    elements fixing one point x the translation of (pi, w) is forced to be
+    x - w(x), so there (pi, w) -> w is injective and the matrices stand for
+    the whole group."""
+    mats = [g.weyl.matrix for g in generators]
+    return closure([IntMatrix.identity(rd.rank)], lambda w: [h * w for h in mats])

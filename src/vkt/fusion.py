@@ -72,21 +72,6 @@ class KClass:
     def is_zero(self):
         return not self.support
 
-    def __add__(self, other):
-        out = dict(self.support)
-        for k, v in other.support.items():
-            out[k] = out.get(k, 0) + v
-        return KClass(out)
-
-    def __neg__(self):
-        return KClass({k: -v for k, v in self.support.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return KClass({k: c * v for k, v in self.support.items()})
-
     def __eq__(self, other):
         return isinstance(other, KClass) and self.support == other.support
 
@@ -296,14 +281,15 @@ def _key_and_sign(tau: Twisting, v):
 
 def _canonical_coset_values(rd, tau, f):
     """Push an arbitrary weight-keyed function to the coset points mu_key by
-    translation equivariance; each weight's key is memoized per twisting."""
+    translation equivariance; each weight's key is memoized per twisting,
+    and a weight is validated when it first enters the memo."""
     memo = tau.cached("coset_key", dict)
     values = {}
     for lam, v in sorted(f.items()):
-        lam = rd.check_weight(lam)
-        if lam not in memo:
-            memo[lam] = _key_and_sign(tau, tau.adj_apply(lam))
-        key, sign = memo[lam]
+        hit = memo.get(lam)
+        if hit is None:
+            hit = memo[lam] = _key_and_sign(tau, tau.adj_apply(rd.check_weight(lam)))
+        key, sign = hit
         if key in values and values[key] != sign * v:
             raise ValueError(f"inconsistent equivariant values on the coset {key}")
         values[key] = sign * v

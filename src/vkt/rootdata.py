@@ -39,7 +39,6 @@ from .zlattice import (
     cokernel_structure,
     inverse_rational,
     kernel_basis,
-    matvec_fraction,
 )
 
 
@@ -59,15 +58,32 @@ def vec_scale(c, x):
     return tuple(c * a for a in x)
 
 
+def closure(seeds, moves):
+    """The least set that holds the seeds and moves(x) for each of its
+    members x, found breadth-first: the work is the set's size times the
+    number of moves."""
+    found = set(seeds)
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in moves(x):
+                if y not in found:
+                    found.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return found
+
+
 def as_weight(rank, coords):
-    """Validate and normalize an integer weight coordinate vector."""
+    """Validate and normalize an integer weight coordinate vector: ValueError
+    unless every coordinate equals an integer."""
     out = []
     for x in coords:
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise ValueError(f"non-integral weight coordinate {x}")
-            x = x.numerator
-        out.append(int(x))
+        k = int(x)
+        if k != x:
+            raise ValueError(f"non-integral weight coordinate {x!r}")
+        out.append(k)
     if len(out) != rank:
         raise ValueError(f"weight length {len(out)} != rank {rank}")
     return tuple(out)
@@ -139,7 +155,6 @@ class RootDatum:
         self._validate()
         self._derive(factor_blocks)
         self._weyl_cache = None
-        self._weyl_lookup = None
         self._weight_system_cache = {}
 
     # -- construction ---------------------------------------------------
@@ -206,7 +221,6 @@ class RootDatum:
         cartan = [[dot(self.simple_roots[j], self.simple_coroots[i]) for j in range(m)]
                   for i in range(m)]
         self.cartan = IntMatrix.from_rows(cartan) if m else IntMatrix.zeros(0, 0)
-        self._cartan_inv = inverse_rational(self.cartan) if m else []
 
         # simple reflection matrices on weights and coweights
         gens = []
@@ -227,27 +241,34 @@ class RootDatum:
         self.identity_element = WeylElement(
             IntMatrix.identity(self.rank), IntMatrix.identity(self.rank), (), 1)
 
-        # full root system as (root, coroot) pairs, closed under reflections
-        pairs = {(self.simple_roots[i], self.simple_coroots[i]) for i in range(m)}
-        frontier = list(pairs)
-        while frontier:
-            nxt = []
-            for root, coroot in frontier:
-                for g in gens:
-                    p = (g.apply(root), g.apply_coweight(coroot))
-                    if p not in pairs:
-                        pairs.add(p)
-                        nxt.append(p)
-            frontier = nxt
-        self.root_pairs = tuple(sorted(pairs))
-        positive = []
-        for r, c in self.root_pairs:
-            coords = self._root_coords(r)
-            if all(x >= 0 for x in coords):
-                positive.append(((r, c), coords))
+        # full root system as (root, coroot) pairs, closed under the simple
+        # reflections in simple-root and simple-coroot coordinates, where s_i
+        # lowers coordinate i by <beta, alpha_i^vee> and <alpha_i, beta^vee>
+        columns = tuple(zip(*cartan))
+
+        def reflections(pair):
+            root, coroot = pair
+            out = []
+            for i, (row, col) in enumerate(zip(cartan, columns)):
+                p = dot(row, root)
+                if p:
+                    q = dot(col, coroot)
+                    out.append((root[:i] + (root[i] - p,) + root[i + 1:],
+                                coroot[:i] + (coroot[i] - q,) + coroot[i + 1:]))
+            return out
+
+        def combine(coords, basis):
+            return tuple(sum(c * v[k] for c, v in zip(coords, basis)) for k in range(self.rank))
+
+        simple = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+        found = sorted(((combine(r, self.simple_roots), combine(c, self.simple_coroots)), r)
+                       for r, c in closure([(e, e) for e in simple], reflections))
+        self.root_pairs = tuple(p for p, _ in found)
+        positive = [(p, coords) for p, coords in found if min(coords) >= 0]
         if 2 * len(positive) != len(self.root_pairs):
             raise InvalidCartanData("root system is not symmetric under negation")
         self.positive_root_pairs = tuple(p for p, _ in positive)
+        self._heights = tuple(sum(coords) for _, coords in positive)
 
         self.rho2 = tuple(sum(r[i] for r, _ in self.positive_root_pairs)
                           for i in range(self.rank))
@@ -306,11 +327,6 @@ class RootDatum:
         else:
             self._gram_int = []
         self._num_simple = m
-
-    def _root_coords(self, root):
-        """Coordinates of a root in the simple-root basis (rational tuple)."""
-        p = [dot(root, cv) for cv in self.simple_coroots]
-        return matvec_fraction(self._cartan_inv, p)
 
     def _pick_rho_tilde(self):
         if all(x % 2 == 0 for x in self.rho2):
@@ -623,7 +639,7 @@ def weyl_order(rd: RootDatum):
     n_k - n_(k+1) times (the height partition is dual to the partition of
     the exponents; Kostant, Amer. J. Math. 81 (1959) 973), and each
     exponent k gives the degree k + 1."""
-    heights = Counter(int(sum(rd._root_coords(r))) for r, _ in rd.positive_root_pairs)
+    heights = Counter(rd._heights)
     order = 1
     for k, count in heights.items():
         order *= (k + 1) ** (count - heights.get(k + 1, 0))
@@ -665,22 +681,7 @@ def weyl_group_elements(rd: RootDatum, max_order=MAX_GROUP_ORDER):
         raise InvariantError(f"enumerated {len(seen)} Weyl elements, expected {order}")
     elems = sorted(seen.values(), key=lambda e: (len(e.word), e.word))
     rd._weyl_cache = elems
-    rd._weyl_lookup = {e.matrix.entries: e for e in elems}
     return elems
-
-
-def canonical_weyl(rd: RootDatum, matrix: IntMatrix) -> WeylElement:
-    """The enumerated WeylElement with the given weight-coordinate matrix."""
-    weyl_group_elements(rd)
-    try:
-        return rd._weyl_lookup[matrix.entries]
-    except KeyError:
-        raise ValueError("matrix is not an element of the Weyl group") from None
-
-
-def weyl_compose(rd: RootDatum, w1: WeylElement, w2: WeylElement) -> WeylElement:
-    """w1 * w2 as a canonical enumerated element."""
-    return canonical_weyl(rd, w1.matrix * w2.matrix)
 
 
 def simple_reflections_mod(rd: RootDatum, y, m):
@@ -697,11 +698,7 @@ def coweight_orbit_mod(rd: RootDatum, y, m):
     """The W-orbit of the coweight y (reduced mod m) modulo m, by closure
     under the simple reflections: the work is the orbit's size times the
     rank, not |W|."""
-    orbit = frontier = {tuple(y)}
-    while frontier:
-        frontier = {z for x in frontier for z in simple_reflections_mod(rd, x, m)} - orbit
-        orbit = orbit | frontier
-    return orbit
+    return closure([tuple(y)], lambda x: simple_reflections_mod(rd, x, m))
 
 
 def _sparse(coroot):
@@ -763,22 +760,16 @@ def dominant_representative(rd: RootDatum, weight) -> DominantResult:
 def weyl_orbit(rd: RootDatum, weight):
     """The W-orbit of a weight, by breadth-first search over the simple
     reflections: the work is the orbit's size times the rank, not |W|."""
-    orbit = {tuple(weight)}
-    frontier = list(orbit)
-    while frontier:
-        nxt = []
-        for lam in frontier:
-            for coroot, root, _, _ in rd.simple_walls:
-                p = 0
-                for j, c in coroot:
-                    p += lam[j] * c
-                if p:
-                    mu = tuple(x - p * r for x, r in zip(lam, root))
-                    if mu not in orbit:
-                        orbit.add(mu)
-                        nxt.append(mu)
-        frontier = nxt
-    return orbit
+    def reflections(lam):
+        out = []
+        for coroot, root, _, _ in rd.simple_walls:
+            p = 0
+            for j, c in coroot:
+                p += lam[j] * c
+            if p:
+                out.append(tuple(x - p * r for x, r in zip(lam, root)))
+        return out
+    return closure([tuple(weight)], reflections)
 
 
 # -- representations --------------------------------------------------------
@@ -831,18 +822,9 @@ def _weight_system(rd: RootDatum, lam):
     # the dominant weights of V_lam are the dominant mu <= lam, and each is
     # reached from lam through dominant weights by subtracting positive roots
     # (Stembridge, Adv. Math. 136 (1998) 340)
-    dominants = {lam}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            for alpha, _ in rd.positive_root_pairs:
-                nu = vec_sub(mu, alpha)
-                if nu not in dominants and rd.is_dominant(nu):
-                    dominants.add(nu)
-                    nxt.append(nu)
-        frontier = nxt
-
+    positive = rd.positive_roots()
+    dominants = closure([lam], lambda mu: [nu for nu in (vec_sub(mu, alpha) for alpha in positive)
+                                           if rd.is_dominant(nu)])
     dominants = sorted(dominants, key=lambda mu: rd.inner_scaled(shifted(mu), shifted(mu)),
                        reverse=True)
     mult = {}

@@ -227,7 +227,7 @@ def shift_by_dual_coxeter(rd: RootDatum, loop_levels):
     Coxeter number.  Torus blocks are unaffected and not represented here."""
     loop_levels = tuple(int(x) for x in loop_levels)
     if len(loop_levels) != len(rd.factors):
-        raise ValueError(f"expected {len(rd.factors)} levels, got {len(loop_levels)}")
+        raise Degenerate(f"expected {len(rd.factors)} levels, got {len(loop_levels)}")
     return tuple(lvl + f.dual_coxeter for lvl, f in zip(loop_levels, rd.factors))
 
 

@@ -349,11 +349,6 @@ def inverse_rational(M: IntMatrix):
     return [row[n:] for row in a]
 
 
-def matvec_fraction(rows, vec):
-    """rows: list of Fraction rows; vec: sequence of numbers."""
-    return tuple(sum(r[j] * vec[j] for j in range(len(vec))) for r in rows)
-
-
 def box_points(sizes, start=0):
     """The integer points p with start <= p_i < start + sizes[i], in
     lexicographic order (the last coordinate varies fastest)."""

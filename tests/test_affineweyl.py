@@ -7,8 +7,6 @@ from vkt.affineweyl import (
     AffineElement,
     Alcove,
     act,
-    affine_compose,
-    affine_identity,
     box_reduce,
     enumerate_basis_orbits,
     generated_subgroup,
@@ -19,8 +17,40 @@ from vkt.affineweyl import (
     zero_criterion_discrepancies,
 )
 from vkt.errors import InvariantError
-from vkt.rootdata import root_datum_from_spec, vec_add, weyl_group_elements
+from vkt.rootdata import WeylElement, root_datum_from_spec, vec_add, weyl_group_elements
 from vkt.twist import twisting_from_level
+from vkt.zlattice import IntMatrix
+
+
+def affine_identity(rd):
+    return AffineElement((0,) * rd.rank, rd.identity_element)
+
+
+def affine_compose(g1, g2):
+    """(pi1, w1)(pi2, w2) = (pi1 + w1 pi2, w1 w2), the word written out
+    rather than shortest."""
+    w1, w2 = g1.weyl, g2.weyl
+    return AffineElement(
+        vec_add(g1.translation, w1.apply_coweight(g2.translation)),
+        WeylElement(w1.matrix * w2.matrix, w1.comatrix * w2.comatrix,
+                    w1.word + w2.word, w1.determinant * w2.determinant))
+
+
+def affine_closure(rd, generators):
+    """The affine elements generated by the given ones, closed breadth-first."""
+    key = lambda g: (g.translation, g.weyl.matrix)
+    elems = {key(affine_identity(rd)): affine_identity(rd)}
+    frontier = list(elems.values())
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in generators:
+                comp = affine_compose(h, g)
+                if key(comp) not in elems:
+                    elems[key(comp)] = comp
+                    nxt.append(comp)
+        frontier = nxt
+    return list(elems.values())
 
 
 def su2(n, eps=(0,)):
@@ -64,7 +94,7 @@ def test_sign_character_is_homomorphism():
     for _ in range(30):
         g1 = AffineElement((rng.randint(-2, 2), rng.randint(-2, 2)), rng.choice(ws))
         g2 = AffineElement((rng.randint(-2, 2), rng.randint(-2, 2)), rng.choice(ws))
-        comp = affine_compose(rd, g1, g2)
+        comp = affine_compose(g1, g2)
         assert sign_character(tau, comp) == sign_character(tau, g1) * sign_character(tau, g2)
 
 
@@ -76,7 +106,7 @@ def test_compose_acts_correctly():
         g1 = AffineElement((rng.randint(-2, 2), rng.randint(-2, 2)), rng.choice(ws))
         g2 = AffineElement((rng.randint(-2, 2), rng.randint(-2, 2)), rng.choice(ws))
         lam = (rng.randint(-5, 5), rng.randint(-5, 5))
-        assert act(rd, tau, affine_compose(rd, g1, g2), lam) == \
+        assert act(rd, tau, affine_compose(g1, g2), lam) == \
             act(rd, tau, g1, act(rd, tau, g2, lam))
 
 
@@ -190,8 +220,9 @@ def test_stabilizer_alcove_vertex_su3():
     rd = root_datum_from_spec("SU(3)")
     x = (Fraction(1, 3), Fraction(2, 3))  # a vertex of the fundamental alcove
     gens = stabilizer_generators(rd, x)
-    group = generated_subgroup(rd, gens)
+    group = affine_closure(rd, gens)
     assert len(group) == 6
+    assert generated_subgroup(rd, gens) == {g.weyl.matrix for g in group}
     brute = geometric_stabilizer_brute(rd, x)
     assert len(brute) == 6
     for g in group:
@@ -211,7 +242,31 @@ def test_stabilizer_generators_match_brute_force():
                 x = (Fraction(rng.randint(0, 30), rng.randint(1, 12)),
                      Fraction(rng.randint(0, 30), rng.randint(1, 12)))
             gens = stabilizer_generators(rd, x)
-            group = generated_subgroup(rd, gens)
+            group = affine_closure(rd, gens)
             brute = geometric_stabilizer_brute(rd, x)
             key = lambda e: (e.translation, e.weyl.matrix.entries)
             assert sorted(map(key, group)) == sorted(map(key, brute))
+            # the Weyl parts alone determine a stabilizer
+            weyl_parts = generated_subgroup(rd, gens)
+            assert len(weyl_parts) == len(group)
+            assert weyl_parts == {g.weyl.matrix for g in group}
+
+
+def test_stabilizer_reflections_match_their_words():
+    # s_alpha for every positive root: the matrix is lam -> lam - <lam,
+    # alpha^vee> alpha, the word's simple reflections multiply to it on
+    # weights and coweights, and the word is a palindrome w s_j w^-1
+    for name in ("SU(3)", "SU(4)", "Spin(7)", "Sp(3)", "SU(2) x U(1)"):
+        rd = root_datum_from_spec(name)
+        gens = stabilizer_generators(rd, (Fraction(0),) * rd.rank)
+        assert len(gens) == len(rd.positive_root_pairs)
+        for g, (alpha, coalpha) in zip(gens, rd.positive_root_pairs):
+            w = g.weyl
+            assert g.translation == (0,) * rd.rank
+            assert w.word == w.word[::-1] and len(w.word) % 2 == 1
+            mat, comat = IntMatrix.identity(rd.rank), IntMatrix.identity(rd.rank)
+            for i in w.word:
+                mat, comat = mat * rd.generators[i].matrix, comat * rd.generators[i].comatrix
+            assert (w.matrix, w.comatrix, w.determinant) == (mat, comat, -1)
+            assert w.apply(alpha) == tuple(-a for a in alpha)
+            assert w.apply_coweight(coalpha) == tuple(-c for c in coalpha)

@@ -153,6 +153,16 @@ def test_degenerate_surfaced(capsys):
     assert "Degenerate" in err
 
 
+@pytest.mark.parametrize("command", ["info", "basis", "classes", "table", "verify"])
+def test_shift_without_levels_is_degenerate(capsys, command):
+    code, out, err = run_cli(capsys, command, "--group", "SU(2)", "--shift", "dual_coxeter")
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "Degenerate"
+
+
 def test_spec_file(tmp_path, capsys):
     spec = tmp_path / "job.spec"
     spec.write_text('group = "SU(2) x U(1)"\n'

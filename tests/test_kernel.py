@@ -83,7 +83,6 @@ from vkt.zlattice import (
     IntMatrix,
     coset_representatives,
     inverse_rational,
-    matvec_fraction,
     smith_normal_form,
 )
 
@@ -174,6 +173,11 @@ def grid_twistings(grid=GRID):
 @lru_cache(maxsize=None)
 def rational_inverse(b):
     return inverse_rational(b)
+
+
+def matvec_fraction(rows, vec):
+    """rows: list of Fraction rows; vec: sequence of numbers."""
+    return tuple(sum(r[j] * vec[j] for j in range(len(vec))) for r in rows)
 
 
 def fraction_b_inverse(tau, vec):
@@ -328,10 +332,11 @@ def scan_basis_orbits(rd, tau):
 def brauer_klimyk_product(ring, a, b):
     """The product by tensor decomposition of the transversal weights, then
     the shifted orbit reduction of each summand."""
-    out = KClass.zero()
+    out = {}
     for nu, mult in tensor_decompose(ring.rd, ring.transversal[a], ring.transversal[b]).items():
-        out = out + class_from_weight(ring, nu).scale(mult)
-    return out
+        for k, v in class_from_weight(ring, nu).support.items():
+            out[k] = out.get(k, 0) + mult * v
+    return KClass(out)
 
 
 def fraction_transversal_weight(ring, rep):
@@ -1026,6 +1031,30 @@ def test_inconsistent_values_are_refused_on_every_call():
     for _ in range(2):                          # the second call reads the memo
         with pytest.raises(ValueError, match="inconsistent equivariant values"):
             delta_eval(rd, tau, {(0,): 1, far: 2}, (0,))
+
+
+def test_coset_keys_are_validated_on_a_memo_miss_only(monkeypatch):
+    # the second delta_eval with the same f validates g alone; a key that
+    # is not an integer weight never enters the memo, so it raises each time
+    rd = root_datum_from_spec("SU(3)")
+    tau = twisting_from_level(rd, (5,))
+    f = {(0, 0): 1, (1, 2): -2, (3, -1): 1}
+    seen = []
+    real = vkt.rootdata.as_weight
+
+    def recording(rank, coords):
+        seen.append(tuple(coords))
+        return real(rank, coords)
+
+    monkeypatch.setattr(vkt.rootdata, "as_weight", recording)
+    first = delta_eval(rd, tau, f, (1, 1))
+    assert set(f) <= set(seen)
+    seen.clear()
+    assert delta_eval(rd, tau, f, (1, 1)) == first
+    assert seen == [(1, 1)]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-integral"):
+            delta_eval(rd, tau, {(0, 0): 1, (Fraction(1, 2), 0): 1}, (1, 1))
 
 
 def wall_scan_is_zero(alc, point):

@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 import vkt.rootdata
-from vkt.fusion import dominant_weights_up_to
+from vkt.fusion import FusionRing, class_from_weight, dominant_weights_up_to
 from vkt.errors import InvalidCartanData, NotTorsionFreePi1, SpecParseError
 from vkt.rootdata import (
     RootDatum,
@@ -16,6 +17,8 @@ from vkt.rootdata import (
     weyl_group_elements,
     weyl_order,
 )
+from vkt.twist import twisting_from_level
+from vkt.zlattice import inverse_rational
 
 
 def su2():
@@ -166,6 +169,60 @@ def test_weyl_order_matches_enumeration():
     for rd in data:
         assert weyl_order(rd) == len(weyl_group_elements(rd)), rd.spec_text
     assert [weyl_order(rd) for rd in data[-3:]] == [12, 12, 1152]
+
+
+def _rational_root_system(rd):
+    """(root pairs, positive root pairs, heights) the slow way: close the
+    (root, coroot) pairs under the simple reflections in weight and coweight
+    coordinates, then read positivity and height off the simple-root
+    coordinates Cartan^-1 (<beta, alpha_i^vee>)_i, over the rationals."""
+    pairs = {(r, c) for r, c in zip(rd.simple_roots, rd.simple_coroots)}
+    frontier = list(pairs)
+    while frontier:
+        nxt = []
+        for r, c in frontier:
+            for g in rd.generators:
+                p = (g.apply(r), g.apply_coweight(c))
+                if p not in pairs:
+                    pairs.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    inv = inverse_rational(rd.cartan) if rd.simple_roots else []
+    positive, heights = [], []
+    for r, c in sorted(pairs):
+        pairing = [sum(a * b for a, b in zip(r, cv)) for cv in rd.simple_coroots]
+        coords = [sum(x * y for x, y in zip(row, pairing)) for row in inv]
+        assert all(x.denominator == 1 for x in coords)
+        if all(x >= 0 for x in coords):
+            positive.append((r, c))
+            heights.append(sum(coords))
+    return tuple(sorted(pairs)), tuple(positive), tuple(heights)
+
+
+def test_integer_root_closure_matches_the_rational_one():
+    data = [root_datum_from_spec(name) for name in (
+        "SU(2)", "SU(3)", "SU(4)", "Spin(5)", "Spin(7)", "Sp(3)", "U(1)", "SU(2) x U(1)",
+        "SU(2) x SU(3)")]
+    data += [RootDatum.from_root_data(2, [(1, -1)], [(1, -1)]),
+             RootDatum.from_cartan(G2_CARTAN), RootDatum.from_cartan([[2, -3], [-1, 2]]),
+             RootDatum.from_cartan(F4_CARTAN), RootDatum.from_cartan(E7_CARTAN)]
+    for rd in data:
+        pairs, positive, heights = _rational_root_system(rd)
+        assert rd.root_pairs == pairs, rd.spec_text
+        assert rd.positive_root_pairs == positive, rd.spec_text
+        assert rd._heights == heights, rd.spec_text
+    assert [len(rd.root_pairs) for rd in data[-3:]] == [12, 48, 126]
+
+
+def test_non_integral_weights_are_refused():
+    rd = su2()
+    for bad in ((1.9,), ("3",), (Fraction(7, 2),)):
+        with pytest.raises(ValueError):
+            rd.check_weight(bad)
+    assert rd.check_weight((Fraction(4, 2),)) == (2,)
+    ring = FusionRing(rd, twisting_from_level(rd, (5,)))
+    with pytest.raises(ValueError):
+        class_from_weight(ring, (1.9,))
 
 
 def test_large_weyl_group_refused_before_enumeration(monkeypatch):

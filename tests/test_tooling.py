@@ -56,3 +56,27 @@ def test_every_module_level_definition_has_a_caller():
                 continue
             unused.append(name)
     assert unused == []
+
+
+EXACT_MATH = {"gcd", "lcm", "ceil", "floor", "isqrt", "comb", "prod"}
+
+
+def test_no_floating_point_in_the_package():
+    # exact arithmetic only: no float or complex literal, no use of the names
+    # float or complex, no cmath, and from math only integer functions
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+                found.append(f"{where} literal {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id in ("float", "complex"):
+                found.append(f"{where} name {node.id}")
+            elif isinstance(node, ast.Import):
+                found += [f"{where} import {alias.name}" for alias in node.names
+                          if alias.name.split(".")[0] in ("math", "cmath")]
+            elif isinstance(node, ast.ImportFrom) and node.module in ("math", "cmath"):
+                found += [f"{where} from {node.module} import {alias.name}"
+                          for alias in node.names
+                          if node.module == "cmath" or alias.name not in EXACT_MATH]
+    assert found == []

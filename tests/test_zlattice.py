@@ -8,9 +8,13 @@ from vkt.zlattice import (
     inverse_rational,
     inverse_unimodular,
     kernel_basis,
-    matvec_fraction,
     smith_normal_form,
 )
+
+
+def matvec_fraction(rows, vec):
+    """rows: list of Fraction rows; vec: sequence of numbers."""
+    return tuple(sum(r[j] * vec[j] for j in range(len(vec))) for r in rows)
 
 
 def check_decomposition(M):
