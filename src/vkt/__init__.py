@@ -37,6 +37,7 @@ from .rootdata import (
     weight_multiplicities,
     weyl_dimension,
     weyl_group_elements,
+    weyl_numerator,
     weyl_order,
 )
 from .twist import Twisting, f_epsilon_points, shift_by_dual_coxeter, twisting_from_level
@@ -77,7 +78,7 @@ __all__ = [
     # root data
     "RootDatum", "WeylElement", "root_datum_from_spec", "weyl_group_elements",
     "dominant_representative", "weight_multiplicities", "tensor_decompose",
-    "weyl_dimension", "weyl_order",
+    "weyl_dimension", "weyl_order", "weyl_numerator",
     # twistings
     "Twisting", "twisting_from_level", "shift_by_dual_coxeter", "f_epsilon_points",
     # affine orbits

@@ -72,7 +72,8 @@ def check_cyclic_generator(ring: FusionRing):
 def check_annihilation(ring: FusionRing, bound=None, action_sample=3):
     if bound is None:
         largest = max((abs(v) for row in ring.tau.b.to_rows() for v in row), default=4)
-        # weight systems grow quickly with the rank; keep the search window small
+        # the window holds about bound^rank / rank! weights, each tested on
+        # its |W| Weyl numerator terms; keep it small in higher rank
         per_rank = {1: 10, 2: 8}.get(ring.rd.rank, 4)
         bound = min(per_rank, max(4, largest))
     failures = []

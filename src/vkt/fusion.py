@@ -17,8 +17,11 @@ mod m permute the classes (checked), so each sum is a rational integer;
 each is bounded by B; and N > 2B, so its balanced residue is the sum.
 
 The Verlinde classes, the ideal test and the character route read the
-integer class lifts of Twisting.verlinde_lifts and evaluate characters
-with cyclo.character_bins; verlinde_classes adds rational points for reports.
+integer class lifts of Twisting.verlinde_lifts and evaluate with
+cyclo.character_bins; verlinde_classes adds rational points for reports.
+The ideal test bins Weyl numerators (rootdata.weyl_numerator, |W| terms
+per weight), not weight systems: the class lifts are regular, so A_rho
+does not vanish there and chi_lam vanishes exactly where A_(lam+rho) does.
 """
 
 from __future__ import annotations
@@ -35,14 +38,16 @@ from .affineweyl import (
     orbit_normal_form,
 )
 from .cyclo import CyclotomicInt, character_bins, cyclotomic_modulus
-from .errors import InvariantError, NotATorus, NotPrimitive
+from .errors import GroupTooLarge, InvariantError, NotATorus, NotPrimitive
 from .rootdata import (
+    MAX_PAIRING_PAIRS,
     RootDatum,
     _weight_system,
     dot,
     vec_add,
     vec_sub,
     weight_multiplicities,
+    weyl_numerator,
     weyl_order,
 )
 from .twist import Twisting
@@ -237,14 +242,22 @@ def module_action(ring: FusionRing, combo, kc: KClass) -> KClass:
 
 def verlinde_ideal_member(ring: FusionRing, combo) -> bool:
     """Exact test: does the virtual character {dominant weight: coeff}
-    vanish at every Verlinde class?  Its weight system is binned at each
-    class lift and reduced modulo Phi_m once per class."""
-    system = {}
+    vanish at every Verlinde class?  Tested on Weyl numerators, with no
+    weight system:
+
+    (1) every class lift x = y/m is regular, so A_rho(x) != 0 and
+        chi_lam(x) = A_(lam+rho)(x) / A_rho(x) (Weyl character formula);
+    (2) A_(lam+rho)(x) = e^(2 pi i <rho, x>) sum_w det(w) zeta_m^<w(lam+rho)-rho, y>,
+        and the prefactor is a unit;
+    (3) so the combination vanishes at x exactly when sum c det(w) zeta_m^(...)
+        over its weyl_numerator terms does: |W| weights per (lam, c), binned
+        at each class lift and reduced modulo Phi_m once per class."""
+    numerator = {}
     for lam, c in combo.items():
-        for nu, mult in weight_multiplicities(ring.rd, lam).items():
-            system[nu] = system.get(nu, 0) + c * mult
+        for nu, sign in weyl_numerator(ring.rd, lam).items():
+            numerator[nu] = numerator.get(nu, 0) + c * sign
     m, ys = ring.tau.verlinde_lifts()
-    return all(CyclotomicInt(m, character_bins([system], y, m)[0]).is_zero() for y in ys)
+    return all(CyclotomicInt(m, character_bins([numerator], y, m)[0]).is_zero() for y in ys)
 
 
 def dominant_weights_up_to(rd: RootDatum, bound):
@@ -299,7 +312,14 @@ def _canonical_coset_values(rd, tau, f):
 def _pairing_kernel(tau: Twisting, regular_only):
     """{coset key: K(mu_key)} with K(mu) = sum_y zeta_m^<mu, y> over the F_eps
     lifts y at order m (the Weyl-regular ones with regular_only), built once
-    per twisting and flag; raises ValueError unless each K is an integer."""
+    per twisting and flag; raises ValueError unless each K is an integer.
+    The build walks |F|^2 (coset, lift) pairs: GroupTooLarge, before any
+    coset or lift is built, when that exceeds MAX_PAIRING_PAIRS."""
+    pairs = tau.order_F() ** 2
+    if pairs > MAX_PAIRING_PAIRS:
+        raise GroupTooLarge(f"the pairing kernel walks |F|^2 = {pairs} pairs, "
+                            f"more than {MAX_PAIRING_PAIRS}")
+
     def build():
         m, lifts = tau.f_epsilon(regular_only)
         kernel = {}

@@ -649,6 +649,9 @@ def weyl_order(rd: RootDatum):
 # the largest group vkt enumerates element by element: W, or the cosets of F
 MAX_GROUP_ORDER = 10 ** 6
 
+# the most (coset, F_eps lift) pairs the averaged pairing's kernel walks: |F|^2
+MAX_PAIRING_PAIRS = 10 ** 8
+
 
 def weyl_group_elements(rd: RootDatum, max_order=MAX_GROUP_ORDER):
     """All elements of W, enumerated breadth-first from the generators.
@@ -785,6 +788,48 @@ def weyl_dimension(rd: RootDatum, lam):
     if num.denominator != 1:
         raise InvariantError(f"Weyl dimension of {lam} is not an integer: {num}")
     return num.numerator
+
+
+def weyl_numerator(rd: RootDatum, lam):
+    """The Weyl numerator of V_lam over e^rho, as {w(lam + rho) - rho: det w}.
+
+    By the Weyl character formula chi_lam = A_(lam+rho) / A_rho with
+    A_mu = sum_w det(w) e^(w mu), and A_(lam+rho) = e^rho times the sum over
+    this dict; each w(lam + rho) - rho is an integral weight even where rho
+    is not.  lam + rho is strictly dominant, so its orbit is free: the
+    closure of (2 lam + 2 rho, +1) under the simple reflections, each of
+    which flips the sign, has |W| points and costs |W| times the rank.
+    ValueError unless lam is a dominant weight (as weight_multiplicities);
+    GroupTooLarge, before the closure, when |W| exceeds MAX_GROUP_ORDER;
+    InvariantError if a weight comes with both signs or the closure does
+    not find |W| points."""
+    lam = rd.check_weight(lam)
+    if not rd.is_dominant(lam):
+        raise ValueError("highest weight must be dominant")
+    order = weyl_order(rd)
+    if order > MAX_GROUP_ORDER:
+        raise GroupTooLarge(f"Weyl group exceeds {MAX_GROUP_ORDER} elements")
+
+    def reflections(pair):
+        v, sign = pair
+        out = []
+        for coroot, root, _, _ in rd.simple_walls:
+            p = 0
+            for j, c in coroot:
+                p += v[j] * c
+            out.append((tuple(x - p * r for x, r in zip(v, root)), -sign))
+        return out
+
+    top = tuple(2 * a + r for a, r in zip(lam, rd.rho2))
+    out = {}
+    for v, sign in closure([(top, 1)], reflections):
+        nu = tuple((x - r) // 2 for x, r in zip(v, rd.rho2))
+        if out.setdefault(nu, sign) != sign:
+            raise InvariantError(f"the Weyl numerator of {lam} holds {nu} with both signs")
+    if len(out) != order:
+        raise InvariantError(f"the Weyl numerator of {lam} has {len(out)} terms, "
+                             f"expected |W| = {order}")
+    return out
 
 
 def weight_multiplicities(rd: RootDatum, lam):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import vkt.fusion
 import vkt.twist
 import vkt.zlattice
 from vkt.cli import JobSpec, main, parse_spec_text
@@ -267,6 +268,19 @@ def test_huge_f_is_refused_before_enumerating(tmp_path, capsys, monkeypatch):
     err = json.loads(err)
     assert err["error"] == "GroupTooLarge"
     assert "14480427" in err["message"]
+
+
+def test_over_budget_pairing_kernel_is_refused(capsys, monkeypatch):
+    # Spin(7) 6 has |F| = 864; with the pairing budget just under |F|^2 the
+    # delta check refuses the kernel, and verify prints one JSON error line
+    monkeypatch.setattr(vkt.fusion, "MAX_PAIRING_PAIRS", 864 ** 2 - 1)
+    code, out, err = run_cli(capsys, "verify", "--group", "Spin(7)", "--twist", "6")
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "GroupTooLarge"
+    assert str(864 ** 2) in err["message"]
 
 
 @pytest.mark.parametrize("which, n", [("su2", "0"), ("u1", "0"), ("s3", "-1")])

@@ -9,9 +9,10 @@ labels as the least box point of the orbit (one scan over W each), the
 F_eps points enumerated from the Smith normal form of b with Fraction
 shifts, characters evaluated with Fraction pairings at each point's own
 order, the averaged pairing rebuilt in full (coset enumeration, F_eps
-points, rational fixed-point tests) on every call, and the character
-route's sums in Z[zeta_m] by Kronecker packing with a reduction mod Phi_m.
-None of them calls the code it checks."""
+points, rational fixed-point tests) on every call, the ideal test on full
+Freudenthal weight systems, and the character route's sums in Z[zeta_m]
+by Kronecker packing with a reduction mod Phi_m.  None of them calls the
+code it checks."""
 
 import random
 import sys
@@ -52,7 +53,8 @@ from vkt.checks import (
     check_grading_flags,
     check_oracle_equivalence,
 )
-from vkt.cyclo import CyclotomicInt, cyclotomic_polynomial, poly_divmod_exact
+from vkt.cyclo import CyclotomicInt, character_bins, cyclotomic_polynomial, poly_divmod_exact
+from vkt.errors import GroupTooLarge
 from vkt.fusion import (
     FusionRing,
     KClass,
@@ -78,7 +80,7 @@ from vkt.rootdata import (
     weight_multiplicities,
     weyl_group_elements,
 )
-from vkt.twist import Twisting, f_epsilon_points, twisting_from_level
+from vkt.twist import Twisting, f_epsilon_points, shift_by_dual_coxeter, twisting_from_level
 from vkt.zlattice import (
     IntMatrix,
     coset_representatives,
@@ -156,7 +158,9 @@ PRODUCT_EXTRA = [
 # U(1)^2 with [[2, +-1], [+-1, 2]] and SU(2) x U(1) 3 with [[4]])
 CHARACTER_EXTRA = PRODUCT_EXTRA + [("SU(3)", (9,), None, None)]
 
-CARTAN = {"G2": [[2, -1], [-3, 2]], "G2 swapped": [[2, -3], [-1, 2]]}
+CARTAN = {"G2": [[2, -1], [-3, 2]], "G2 swapped": [[2, -3], [-1, 2]],
+          "A2": [[2, -1], [-1, 2]],
+          "F4": [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]}
 
 
 def grid_twistings(grid=GRID):
@@ -223,6 +227,23 @@ def fraction_ideal_member(rd, class_points, combo):
         if not total.is_zero():
             return False
     return True
+
+
+def weight_system_ideal_member(ring, combo):
+    """The ideal test on full weight systems: the combination's Freudenthal
+    weight system binned at each class lift."""
+    system = {}
+    for lam, c in combo.items():
+        for nu, mult in weight_multiplicities(ring.rd, lam).items():
+            system[nu] = system.get(nu, 0) + c * mult
+    m, ys = ring.tau.verlinde_lifts()
+    return all(CyclotomicInt(m, character_bins([system], y, m)[0]).is_zero() for y in ys)
+
+
+def annihilation_window(rd, tau):
+    """The dominant weights of check_annihilation's default search window."""
+    largest = max((abs(v) for row in tau.b.to_rows() for v in row), default=4)
+    return dominant_weights_up_to(rd, min({1: 10, 2: 8}.get(rd.rank, 4), max(4, largest)))
 
 
 def _order(points):
@@ -684,17 +705,133 @@ def test_basis_labels_are_surviving_alcove_points():
 def test_verlinde_ideal_member_matches_fraction_oracle():
     for name, rd, tau in grid_twistings():
         ring = FusionRing(rd, tau)
-        # check_annihilation's search bound
-        largest = max((abs(v) for row in tau.b.to_rows() for v in row), default=4)
-        bound = min({1: 10, 2: 8}.get(rd.rank, 4), max(4, largest))
         points = [x for x, _ in fraction_verlinde_classes(rd, tau)]
-        weights = dominant_weights_up_to(rd, bound)
+        weights = annihilation_window(rd, tau)
         for lam in weights:
             want = fraction_ideal_member(rd, points, {lam: 1})
             assert verlinde_ideal_member(ring, {lam: 1}) == want, (name, lam)
         # a virtual character: the difference of the first two weights
         combo = {weights[0]: 1, weights[1]: -1}
         assert verlinde_ideal_member(ring, combo) == fraction_ideal_member(rd, points, combo), name
+
+
+# every verify job of the benchmark beyond GRID (SU(3) 5 by its Cartan
+# matrix, Sp(2) 4, SU(2) x U(1) 3 with [[4]] and eps = (0, 1), U(1) with [[6]]),
+# G2 at loop levels 1 and 2 in both simple-root orders, and U(2)-style data,
+# where rho is not a weight
+IDEAL_EXTRA = [
+    ("A2", (5,), None, None),
+    ("Sp(2)", (4,), None, None),
+    ("SU(2) x U(1)", (3,), [[4]], (0, 1)),
+    ("U(1)", (), [[6]], (1,)),
+    ("G2", (5,), None, None),
+    ("G2", (6,), None, None),
+    ("G2 swapped", (5,), None, None),
+    ("G2 swapped", (6,), None, None),
+    ("U(2)", None, [[3, 1], [1, 3]], None),
+    ("U(2)", None, [[3, -1], [-1, 3]], None),
+]
+
+
+def test_verlinde_ideal_member_matches_weight_system_oracle():
+    rng = random.Random(14)
+    cancelled = 0
+    for name, rd, tau in grid_twistings(GRID + IDEAL_EXTRA):
+        ring = FusionRing(rd, tau)
+        weights = annihilation_window(rd, tau)
+        member = {}
+        for lam in weights:
+            member[lam] = weight_system_ideal_member(ring, {lam: 1})
+            assert verlinde_ideal_member(ring, {lam: 1}) == member[lam], (name, tau.b, lam)
+        # seeded virtual combinations
+        for _ in range(12):
+            combo = {lam: rng.choice((-2, -1, 1, 2)) for lam in rng.sample(weights, 3)}
+            assert verlinde_ideal_member(ring, combo) == \
+                weight_system_ideal_member(ring, combo), (name, tau.b, combo)
+        # pairs whose reductions cancel: in the ideal while neither term is
+        by_class = {}
+        for lam in weights:
+            kc = class_from_weight(ring, lam)
+            if not kc.is_zero():
+                by_class.setdefault(tuple(kc.items()), []).append(lam)
+        for key, lams in sorted(by_class.items()):
+            negated = tuple((rep, -c) for rep, c in key)
+            for mu in by_class.get(negated, [])[:1]:
+                combo = {lams[0]: 1, mu: 1}
+                got = verlinde_ideal_member(ring, combo)
+                assert got == weight_system_ideal_member(ring, combo), (name, tau.b, combo)
+                cancelled += got and not member[lams[0]] and not member[mu]
+    assert cancelled > 50
+    # SU(2) twist 5 (loop level 3): chi_5 = -chi_3 at the classes
+    rd = root_datum_from_spec("SU(2)")
+    ring = FusionRing(rd, twisting_from_level(rd, (5,)))
+    assert verlinde_ideal_member(ring, {(5,): 1, (3,): 1})
+    assert not verlinde_ideal_member(ring, {(5,): 1}) and not verlinde_ideal_member(ring, {(3,): 1})
+    assert verlinde_ideal_member(ring, {(4,): 1}) and verlinde_ideal_member(ring, {})
+
+
+def test_verlinde_ideal_member_matches_weight_system_oracle_on_f4():
+    # F4 loop level 1 (|W| = 1152): 70 window weights of up to 68 305 weights each
+    rd = RootDatum.from_cartan(CARTAN["F4"])
+    ring = FusionRing(rd, twisting_from_level(rd, shift_by_dual_coxeter(rd, (1,))))
+    weights = annihilation_window(rd, ring.tau)
+    assert len(weights) == 70
+    got = [verlinde_ideal_member(ring, {lam: 1}) for lam in weights]
+    assert got == [weight_system_ideal_member(ring, {lam: 1}) for lam in weights]
+    assert sum(got) == 56
+
+
+def test_ideal_test_refuses_what_the_oracle_refuses():
+    for name, rd, tau in grid_twistings([("SU(2) x U(1)", (3,), [[4]], None),
+                                         ("SU(3)", (5,), None, None),
+                                         ("U(2)", None, [[3, 1], [1, 3]], None)]):
+        ring = FusionRing(rd, tau)
+        for lam in [(-1,) + (0,) * (rd.rank - 1), (Fraction(1, 2),) * rd.rank,
+                    (1,) * (rd.rank + 1)]:
+            messages = []
+            for test in (verlinde_ideal_member, weight_system_ideal_member):
+                with pytest.raises(ValueError) as err:
+                    test(ring, {lam: 1})
+                messages.append(str(err.value))
+            assert messages[0] == messages[1], (name, lam)
+
+
+def test_ideal_test_builds_no_weight_system(monkeypatch):
+    cases = [("SU(3)", (5,), None, None), ("Spin(5)", (4,), None, None),
+             ("G2 swapped", (6,), None, None), ("SU(2) x U(1)", (3,), [[-4]], (0, 1)),
+             ("U(2)", None, [[3, -1], [-1, 3]], None)]
+    want = []
+    for _, rd, tau in grid_twistings(cases):
+        ring = FusionRing(rd, tau)
+        want.append([weight_system_ideal_member(ring, {lam: 1})
+                     for lam in annihilation_window(rd, tau)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a weight system was built")
+
+    for module in (vkt.rootdata, vkt.fusion):
+        monkeypatch.setattr(module, "_weight_system", refuse)
+        monkeypatch.setattr(module, "weight_multiplicities", refuse)
+    # fresh data: no cached weight system to fall back on
+    for (name, rd, tau), expected in zip(grid_twistings(cases), want):
+        ring = FusionRing(rd, tau)
+        got = [verlinde_ideal_member(ring, {lam: 1}) for lam in annihilation_window(rd, tau)]
+        assert got == expected, name
+        assert not rd._weight_system_cache, name
+
+
+def test_check_annihilation_builds_weight_systems_for_its_action_sample_only():
+    for name, levels in (("SU(3)", (5,)), ("Spin(5)", (4,))):
+        rd = root_datum_from_spec(name)
+        ring = FusionRing(rd, twisting_from_level(rd, levels))
+        assert not rd._weight_system_cache
+        result = check_annihilation(ring)
+        built = set(rd._weight_system_cache)
+        gens = [lam for lam in annihilation_window(rd, ring.tau)
+                if weight_system_ideal_member(ring, {lam: 1})]
+        assert result["passed"] and result["detail"]["ideal_weights"] == len(gens), name
+        # module_action's spot check on the first action_sample (3) generators
+        assert built == set(gens[:3]) and len(built) == 3, name
 
 
 def test_verlinde_classes_match_fraction_oracle():
@@ -792,6 +929,30 @@ def test_pairing_tables_are_cached_per_twisting_and_flag():
     assert not twin._cache
     assert vkt.fusion._pairing_kernel(twin, False) is not full
     assert vkt.fusion._pairing_kernel(twin, False) == full
+
+
+def test_over_budget_pairing_kernel_is_refused_up_front(monkeypatch):
+    # F4 loop level 1: |F|^2 = 1.6e9 (coset, lift) pairs; refused before any
+    # coset or F_eps lift is built
+    rd = RootDatum.from_cartan(CARTAN["F4"])
+    tau = twisting_from_level(rd, shift_by_dual_coxeter(rd, (1,)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cosets or F_eps were built")
+
+    monkeypatch.setattr(Twisting, "f_epsilon", refuse)
+    monkeypatch.setattr(Twisting, "cosets", refuse)
+    for regular_only in (False, True):
+        with pytest.raises(GroupTooLarge, match=r"\|F\|\^2 = 1600000000 "):
+            delta_eval(rd, tau, {(0, 0, 0, 0): 1}, (0, 0, 0, 0), regular_only)
+    monkeypatch.undo()
+    # the budget is inclusive: SU(3) 5 has |F|^2 = 5625 pairs
+    rd = root_datum_from_spec("SU(3)")
+    monkeypatch.setattr(vkt.fusion, "MAX_PAIRING_PAIRS", 75 ** 2)
+    assert delta_eval(rd, twisting_from_level(rd, (5,)), {(0, 0): 1}, (0, 0)) == 1
+    monkeypatch.setattr(vkt.fusion, "MAX_PAIRING_PAIRS", 75 ** 2 - 1)
+    with pytest.raises(GroupTooLarge):
+        delta_eval(rd, twisting_from_level(rd, (5,)), {(0, 0): 1}, (0, 0))
 
 
 def test_tables_build_no_pairing_cache():

@@ -1,11 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import vkt.rootdata
 from vkt.fusion import FusionRing, class_from_weight, dominant_weights_up_to
-from vkt.errors import InvalidCartanData, NotTorsionFreePi1, SpecParseError
+from vkt.errors import GroupTooLarge, InvalidCartanData, NotTorsionFreePi1, SpecParseError
 from vkt.rootdata import (
     RootDatum,
     dominant_representative,
@@ -15,6 +19,7 @@ from vkt.rootdata import (
     weight_multiplicities,
     weyl_dimension,
     weyl_group_elements,
+    weyl_numerator,
     weyl_order,
 )
 from vkt.twist import twisting_from_level
@@ -429,3 +434,96 @@ def test_describe_roundtrip():
     assert d["rank"] == 3
     assert d["torus_rank"] == 1
     assert d["factors"][0]["dual_coxeter"] == 3
+
+
+def _numerator_data():
+    data = [root_datum_from_spec(name) for name in (
+        "SU(2)", "SU(3)", "SU(4)", "Spin(5)", "Sp(2)", "Spin(7)", "U(1)", "U(1)^2",
+        "SU(2) x U(1)", "SU(2) x SU(3)")]
+    return data + [RootDatum.from_root_data(2, [(1, -1)], [(1, -1)]),
+                   RootDatum.from_cartan(G2_CARTAN), RootDatum.from_cartan([[2, -3], [-1, 2]])]
+
+
+def test_weyl_numerator_is_the_alternating_sum_over_w():
+    # {w(lam + rho) - rho: det w} from the enumerated group, in doubled
+    # coordinates (rho is not a weight on U(2)-style data)
+    for rd in _numerator_data():
+        for lam in dominant_weights_up_to(rd, 3):
+            top = tuple(2 * a + r for a, r in zip(lam, rd.rho2))
+            want = {tuple((x - r) // 2 for x, r in zip(w.apply(top), rd.rho2)): w.determinant
+                    for w in weyl_group_elements(rd)}
+            got = weyl_numerator(rd, lam)
+            assert got == want and len(got) == weyl_order(rd), (rd.spec_text, lam)
+            assert got[lam] == 1
+
+
+def test_weyl_numerator_is_the_character_times_the_denominator():
+    # the Weyl character formula: e^-rho A_(lam+rho) = chi_lam prod (1 - e^-alpha)
+    for rd in _numerator_data() + [RootDatum.from_cartan(F4_CARTAN)]:
+        denominator = {(0,) * rd.rank: 1}
+        for alpha in rd.positive_roots():
+            step = dict(denominator)
+            for mu, c in denominator.items():
+                nu = tuple(a - b for a, b in zip(mu, alpha))
+                step[nu] = step.get(nu, 0) - c
+            denominator = {mu: c for mu, c in step.items() if c}
+        weights = dominant_weights_up_to(rd, 2 if rd.rank < 4 else 1)
+        for lam in weights:
+            product = {}
+            for mu, m in weight_multiplicities(rd, lam).items():
+                for nu, c in denominator.items():
+                    key = tuple(a + b for a, b in zip(mu, nu))
+                    product[key] = product.get(key, 0) + m * c
+            want = {mu: c for mu, c in product.items() if c}
+            assert weyl_numerator(rd, lam) == want, (rd.spec_text, lam)
+
+
+def test_weyl_numerator_refuses_a_large_weyl_group_before_the_closure(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the closure was started")
+
+    rd = RootDatum.from_cartan(E7_CARTAN)                  # |W| = 2 903 040
+    monkeypatch.setattr(vkt.rootdata, "closure", refuse)
+    with pytest.raises(GroupTooLarge):
+        weyl_numerator(rd, (0,) * 7)
+
+
+NUMERATOR_GUARDS_UNDER_O = """
+import sys
+import vkt.rootdata
+from vkt.errors import InvariantError
+from vkt.rootdata import root_datum_from_spec, weyl_numerator
+
+if sys.flags.optimize < 1:
+    sys.exit("not run with -O")
+# a wall with a zero root fixes every weight, so the closure meets it with both signs
+rd = root_datum_from_spec("SU(3)")
+rd.simple_walls = ((rd.simple_walls[0][0], (0, 0), 0, None),) + rd.simple_walls[1:]
+try:
+    weyl_numerator(rd, (1, 0))
+except InvariantError as exc:
+    if "both signs" not in str(exc):
+        sys.exit(f"wrong error for the sign guard: {exc}")
+else:
+    sys.exit("the sign guard did not fire")
+# a closure of 6 points against a claimed |W| of 5
+vkt.rootdata.weyl_order = lambda rd: 5
+try:
+    weyl_numerator(root_datum_from_spec("SU(3)"), (1, 0))
+except InvariantError as exc:
+    if "expected |W| = 5" not in str(exc):
+        sys.exit(f"wrong error for the count guard: {exc}")
+else:
+    sys.exit("the count guard did not fire")
+print("guards fired")
+"""
+
+
+def test_weyl_numerator_guards_survive_python_O():
+    src = str(Path(vkt.rootdata.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-O", "-c", NUMERATOR_GUARDS_UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "guards fired"
