@@ -23,6 +23,7 @@ from .affineweyl import (
 )
 from .fusion import (
     FusionRing,
+    check_pairing_budget,
     class_from_weight,
     delta_eval,
     dominant_weights_up_to,
@@ -245,6 +246,9 @@ def check_grading_flags(ring: FusionRing):
 
 
 def run_all_checks(ring: FusionRing):
+    """Every check on one ring, in a fixed order; GroupTooLarge before any
+    check runs when the delta check's pairing kernel is over budget."""
+    check_pairing_budget(ring.tau)
     return [
         check_double_count(ring),
         check_f_epsilon(ring),

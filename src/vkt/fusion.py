@@ -1,8 +1,12 @@
 """The fusion ring: orbit basis, truncated tensor product, Verlinde
 classes, ideal membership, the cyclic-generator matrix, the averaged
-distribution pairing (its kernel over F_eps is one integer per coset of
-b(coweights), as b is symmetric and F_eps Galois-stable, so a call is |F|
-look-ups), and the torus pushforward.
+distribution pairing, and the torus pushforward.
+
+The pairing's kernel over F_eps is an integer function on the Smith group
+weights / b(L_eps), L_eps = {pi : eps.pi even}: b is symmetric and F_eps
+Galois-stable.  It is built once per twisting as an exact per-axis DFT of
+the F_eps lifts in Z/Phi_m(2^k) and kept as a table on a doubled mixed
+radix, so a call is one code for g and one list index per coset.
 
 Two independent routes to the structure constants live here: the
 reflection route (the Kac-Walton rule: one affine alcove walk per weight
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from .affineweyl import (
@@ -40,7 +44,7 @@ from .affineweyl import (
 from .cyclo import CyclotomicInt, character_bins, cyclotomic_modulus
 from .errors import GroupTooLarge, InvariantError, NotATorus, NotPrimitive
 from .rootdata import (
-    MAX_PAIRING_PAIRS,
+    MAX_PAIRING_WORK,
     RootDatum,
     _weight_system,
     dot,
@@ -51,7 +55,7 @@ from .rootdata import (
     weyl_order,
 )
 from .twist import Twisting
-from .zlattice import IntMatrix, box_points
+from .zlattice import IntMatrix, box_points, smith_coordinates
 
 
 class KClass:
@@ -284,55 +288,157 @@ def mult_by_U_matrix(ring: FusionRing) -> IntMatrix:
 
 # -- the averaged distribution pairing ---------------------------------------
 
-def _key_and_sign(tau: Twisting, v):
-    """(key, sign) of the weights mu with adj(b) mu = v: key = v mod |det b|
-    names their coset of b(coweights), and mu = mu_key + b(pi) with
-    pi = (v - key) / det b, whose translation sign is (-1)^eps(pi)."""
-    key = tuple(c % tau.order_F() for c in v)
-    return key, tau.translation_sign([(c - k) // tau.det_b for c, k in zip(v, key)])
+class _PairingCoordinates:
+    """Smith coordinates on G = weights / b(L_eps), L_eps = {pi : eps.pi even},
+    by one zlattice.smith_coordinates.  For pi in L_eps, K(mu + b(pi)) =
+    (-1)^eps(pi) K(mu) = K(mu), so the kernel is an ordinary function on G;
+    |G| = |F| when eps = 0 and 2|F| otherwise.
+
+    A weight mu has digits (u_i . mu) mod e_i over the nontrivial Smith
+    factors e_i, and code(mu) = sum digit_i place_i on the doubled radix
+    place_i = prod_(k > i) 2 e_k.  For weights g and mu, the digits of
+    code(g) + shift - code(mu), shift = sum e_i place_i, are
+    e_i + digit_i(g) - digit_i(mu), in [1, 2 e_i): no digit borrows, and a
+    table on the 2^s |G| doubled-radix entries reads K(g - mu) at that index."""
+
+    def __init__(self, tau: Twisting):
+        n, eps = tau.rd.rank, tau.eps
+        # L_eps is spanned by the columns of `span`: e_i - eps_i e_j for i != j
+        # and 2 e_j, with j the first coordinate where eps is odd (the unit
+        # vectors when eps = 0)
+        span = [[int(r == c) for c in range(n)] for r in range(n)]
+        j = next((i for i, e in enumerate(eps) if e), None)
+        if j is not None:
+            span[j] = [-e for e in eps]
+            span[j][j] = 2
+        self.factors, self.rows, self.generators = smith_coordinates(
+            tau.b * IntMatrix.from_rows(span))
+        self.size = prod(self.factors)
+        self.places = [prod(2 * e for e in self.factors[i + 1:])
+                       for i in range(len(self.factors))]
+        self.shift = sum(map(mul, self.factors, self.places))
+        # the per-axis DFT's multiply-adds plus the table it fills
+        self.work = self.size * sum(self.factors) + 2 ** len(self.factors) * self.size
+
+    def code(self, mu):
+        return sum(sum(map(mul, row, mu)) % e * place
+                   for row, e, place in zip(self.rows, self.factors, self.places))
+
+
+def _pairing_coordinates(tau: Twisting) -> _PairingCoordinates:
+    return tau.cached("smith", lambda: _PairingCoordinates(tau))
+
+
+def check_pairing_budget(tau: Twisting):
+    """GroupTooLarge when building the pairing kernel would take more than
+    MAX_PAIRING_WORK steps; reads one Smith normal form and builds no coset
+    or F_eps point."""
+    work = _pairing_coordinates(tau).work
+    if work > MAX_PAIRING_WORK:
+        raise GroupTooLarge(f"the pairing kernel takes {work} steps, "
+                            f"more than {MAX_PAIRING_WORK}")
+
+
+def _coset_code(rd: RootDatum, tau: Twisting, lam):
+    """(code, sign) of the weight lam: with v = adj(b) lam and key = v mod
+    |det b|, lam = mu_key + b(pi) for pi = (v - key) / det b, where mu_key is
+    the one weight of its coset of b(coweights) with adj(b) mu_key = key.
+    code is that of mu_key and sign the translation sign (-1)^eps(pi).
+    Records mu_key's coset among the irregular ones unless b^-1 mu_key is
+    Weyl-regular."""
+    v = tau.adj_apply(lam)
+    key = [c % tau.order_F() for c in v]
+    pi = [(c - k) // tau.det_b for c, k in zip(v, key)]
+    code = _pairing_coordinates(tau).code(vec_sub(lam, tau.apply_b(pi)))
+    if not rd.is_regular(key, tau.det_b):
+        tau.cached("irregular_codes", set).add(code)
+    return code, tau.translation_sign(pi)
 
 
 def _canonical_coset_values(rd, tau, f):
-    """Push an arbitrary weight-keyed function to the coset points mu_key by
-    translation equivariance; each weight's key is memoized per twisting,
-    and a weight is validated when it first enters the memo."""
+    """Push an arbitrary weight-keyed function to {code(mu_key): f(mu_key)} by
+    translation equivariance; each weight's code is memoized per twisting,
+    and a weight is validated when it first enters the memo.  ValueError
+    when two weights of one coset disagree."""
     memo = tau.cached("coset_key", dict)
     values = {}
-    for lam, v in sorted(f.items()):
+    for lam, v in f.items():
         hit = memo.get(lam)
         if hit is None:
-            hit = memo[lam] = _key_and_sign(tau, tau.adj_apply(rd.check_weight(lam)))
-        key, sign = hit
-        if key in values and values[key] != sign * v:
-            raise ValueError(f"inconsistent equivariant values on the coset {key}")
-        values[key] = sign * v
+            hit = memo[lam] = _coset_code(rd, tau, rd.check_weight(lam))
+        code, sign = hit
+        v *= sign
+        if values.setdefault(code, v) != v:
+            raise ValueError(f"inconsistent equivariant values on the coset of {lam}")
     return values
 
 
 def _pairing_kernel(tau: Twisting, regular_only):
-    """{coset key: K(mu_key)} with K(mu) = sum_y zeta_m^<mu, y> over the F_eps
-    lifts y at order m (the Weyl-regular ones with regular_only), built once
-    per twisting and flag; raises ValueError unless each K is an integer.
-    The build walks |F|^2 (coset, lift) pairs: GroupTooLarge, before any
-    coset or lift is built, when that exceeds MAX_PAIRING_PAIRS."""
-    pairs = tau.order_F() ** 2
-    if pairs > MAX_PAIRING_PAIRS:
-        raise GroupTooLarge(f"the pairing kernel walks |F|^2 = {pairs} pairs, "
-                            f"more than {MAX_PAIRING_PAIRS}")
+    """The kernel K(mu) = sum_y zeta_m^<mu, y> over the F_eps lifts y at order
+    m (the Weyl-regular ones with regular_only), as the list T with
+    T[code(g) + shift - code(mu)] = K(g - mu) (see _PairingCoordinates),
+    built once per twisting and flag.
+
+    The dual of G is F_0 u F_eps, which F_eps generates, so m is the largest
+    Smith factor and each <g_i, y> mod m, for g_i the Smith generators, is a
+    multiple of m / e_i.  K is the DFT on G of the histogram of the lifts by
+    their digits j_i = <g_i, y> / (m / e_i) mod e_i, taken one axis at a
+    time in Z/N through zeta_m -> t, N = Phi_m(t) > 2 |F|.
+    (1) The lift set is Galois-stable (checked: k y is a lift for each unit
+    k mod m), so each K is a Galois-fixed element of Z[zeta_m], a rational
+    integer; (2) |K| <= |F|; (3) so its balanced residue mod N is K.
+    ValueError ("did not reduce to an integer") when the lift set is not
+    Galois-stable; InvariantError when m is not the exponent of G or a lift
+    is not a character of G; GroupTooLarge (check_pairing_budget) before any
+    coset or lift is built."""
+    check_pairing_budget(tau)
 
     def build():
+        coords = _pairing_coordinates(tau)
+        factors = coords.factors
         m, lifts = tau.f_epsilon(regular_only)
-        kernel = {}
-        for lam in tau.cosets():
-            key, sign = _key_and_sign(tau, tau.adj_apply(lam))
-            counts = [0] * m
-            for y in lifts:
-                counts[sum(map(mul, lam, y)) % m] += 1
-            total = CyclotomicInt(m, counts)
-            if not total.is_integer():
-                raise ValueError("averaged pairing did not reduce to an integer")
-            kernel[key] = sign * total.integer_value()
-        return kernel
+        if m != (factors[-1] if factors else 1):
+            raise InvariantError(f"F_eps has order {m}, not the exponent of its Smith group")
+        lift_set = set(lifts)
+        for k in range(2, m):
+            if gcd(k, m) == 1 and any(tuple(k * c % m for c in y) not in lift_set
+                                      for y in lifts):
+                raise ValueError(f"averaged pairing did not reduce to an integer: the "
+                                 f"F_eps lifts are not stable under y -> {k} y mod {m}")
+        histogram = [0] * coords.size
+        for y in lifts:
+            index = 0
+            for g, e in zip(coords.generators, factors):
+                digit, rest = divmod(sum(map(mul, g, y)) % m, m // e)
+                if rest:
+                    raise InvariantError(f"the lift {y} / {m} is not a character of "
+                                         f"the Smith group")
+                index = index * e + digit
+            histogram[index] += 1
+        modulus, t = cyclotomic_modulus(m, tau.order_F())
+        power = [1]                                 # power[k] = t^k mod N
+        for _ in range(m - 1):
+            power.append(power[-1] * t % modulus)
+        # one axis at a time, leading axis out and transformed axis in last,
+        # so after every axis the values sit in row-major code order
+        data = histogram
+        for e in factors:
+            step, rest = m // e, len(data) // e
+            roots = [[power[step * (c * j % e)] for j in range(e)] for c in range(e)]
+            out = []
+            for r in range(rest):
+                column = data[r::rest]
+                out.extend(sum(map(mul, column, row)) % modulus for row in roots)
+            data = out
+        table = [v - modulus if 2 * v > modulus else v for v in data]
+        # each axis doubled by repetition: index e_i + d reads digit d
+        inner = 1
+        for e in reversed(factors):
+            block = e * inner
+            table = [v for start in range(0, len(table), block)
+                     for v in table[start:start + block] * 2]
+            inner = 2 * block
+        return table
     return tau.cached(("kernel", regular_only), build)
 
 
@@ -348,16 +454,19 @@ def delta_eval(rd: RootDatum, tau: Twisting, f, g, regular_only=False) -> Fracti
     equivariant.
 
     b is symmetric with b(x) in eps/2 + (weights), so K(mu + b(pi)) =
-    (-1)^eps(pi) K(mu), and F_eps is Galois-stable, so K is an integer: a call
-    is adj(b) g and |F| O(rank) look-ups in _pairing_kernel, no CyclotomicInt."""
-    a = tau.adj_apply(rd.check_weight(g))
+    (-1)^eps(pi) K(mu): an ordinary integer function on the Smith group of
+    _PairingCoordinates.  A call computes code(g) once and reads one entry
+    of the _pairing_kernel table per coset: T[code(g) + shift - code(mu)]."""
+    g = rd.check_weight(g)
     values = _canonical_coset_values(rd, tau, f)
-    kernel = _pairing_kernel(tau, regular_only)
+    table = _pairing_kernel(tau, regular_only)
+    coords = _pairing_coordinates(tau)
+    base = coords.code(g) + coords.shift
+    skip = tau.cached("irregular_codes", set) if regular_only else ()
     total = 0
-    for key, v in values.items():
-        if v and (not regular_only or rd.is_regular(key, tau.det_b)):
-            near, sign = _key_and_sign(tau, [x - k for x, k in zip(a, key)])
-            total += sign * v * kernel[near]
+    for code, v in values.items():
+        if v and code not in skip:
+            total += v * table[base - code]
     return Fraction(total, tau.order_F())
 
 

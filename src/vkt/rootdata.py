@@ -156,6 +156,7 @@ class RootDatum:
         self._derive(factor_blocks)
         self._weyl_cache = None
         self._weight_system_cache = {}
+        self._orbit_template = None
 
     # -- construction ---------------------------------------------------
 
@@ -649,8 +650,9 @@ def weyl_order(rd: RootDatum):
 # the largest group vkt enumerates element by element: W, or the cosets of F
 MAX_GROUP_ORDER = 10 ** 6
 
-# the most (coset, F_eps lift) pairs the averaged pairing's kernel walks: |F|^2
-MAX_PAIRING_PAIRS = 10 ** 8
+# the most steps the averaged pairing's kernel build takes: its per-axis DFT
+# over the Smith coordinates plus the table it fills (fusion.check_pairing_budget)
+MAX_PAIRING_WORK = 10 ** 7
 
 
 def weyl_group_elements(rd: RootDatum, max_order=MAX_GROUP_ORDER):
@@ -790,6 +792,41 @@ def weyl_dimension(rd: RootDatum, lam):
     return num.numerator
 
 
+def _free_orbit_template(rd: RootDatum):
+    """The W-orbit of 2 rho as a breadth-first tree, built once per datum:
+    (moves, signs), where moves[k] = (parent, coroot, root) makes point
+    k + 1 the reflection of point `parent` through that simple wall, and
+    signs[k] = det w for point k = w(2 rho).  2 rho is strictly dominant, so
+    its orbit is free and point k names w; the same moves carry any strictly
+    dominant weight over its orbit with one reflection per point.
+    InvariantError if a reflection meets a point with the sign of its
+    source (a point with both signs) or the orbit does not have |W| points."""
+    if rd._orbit_template is not None:
+        return rd._orbit_template
+    points, signs, moves = [rd.rho2], [1], []
+    index = {rd.rho2: 0}
+    for k, v in enumerate(points):               # points grows as it is read
+        for coroot, root, _, _ in rd.simple_walls:
+            p = 0
+            for j, c in coroot:
+                p += v[j] * c
+            u = tuple(x - p * r for x, r in zip(v, root))
+            seen = index.get(u)
+            if seen is None:
+                index[u] = len(points)
+                points.append(u)
+                signs.append(-signs[k])
+                moves.append((k, coroot, root))
+            elif signs[seen] == signs[k]:
+                raise InvariantError(f"the W-orbit of 2 rho holds {u} with both signs")
+    order = weyl_order(rd)
+    if len(points) != order:
+        raise InvariantError(f"the W-orbit of 2 rho has {len(points)} points, "
+                             f"expected |W| = {order}")
+    rd._orbit_template = (tuple(moves), tuple(signs))
+    return rd._orbit_template
+
+
 def weyl_numerator(rd: RootDatum, lam):
     """The Weyl numerator of V_lam over e^rho, as {w(lam + rho) - rho: det w}.
 
@@ -797,32 +834,28 @@ def weyl_numerator(rd: RootDatum, lam):
     A_mu = sum_w det(w) e^(w mu), and A_(lam+rho) = e^rho times the sum over
     this dict; each w(lam + rho) - rho is an integral weight even where rho
     is not.  lam + rho is strictly dominant, so its orbit is free: the
-    closure of (2 lam + 2 rho, +1) under the simple reflections, each of
-    which flips the sign, has |W| points and costs |W| times the rank.
+    per-datum tree of _free_orbit_template carries 2 lam + 2 rho over it
+    with one reflection per point, |W| in all.
     ValueError unless lam is a dominant weight (as weight_multiplicities);
-    GroupTooLarge, before the closure, when |W| exceeds MAX_GROUP_ORDER;
-    InvariantError if a weight comes with both signs or the closure does
-    not find |W| points."""
+    GroupTooLarge, before the tree is built, when |W| exceeds
+    MAX_GROUP_ORDER; InvariantError if a weight comes with both signs or
+    there are not |W| of them."""
     lam = rd.check_weight(lam)
     if not rd.is_dominant(lam):
         raise ValueError("highest weight must be dominant")
     order = weyl_order(rd)
     if order > MAX_GROUP_ORDER:
         raise GroupTooLarge(f"Weyl group exceeds {MAX_GROUP_ORDER} elements")
-
-    def reflections(pair):
-        v, sign = pair
-        out = []
-        for coroot, root, _, _ in rd.simple_walls:
-            p = 0
-            for j, c in coroot:
-                p += v[j] * c
-            out.append((tuple(x - p * r for x, r in zip(v, root)), -sign))
-        return out
-
-    top = tuple(2 * a + r for a, r in zip(lam, rd.rho2))
+    moves, signs = _free_orbit_template(rd)
+    points = [tuple(2 * a + r for a, r in zip(lam, rd.rho2))]
+    for parent, coroot, root in moves:
+        v = points[parent]
+        p = 0
+        for j, c in coroot:
+            p += v[j] * c
+        points.append(tuple(x - p * r for x, r in zip(v, root)))
     out = {}
-    for v, sign in closure([(top, 1)], reflections):
+    for v, sign in zip(points, signs):
         nu = tuple((x - r) // 2 for x, r in zip(v, rd.rho2))
         if out.setdefault(nu, sign) != sign:
             raise InvariantError(f"the Weyl numerator of {lam} holds {nu} with both signs")

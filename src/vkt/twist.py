@@ -36,9 +36,9 @@ class Twisting:
     so that b^-1 v = adj(b) v / det b with no rational arithmetic.  Data
     derived from the twisting alone (the integer lifts of the F_eps points,
     their W-orbits, the cosets of coker(b), the alcove walls and basis
-    points of affineweyl, the pairing kernels and coset keys of
-    fusion.delta_eval, whether it is primitive) is built on first use and
-    cached on the object (see `cached`)."""
+    points of affineweyl, the Smith coordinates, pairing tables, coset codes
+    and irregular codes of fusion.delta_eval, whether it is primitive) is
+    built on first use and cached on the object (see `cached`)."""
 
     def __init__(self, rd: RootDatum, b: IntMatrix, eps=None, level_data=None):
         self.rd = rd

@@ -316,6 +316,22 @@ def cokernel_structure(M: IntMatrix) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(tuple(factors), free, tuple(gens))
 
 
+def smith_coordinates(M: IntMatrix):
+    """(factors, rows, generators) for a finite quotient Z^rows / M(Z^cols)
+    from one Smith normal form U M V = D: the invariant factors d > 1, the
+    rows u of U with x -> (u . x mod d) an isomorphism onto the product of
+    the Z/d, and the columns of U^-1 that map to its unit vectors.  Raises
+    ValueError when the quotient is infinite."""
+    snf = smith_normal_form(M)
+    d = snf.invariant_diagonal()
+    if len(d) < M.rows or 0 in d:
+        raise ValueError("quotient is infinite")
+    uinv = inverse_unimodular(snf.U)
+    keep = [i for i, x in enumerate(d) if x > 1]
+    return (tuple(d[i] for i in keep), tuple(snf.U.row(i) for i in keep),
+            tuple(uinv.column(i) for i in keep))
+
+
 def inverse_unimodular(M: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular integer matrix (det +-1)."""
     inv = inverse_rational(M)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import vkt.checks
 import vkt.fusion
 import vkt.twist
 import vkt.zlattice
@@ -271,16 +272,20 @@ def test_huge_f_is_refused_before_enumerating(tmp_path, capsys, monkeypatch):
 
 
 def test_over_budget_pairing_kernel_is_refused(capsys, monkeypatch):
-    # Spin(7) 6 has |F| = 864; with the pairing budget just under |F|^2 the
-    # delta check refuses the kernel, and verify prints one JSON error line
-    monkeypatch.setattr(vkt.fusion, "MAX_PAIRING_PAIRS", 864 ** 2 - 1)
+    # Spin(7) 6 has Smith factors 6, 6, 24 (|F| = 864), so the pairing kernel
+    # takes 864 * 36 + 8 * 864 = 38016 steps; with the budget just under that,
+    # verify refuses before any check runs and prints one JSON error line
+    ran = []
+    monkeypatch.setattr(vkt.checks, "check_double_count", lambda ring: ran.append(ring))
+    monkeypatch.setattr(vkt.fusion, "MAX_PAIRING_WORK", 38016 - 1)
     code, out, err = run_cli(capsys, "verify", "--group", "Spin(7)", "--twist", "6")
     assert (code, out) == (1, "")
+    assert ran == []
     lines = err.splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert err["error"] == "GroupTooLarge"
-    assert str(864 ** 2) in err["message"]
+    assert "38016" in err["message"]
 
 
 @pytest.mark.parametrize("which, n", [("su2", "0"), ("u1", "0"), ("s3", "-1")])

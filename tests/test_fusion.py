@@ -235,6 +235,16 @@ def test_pairing_integrality_guard(monkeypatch):
     assert delta_eval(rd, tau, {(0, 0): 1}, (0, 0)) == 1      # the full kernel is intact
     with pytest.raises(ValueError, match="did not reduce to an integer"):
         delta_eval(rd, tau, {(0, 0): 1}, (0, 0), regular_only=True)
+    # nor is all of F_eps without its second lift (the first, the origin, is
+    # fixed by every unit); the regular kernel built before stays as it was
+    tau = twisting_from_level(rd, (5,))
+    regular = vkt.fusion._pairing_kernel(tau, True)
+    m, lifts = tau.f_epsilon()
+    monkeypatch.setattr(tau, "f_epsilon",
+                        lambda regular_only=False: (m, lifts[:1] + lifts[2:]))
+    with pytest.raises(ValueError, match="did not reduce to an integer"):
+        delta_eval(rd, tau, {(0, 0): 1}, (0, 0))
+    assert vkt.fusion._pairing_kernel(tau, True) is regular
 
 
 GUARDS_UNDER_O = """
@@ -257,10 +267,16 @@ pairing = twisting_from_level(rd, (5,))
 top, lifts = pairing.f_epsilon(regular_only=True)
 full = pairing.f_epsilon
 pairing.f_epsilon = lambda regular_only=False: (top, lifts[1:]) if regular_only else full()
+# nor is all of F_eps without its second lift (the first is the origin)
+whole = twisting_from_level(rd, (5,))
+order, points = whole.f_epsilon()
+whole.f_epsilon = lambda regular_only=False: (order, points[:1] + points[2:])
 for call, message in (
         (lambda: structure_constants_via_characters(galois), "Galois"),
         (lambda: structure_constants_via_characters(gram), "Gram identity"),
         (lambda: delta_eval(rd, pairing, {(0, 0): 1}, (0, 0), regular_only=True),
+         "did not reduce to an integer"),
+        (lambda: delta_eval(rd, whole, {(0, 0): 1}, (0, 0)),
          "did not reduce to an integer")):
     try:
         call()

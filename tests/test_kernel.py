@@ -9,7 +9,8 @@ labels as the least box point of the orbit (one scan over W each), the
 F_eps points enumerated from the Smith normal form of b with Fraction
 shifts, characters evaluated with Fraction pairings at each point's own
 order, the averaged pairing rebuilt in full (coset enumeration, F_eps
-points, rational fixed-point tests) on every call, the ideal test on full
+points, rational fixed-point tests) on every call, its kernel as one
+reduced sum of |F| roots of unity per coset, the ideal test on full
 Freudenthal weight systems, and the character route's sums in Z[zeta_m]
 by Kronecker packing with a reduction mod Phi_m.  None of them calls the
 code it checks."""
@@ -911,6 +912,56 @@ def test_delta_eval_matches_uncached_oracle():
             assert delta_eval(rd, tau, f, g, regular_only) == want, (name, g, regular_only)
 
 
+def key_and_sign(tau, v):
+    """(key, sign) of the weights mu with adj(b) mu = v: key = v mod |det b|
+    names their coset of b(coweights), and mu = mu_key + b(pi) with
+    pi = (v - key) / det b, whose translation sign is (-1)^eps(pi)."""
+    key = tuple(c % tau.order_F() for c in v)
+    return key, tau.translation_sign([(c - k) // tau.det_b for c, k in zip(v, key)])
+
+
+def quadratic_pairing_kernel(tau, regular_only):
+    """{coset key: K(mu_key)}, each K(mu) = sum_y zeta_m^<mu, y> over the F_eps
+    lifts reduced mod Phi_m: |F| lifts for each of the |F| cosets."""
+    m, lifts = tau.f_epsilon(regular_only)
+    kernel = {}
+    for lam in tau.cosets():
+        key, sign = key_and_sign(tau, tau.adj_apply(lam))
+        counts = [0] * m
+        for y in lifts:
+            counts[dot(lam, y) % m] += 1
+        total = CyclotomicInt(m, counts)
+        assert total.is_integer(), (lam, total)
+        kernel[key] = sign * total.integer_value()
+    return kernel
+
+
+def test_pairing_kernel_matches_the_quadratic_oracle():
+    # graded forms with det b of either sign, non-split U(2) data, Sp(2), G2
+    # and rank 3: the table read at code(g) + shift - code(mu) is K(g - mu),
+    # on every coset of b(coweights) and, with a grading, on its translate by
+    # a b(pi) with eps(pi) odd, where K changes sign
+    rng = random.Random(15)
+    grid = GRID + WALK_EXTRA + F_EPSILON_EXTRA + [("Spin(7)", (6,), None, None)]
+    for name, rd, tau in grid_twistings(grid):
+        coords = vkt.fusion._pairing_coordinates(tau)
+        odd = [int(i == tau.eps.index(1)) for i in range(rd.rank)] if any(tau.eps) else None
+        for regular_only in (False, True):
+            table = vkt.fusion._pairing_kernel(tau, regular_only)
+            assert len(table) == 2 ** len(coords.factors) * coords.size
+            oracle = quadratic_pairing_kernel(tau, regular_only)
+            for lam in tau.cosets():
+                key, sign = key_and_sign(tau, tau.adj_apply(lam))
+                mu = tuple(rng.randint(-20, 20) for _ in range(rd.rank))
+                g = vec_add(lam, mu)
+                assert table[coords.code(g) + coords.shift - coords.code(mu)] == \
+                    sign * oracle[key], (name, regular_only, lam)
+                if odd:
+                    g = vec_add(g, tau.apply_b(odd))
+                    assert table[coords.code(g) + coords.shift - coords.code(mu)] == \
+                        -sign * oracle[key], (name, regular_only, lam)
+
+
 def test_pairing_tables_are_cached_per_twisting_and_flag():
     rd = root_datum_from_spec("SU(2)")
     tau = twisting_from_level(rd, (5,))
@@ -918,12 +969,16 @@ def test_pairing_tables_are_cached_per_twisting_and_flag():
     regular = vkt.fusion._pairing_kernel(tau, True)
     assert vkt.fusion._pairing_kernel(tau, False) is full
     assert vkt.fusion._pairing_kernel(tau, True) is regular
-    # SU(2) twist 5: one integer per coset, |F| = 10 for either flag; at the
-    # coset of 0 the kernel counts the points, 10 in F_eps and 8 regular
+    assert [key for key in tau._cache if key[0] == "kernel"] == [("kernel", False),
+                                                                  ("kernel", True)]
+    # SU(2) twist 5: |F| = 10 for either flag, one Smith factor, so 2 * 10
+    # integer entries; at the coset of 0 (index shift) the kernel counts the
+    # points, 10 in F_eps and 8 regular
+    shift = vkt.fusion._pairing_coordinates(tau).shift
     for kernel in (full, regular):
-        assert sorted(kernel) == [(k,) for k in range(10)]
-        assert all(type(v) is int for v in kernel.values())
-    assert (full[(0,)], regular[(0,)]) == (10, 8)
+        assert len(kernel) == 20
+        assert all(type(v) is int for v in kernel)
+    assert (full[shift], regular[shift]) == (10, 8)
     # an equal twisting is a different object with its own caches
     twin = twisting_from_level(rd, (5,))
     assert not twin._cache
@@ -932,8 +987,9 @@ def test_pairing_tables_are_cached_per_twisting_and_flag():
 
 
 def test_over_budget_pairing_kernel_is_refused_up_front(monkeypatch):
-    # F4 loop level 1: |F|^2 = 1.6e9 (coset, lift) pairs; refused before any
-    # coset or F_eps lift is built
+    # F4 loop level 1: Smith factors 10, 10, 20, 20, so the DFT takes
+    # 40 000 * 60 steps and fills 16 * 40 000 entries; with the budget just
+    # under that, refused before any coset or F_eps lift is built
     rd = RootDatum.from_cartan(CARTAN["F4"])
     tau = twisting_from_level(rd, shift_by_dual_coxeter(rd, (1,)))
 
@@ -942,17 +998,40 @@ def test_over_budget_pairing_kernel_is_refused_up_front(monkeypatch):
 
     monkeypatch.setattr(Twisting, "f_epsilon", refuse)
     monkeypatch.setattr(Twisting, "cosets", refuse)
+    monkeypatch.setattr(vkt.fusion, "MAX_PAIRING_WORK", 3_040_000 - 1)
     for regular_only in (False, True):
-        with pytest.raises(GroupTooLarge, match=r"\|F\|\^2 = 1600000000 "):
+        with pytest.raises(GroupTooLarge, match=r"takes 3040000 steps"):
             delta_eval(rd, tau, {(0, 0, 0, 0): 1}, (0, 0, 0, 0), regular_only)
     monkeypatch.undo()
-    # the budget is inclusive: SU(3) 5 has |F|^2 = 5625 pairs
+    assert vkt.fusion.MAX_PAIRING_WORK >= 3_040_000
+    # the budget is inclusive: SU(3) 5 has factors 5 and 15, 75 * 20 + 4 * 75 steps
     rd = root_datum_from_spec("SU(3)")
-    monkeypatch.setattr(vkt.fusion, "MAX_PAIRING_PAIRS", 75 ** 2)
+    monkeypatch.setattr(vkt.fusion, "MAX_PAIRING_WORK", 1800)
     assert delta_eval(rd, twisting_from_level(rd, (5,)), {(0, 0): 1}, (0, 0)) == 1
-    monkeypatch.setattr(vkt.fusion, "MAX_PAIRING_PAIRS", 75 ** 2 - 1)
+    monkeypatch.setattr(vkt.fusion, "MAX_PAIRING_WORK", 1799)
     with pytest.raises(GroupTooLarge):
         delta_eval(rd, twisting_from_level(rd, (5,)), {(0, 0): 1}, (0, 0))
+
+
+def test_delta_eval_reads_one_entry_per_coset(monkeypatch):
+    # a call with known weights names no coset afresh: the codes come from the
+    # per-twisting memo, and the table is indexed once per nonzero value
+    rd = root_datum_from_spec("SU(3)")
+    tau = twisting_from_level(rd, (5,))
+    f = {tuple(lam): 1 for lam in tau.cosets()}
+    first = delta_eval(rd, tau, f, (1, 2))
+    calls = []
+    monkeypatch.setattr(vkt.fusion, "_coset_code", lambda *args: calls.append(args))
+    reads = []
+
+    class Counting(list):
+        def __getitem__(self, i):
+            reads.append(i)
+            return list.__getitem__(self, i)
+
+    tau._cache[("kernel", False)] = Counting(tau._cache[("kernel", False)])
+    assert delta_eval(rd, tau, f, (1, 2)) == first
+    assert calls == [] and len(reads) == tau.order_F()
 
 
 def test_tables_build_no_pairing_cache():

@@ -480,10 +480,10 @@ def test_weyl_numerator_is_the_character_times_the_denominator():
 
 def test_weyl_numerator_refuses_a_large_weyl_group_before_the_closure(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the closure was started")
+        raise AssertionError("the orbit of 2 rho was started")
 
     rd = RootDatum.from_cartan(E7_CARTAN)                  # |W| = 2 903 040
-    monkeypatch.setattr(vkt.rootdata, "closure", refuse)
+    monkeypatch.setattr(vkt.rootdata, "_free_orbit_template", refuse)
     with pytest.raises(GroupTooLarge):
         weyl_numerator(rd, (0,) * 7)
 

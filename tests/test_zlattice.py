@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from vkt.zlattice import (
     FiniteAbelianGroup,
     IntMatrix,
@@ -8,6 +10,7 @@ from vkt.zlattice import (
     inverse_rational,
     inverse_unimodular,
     kernel_basis,
+    smith_coordinates,
     smith_normal_form,
 )
 
@@ -195,3 +198,27 @@ def test_finite_abelian_group_str():
     g = FiniteAbelianGroup((2, 6), 1)
     assert str(g) == "Z/2 + Z/6 + Z"
     assert g.order() is None
+
+
+def test_smith_coordinates_name_each_coset_once():
+    # the digit map kills M's columns, sends each generator to its unit
+    # vector, and tells the |det M| coset representatives apart
+    rng = random.Random(4)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        M = IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
+        if M.determinant() == 0:
+            continue
+        factors, rows, gens = smith_coordinates(M)
+        assert all(d > 1 for d in factors)
+
+        def digits(x):
+            return tuple(sum(u * c for u, c in zip(row, x)) % d for row, d in zip(rows, factors))
+
+        assert all(digits(M.column(j)) == (0,) * len(factors) for j in range(n))
+        for i, g in enumerate(gens):
+            assert digits(g) == tuple(int(k == i) for k in range(len(factors)))
+        reps = coset_representatives(M)
+        assert len({digits(x) for x in reps}) == len(reps) == abs(M.determinant())
+    with pytest.raises(ValueError, match="infinite"):
+        smith_coordinates(IntMatrix.from_rows([[2, 0], [0, 0]]))
