@@ -179,11 +179,13 @@ def check_delta_identity(ring: FusionRing, trials=60, seed=7):
     # equivariant data: the full sum is the value; the Weyl-regular
     # restriction agrees with it on a free orbit and is 0 on a surviving
     # orbit that is not free (nonzero grading only), which lies off the
-    # regular part
+    # regular part.  f(rep) = (-1)^eps(pi) f(red) for rep = red - b(pi): a
+    # walk from the box point is far shorter than from the raw coset
+    # representative
     for i in range(min(len(ring.basis), 4)):
         kc = ring.class_from_index(i)
         fn = equivariant_function(rd, tau, kc)
-        f = {rep: fn(rep) for rep in reps}
+        f = {rep: tau.translation_sign(pi) * fn(red) for rep, (red, pi) in zip(reps, reduced)}
         free = rd.is_regular(tau.adj_apply(ring.basis[i]), tau.det_b)
         for t in range(8):
             g = tuple(rng.randint(-10, 10) for _ in range(rd.rank))

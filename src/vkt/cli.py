@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .affineweyl import zero_criterion_discrepancies
@@ -325,10 +326,7 @@ def cmd_table(job: JobSpec):
     ring = FusionRing(rd, tau)
     nc = ring.structure_constants()
     out = report_header(job, rd, tau)
-    out["table"] = {
-        "basis": [list(t) for t in ring.transversal],
-        "constants": [[list(row) for row in plane] for plane in nc],
-    }
+    out["table"] = {"basis": ring.transversal, "constants": nc}
     return out, 0
 
 
@@ -375,9 +373,68 @@ def cmd_example(job: JobSpec, which, n, eps=0):
 
 # -- output -------------------------------------------------------------------
 
+def _json_key(key):
+    """A dict key as json.dumps writes it: a string as is, and an int, bool
+    or None as its JSON text, quoted."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    # the stdlib's own text for the rare non-string key; TypeError where it
+    # refuses the key
+    return json.dumps({key: None})[1:-len(": null}")]
+
+
+def _write_json(value, indent, parts):
+    """Append to `parts` the text json.dumps(value, indent=2, sort_keys=True)
+    writes for value at a depth whose lines start with `indent` (a newline
+    and two spaces per level).  The stdlib takes its pure-Python
+    path whenever indent is set, one call per value; here a list of plain
+    ints is one join, and strings go through the stdlib's own ASCII
+    encoder."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        if set(map(type, value)) == {int}:
+            parts.append("[" + inner + ("," + inner).join(map(str, value)) + indent + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _write_json(item, inner, parts)
+            sep = "," + inner
+        parts.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            parts.append(sep + _json_key(key) + ": ")
+            _write_json(item, inner, parts)
+            sep = "," + inner
+        parts.append(indent + "}")
+    else:
+        # anything else JSON holds (a float); TypeError where json.dumps refuses
+        parts.append(json.dumps(value))
+
+
 def render(out, fmt):
     if fmt == "json":
-        return json.dumps(out, indent=2, sort_keys=True)
+        parts = []
+        _write_json(out, "\n", parts)
+        return "".join(parts)
     if fmt == "tsv":
         lines = []
 

@@ -10,10 +10,11 @@ radix, so a call is one code for g and one list index per coset.
 
 Two independent routes to the structure constants live here: the
 reflection route (the Kac-Walton rule: one affine alcove walk per weight
-of the smaller factor, with no separate tensor decomposition) and the
-character route (exact evaluation at the Verlinde classes, inverted by
-Verlinde orthogonality with the weight |Delta(x)|^2 after a check of the
-Gram identity).  Tests require them to agree; neither is ever silently
+of the smaller factor, with no separate tensor decomposition, and one such
+product per orbit of pairs under the simple currents, which the route
+finds and confirms from its own products) and the character route (exact
+evaluation at the Verlinde classes, inverted by Verlinde orthogonality
+with the weight |Delta(x)|^2 after a check of the Gram identity).  Tests require them to agree; neither is ever silently
 replaced by the other.
 
 The character route's sums are exact residues mod N = Phi_m(2^k): units
@@ -139,6 +140,11 @@ class FusionRing:
             raise InvariantError("the shift class must survive exactly when the ring is nonzero")
         # the whole group can vanish (e.g. the smallest nonzero twists)
         self.unit_index = self.index[unit.representative] if self.basis else None
+        # prod over positive coroots of <2 lam + 2 rho, alpha^vee>: dim V_lam
+        # times a constant, in integers
+        self.size_keys = tuple(
+            prod(2 * dot(lam, cv) + dot(rd.rho2, cv) for _, cv in rd.positive_root_pairs)
+            for lam in self.transversal)
         self._product_cache = {}
 
     # -- basis bookkeeping -------------------------------------------------
@@ -169,17 +175,88 @@ class FusionRing:
 
     # -- products ------------------------------------------------------------
 
-    def structure_constants(self):
-        """The full tensor N[a][b][c] on the distinguished basis (cached,
-        idempotent fill)."""
+    def simple_currents(self):
+        """{j: images} for the simple currents j: the basis elements whose
+        product with every basis element b is the single basis element
+        images[b], with coefficient +1, so that their rows are permutations.
+
+        The unit is one, with the identity row.  With g the non-unit basis
+        element of least size key, the other candidates are the j for which
+        g j is such a single element, and each is confirmed by its whole
+        row; no theory-specific data enters.  InvariantError unless they
+        are closed under the product, as they are in any commutative
+        associative ring."""
         n = len(self.basis)
-        out = []
-        for a in range(n):
-            row = []
+        if not n:
+            return {}
+        currents = {self.unit_index: list(range(n))}
+        others = [i for i in range(n) if i != self.unit_index]
+        g = min(others, key=lambda i: (self.size_keys[i], i), default=None)
+        for j in others:
+            if _basis_image(self, g, j) is None:
+                continue
+            images = []
             for b in range(n):
-                row.append(tuple(self.basis_coefficients(fusion_product(self, a, b))))
-            out.append(row)
+                c = _basis_image(self, j, b)
+                if c is None:
+                    break
+                images.append(c)
+            else:
+                if len(set(images)) == n:
+                    currents[j] = images
+        if any(images[k] not in currents for images in currents.values() for k in currents):
+            raise InvariantError("the simple currents are not closed under the product")
+        return currents
+
+    def structure_constants(self):
+        """The full tensor N[a][b][c] on the distinguished basis, from one
+        fusion_product per orbit of unordered pairs {a, b} under
+        (a, b) -> (z a, z' b), z and z' simple currents (simple_currents).
+
+        Fusion with a current is a basis permutation, and (z a)(z' b) =
+        (z z')(a b) (Schellekens and Yankielowicz, Nucl. Phys. B327 (1989)
+        673; Fuchs, Affine Lie Algebras and Quantum Groups (1992), sec. 14).  In
+        each orbit the pair whose smaller factor has the least size key is
+        computed, and the rest are its product permuted by the row of z z'.
+        With the unit as the only current every orbit is one pair, and the
+        table is the n(n + 1)/2 products."""
+        n = len(self.basis)
+        currents = self.simple_currents()
+        # inverse[z][c] = the d with z d = c
+        inverse = {z: sorted(range(n), key=images.__getitem__) for z, images in currents.items()}
+        keys = self.size_keys
+
+        def rank(pair):
+            small, large = sorted((keys[i], i) for i in pair)
+            return small + large
+
+        out = [[None] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                if out[a][b] is not None:
+                    continue
+                s, t = min(((currents[z][a], currents[w][b]) for z in currents for w in currents),
+                           key=rank)
+                coeffs = tuple(self.basis_coefficients(fusion_product(self, s, t)))
+                for z in currents:
+                    for w in currents:
+                        x, y = currents[z][s], currents[w][t]
+                        if out[x][y] is None:
+                            out[x][y] = out[y][x] = tuple(
+                                map(coeffs.__getitem__, inverse[currents[z][w]]))
         return out
+
+
+def _basis_image(ring: FusionRing, a, b):
+    """c when the product of basis elements a and b is the basis element c
+    with coefficient +1, else None."""
+    support = fusion_product(ring, a, b).support
+    if len(support) == 1:
+        (rep, v), = support.items()
+        c = ring.index[rep]
+        if v * ring.signs[c] == 1:
+            return c
+    return None
 
 
 def class_from_weight(ring: FusionRing, lam) -> KClass:
@@ -198,13 +275,14 @@ def fusion_product(ring: FusionRing, a, b) -> KClass:
     """Product of two basis elements by the Kac-Walton rule (Walton, Nucl.
     Phys. B340 (1990) 777; Kac, Infinite-dimensional Lie algebras,
     Ex. 13.35): with lam, mu the transversal weights and mu the one with
-    fewer weights, N_ab^c counts the weights nu of V_mu, with multiplicity
-    and sign, by the affine orbit of lam + nu + rho_tilde.  Each such
-    weight takes one alcove walk; a walk that ends on a sign -1 wall drops
-    out, and any other ends on the basis point that labels its orbit.  The
-    affine group contains W, and rho_tilde - rho is W-invariant, so this is
-    the Brauer-Klimyk decomposition followed by the shifted reduction, in
-    one walk per weight."""
+    the smaller size key (FusionRing.size_keys, dim V_mu up to a constant),
+    N_ab^c counts the weights nu of V_mu, with multiplicity and sign, by the
+    affine orbit of lam + nu + rho_tilde; the weight system of V_lam is
+    never built.  Each such weight takes one alcove walk; a walk that ends
+    on a sign -1 wall drops out, and any other ends on the basis point that
+    labels its orbit.  The affine group contains W, and rho_tilde - rho is
+    W-invariant, so this is the Brauer-Klimyk decomposition followed by the
+    shifted reduction, in one walk per weight.  Cached per unordered pair."""
     if not ring.tau.is_primitive():
         raise NotPrimitive("the twisting is not primitive in the implemented "
                            "normal form; only the module structure is defined")
@@ -213,10 +291,9 @@ def fusion_product(ring: FusionRing, a, b) -> KClass:
     if cached is not None:
         return cached
     rd = ring.rd
-    lam, mu = ring.transversal[a], ring.transversal[b]
-    system, other = _weight_system(rd, mu), _weight_system(rd, lam)
-    if len(other) < len(system):
-        lam, system = mu, other
+    if ring.size_keys[a] < ring.size_keys[b]:
+        a, b = b, a
+    lam, system = ring.transversal[a], _weight_system(rd, ring.transversal[b])
     alc = alcove(rd, ring.tau)
     shifted = vec_add(lam, ring.rho_tilde)
     out = {}

@@ -6,8 +6,20 @@ import vkt.checks
 import vkt.fusion
 import vkt.twist
 import vkt.zlattice
-from vkt.cli import JobSpec, main, parse_spec_text
-from vkt.errors import SpecParseError
+from vkt.cli import (
+    JobSpec,
+    cmd_basis,
+    cmd_classes,
+    cmd_example,
+    cmd_fuse,
+    cmd_info,
+    cmd_table,
+    cmd_verify,
+    main,
+    parse_spec_text,
+    render,
+)
+from vkt.errors import NotPrimitive, SpecParseError
 
 from test_known_tables import cartan_e
 
@@ -343,3 +355,73 @@ def test_repeated_spec_key_is_a_usage_error(tmp_path, capsys, text, where):
     err = _usage_error(capsys, "basis", "--spec", str(spec))
     assert err["error"] == "SpecParseError"
     assert f"line {where[0]}, column {where[1]}: duplicate key" in err["message"]
+
+
+# -- the report writer against json.dumps ---------------------------------------
+
+def json_oracle(out):
+    """The writer the CLI used before: the stdlib's pure-Python indent path."""
+    return json.dumps(out, indent=2, sort_keys=True)
+
+
+REPORT_GRID = [
+    ("SU(2)", {"levels": [5]}),
+    ("SU(3)", {"levels": [4]}),
+    ("Spin(5)", {"levels": [5]}),
+    ("U(1)^2", {"torus": [[2, 1], [1, 2]]}),
+    ("SU(2) x U(1)", {"levels": [3], "torus": [[4]]}),
+    ("SU(2) x U(1)", {"levels": [3], "torus": [[-4]], "epsilon": [0, 1]}),
+    ("U(1)", {"torus": [[-6]], "epsilon": [1]}),
+    ({"cartan": [[2, -1], [-3, 2]]}, {"levels": [2], "shift": "dual_coxeter"}),
+]
+
+
+def grid_reports():
+    for group, twist in REPORT_GRID:
+        job = JobSpec(group=group, twist=twist)
+        n = cmd_basis(job)[0]["basis"]["count"]
+        commands = [cmd_info, cmd_basis, cmd_classes, cmd_table, cmd_verify,
+                    lambda job: cmd_fuse(job, 0, 0), lambda job: cmd_fuse(job, n - 1, n - 1)]
+        for command in commands:
+            try:
+                yield command(job)[0]
+            except NotPrimitive:
+                continue
+    for which, n, eps in (("s3", 6, 0), ("u1", 2, 1), ("u1", 3, 0), ("su2", 5, 0)):
+        yield cmd_example(JobSpec(), which, n, eps)[0]
+
+
+def test_reports_are_written_as_json_dumps_writes_them():
+    payloads = set()
+    for out in grid_reports():
+        assert render(out, "json") == json_oracle(out)
+        payloads.update(key for key in out if key not in ("version", "spec"))
+    assert {"info", "basis", "classes", "fuse", "table", "verify", "example"} <= payloads
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": {}, "b": [], "c": [[], {}], "d": ([], ())},
+    {"e": {"f": {}}, "g": [[[]]]},
+    (1, 2, (3, -4)), [[1, 2], (3,)], [10 ** 40, -10 ** 30, 0, -1],
+    {"t": True, "f": False, "n": None}, [True, False, 1, 0], [None], [1, "1", [1]],
+    {"s": "\u00e9\u2603\U0001f600 \n\t\"\\ \x00\x1f/"}, "\u00e9\"", 5, -7, None, True, False,
+    {1: 2, 3: [True]}, {None: 1}, {True: 2}, {"z": 1, "a": 2, "\u00e9": 3, "": 4},
+], ids=lambda value: repr(value)[:40])
+def test_writer_matches_json_dumps_on_edge_cases(value):
+    assert render(value, "json") == json_oracle(value)
+
+
+def test_writer_refuses_what_json_dumps_refuses():
+    for value in ({(1, 2): 3}, {1: object()}, [set()]):
+        with pytest.raises(TypeError):
+            json_oracle(value)
+        with pytest.raises(TypeError):
+            render(value, "json")
+
+
+def test_table_rows_as_tuples_leave_tsv_unchanged():
+    out = cmd_table(JobSpec(group="SU(2)", twist={"levels": [4]}))[0]
+    listed = json.loads(json.dumps(out))
+    assert isinstance(out["table"]["constants"][0][0], tuple)
+    assert render(out, "tsv") == render(listed, "tsv")
+    assert render(out, "json") == render(listed, "json") == json_oracle(listed)

@@ -1136,6 +1136,30 @@ def test_delta_identity_catches_a_wrong_equivariant_value(monkeypatch):
     assert result["detail"]["failures"]
 
 
+def test_delta_identity_data_equal_the_function_at_each_coset_representative(monkeypatch):
+    # the check reads its equivariant data at the box points and carries the
+    # translation sign back: the data it passes must be fn(rep) itself
+    passed = []
+    real = vkt.checks.delta_eval
+
+    def spy(rd, tau, f, g, regular_only=False):
+        if not any(f is seen for seen in passed):
+            passed.append(f)
+        return real(rd, tau, f, g, regular_only)
+
+    monkeypatch.setattr(vkt.checks, "delta_eval", spy)
+    # GRID holds the acceptance grid
+    for name, rd, tau in grid_twistings(GRID + WALK_EXTRA + F_EPSILON_EXTRA):
+        ring = FusionRing(rd, tau)
+        passed.clear()
+        assert check_delta_identity(ring, trials=0)["passed"], name
+        reps = [tuple(rep) for rep in tau.cosets()]
+        assert len(passed) == min(len(ring.basis), 4), name
+        for i, f in enumerate(passed):
+            fn = equivariant_function(rd, tau, ring.class_from_index(i))
+            assert f == {rep: fn(rep) for rep in reps}, (name, i)
+
+
 # -- the modular character route -----------------------------------------------
 
 def test_residue_bound_is_the_largest_residue_coefficient():
