@@ -36,9 +36,8 @@ is read off those points, so no label needs W.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 from .errors import InvariantError
 from .rootdata import (
@@ -47,6 +46,7 @@ from .rootdata import (
     closure,
     dot,
     reflect_into_chamber,
+    reflection,
     vec_add,
     vec_scale,
     vec_sub,
@@ -58,7 +58,6 @@ from .zlattice import (
     box_points,
     inverse_rational,
     inverse_unimodular,
-    smith_normal_form,
 )
 
 
@@ -113,24 +112,21 @@ class Alcove:
 
     Walls come in the order of rootdata.reflect_into_chamber: the simple
     reflections, then one affine theta-wall per simple factor.  The free
-    part uses a Smith normal form of the simple-coroot pairing C: its
-    transforms give a section S of C (weights with the given pairings), a
-    basis of the W-invariant weights ker C, and coweights lifting the free
-    coordinates; on split data all three are unit vectors."""
+    part reads the datum's Smith normal form U C V = D of the simple-coroot
+    pairing C (RootDatum.coroot_snf): its transforms give a section S of C
+    (weights with the given pairings), a basis of the W-invariant weights
+    ker C, and coweights lifting the free coordinates; on split data all
+    three are unit vectors."""
 
     def __init__(self, rd: RootDatum, tau: Twisting):
         self.rd, self.tau = rd, tau
         n, m = rd.rank, len(rd.simple_roots)
-        if m:
-            snf = smith_normal_form(IntMatrix.from_rows([list(cv) for cv in rd.simple_coroots]))
-            v, u = snf.V, snf.U
-        else:
-            v, u = IntMatrix.identity(n), IntMatrix.identity(0)
+        u, v = rd.coroot_snf.U, rd.coroot_snf.V
         cols = [v.column(j) for j in range(n)]
         # S = V[:, :m] U, so that C S = I: section[j] pairs to e_j with C
         self.section = [tuple(sum(cols[k][i] * u.at(k, j) for k in range(m))
                               for i in range(n)) for j in range(m)]
-        self.invariant = cols[m:]
+        self.invariant = rd.invariant_lattice_basis()
         vinv = inverse_unimodular(v)
         self.lifts = [vinv.row(j) for j in range(m, n)]
         # f(lam) = (v_k . adj(b) lam) / det b for the invariant weights v_k
@@ -306,18 +302,24 @@ def zero_criterion_discrepancies(rd: RootDatum, tau: Twisting):
 # x -> w(x) + pi; stabilizers are generated by the affine reflections
 # through the root hyperplanes <alpha, x> = k containing x.
 
+def _lift(x):
+    """(v, d) with x = v / d: d the least common denominator of the
+    rational point x (a tuple of ints or Fractions), v = d x in integers."""
+    d = lcm(*(c.denominator for c in x))
+    return tuple(c.numerator * (d // c.denominator) for c in x), d
+
+
 def stabilizer_generators(rd: RootDatum, x):
     """Affine reflections through the hyperplanes containing x: for each
     positive root alpha with <alpha, x> = k in Z, the element (k alpha^vee,
-    s_alpha).  The word of s_alpha = w s_j w^-1 comes from descending
-    alpha = w(alpha_j) to the simple root alpha_j by simple reflections
-    that lower its height."""
-    x = tuple(Fraction(c) for c in x)
-    n = rd.rank
+    s_alpha).  With x = v / d, that is <alpha, v> = 0 mod d.  The word of
+    s_alpha = w s_j w^-1 comes from descending alpha = w(alpha_j) to the
+    simple root alpha_j by simple reflections that lower its height."""
+    v, d = _lift(x)
     gens = []
     for alpha, coalpha in rd.positive_root_pairs:
-        val = sum(Fraction(a) * c for a, c in zip(alpha, x))
-        if val.denominator != 1:
+        k, rem = divmod(dot(alpha, v), d)
+        if rem:
             continue
         beta, descent = alpha, []
         while beta not in rd.simple_roots:
@@ -325,22 +327,20 @@ def stabilizer_generators(rd: RootDatum, x):
             beta = vec_sub(beta, vec_scale(dot(beta, rd.simple_coroots[i]), rd.simple_roots[i]))
             descent.append(i)
         word = tuple(descent) + (rd.simple_roots.index(beta),) + tuple(reversed(descent))
-        refl = WeylElement(
-            IntMatrix(n, n, [int(r == c) - alpha[r] * coalpha[c] for r in range(n) for c in range(n)]),
-            IntMatrix(n, n, [int(r == c) - coalpha[r] * alpha[c] for r in range(n) for c in range(n)]),
-            word, -1)
-        gens.append(AffineElement(tuple(val.numerator * c for c in coalpha), refl))
+        gens.append(AffineElement(vec_scale(k, coalpha), reflection(alpha, coalpha, word)))
     return gens
 
 
 def geometric_stabilizer_brute(rd: RootDatum, x):
-    """All (pi, w) fixing x under the geometric action; pi is forced by w."""
-    x = tuple(Fraction(c) for c in x)
+    """All (pi, w) fixing x under the geometric action; pi = x - w(x) is
+    forced by w, so with x = v / d the element exists when v - w(v) = 0
+    mod d."""
+    v, d = _lift(x)
     out = []
     for w in weyl_group_elements(rd):
-        pi = vec_sub(x, w.apply_coweight(x))
-        if all(Fraction(c).denominator == 1 for c in pi):
-            out.append(AffineElement(tuple(int(c) for c in pi), w))
+        pi = [divmod(a - b, d) for a, b in zip(v, w.apply_coweight(v))]
+        if not any(rem for _, rem in pi):
+            out.append(AffineElement(tuple(q for q, _ in pi), w))
     return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -167,6 +168,7 @@ def parse_spec_text(text):
 # the keys a spec file and its twist table may hold
 SPEC_KEYS = ("group", "cartan", "torus_rank", "torus_form", "twist", "command", "format")
 TWIST_KEYS = ("levels", "epsilon", "torus", "shift")
+FORMATS = ("json", "tsv")               # the report formats
 
 
 def _reject_unknown_keys(table, known, where):
@@ -187,11 +189,14 @@ class JobSpec:
     @classmethod
     def parse(cls, text):
         """The job in spec text; raises SpecParseError on an unknown key, a
-        group name next to Cartan keys, or a twist that is not a table."""
+        group name next to Cartan keys, a twist that is not a table, or a
+        format other than json and tsv."""
         data = parse_spec_text(text)
         _reject_unknown_keys(data, SPEC_KEYS, "spec")
         if not isinstance(data.get("twist", {}), dict):
             raise SpecParseError(f"twist must be a table, got {data['twist']!r}")
+        if data.get("format", "json") not in FORMATS:
+            raise SpecParseError(f"unknown format {data['format']!r} (use json or tsv)")
         group_keys = {k: data[k] for k in ("cartan", "torus_rank", "torus_form")
                       if k in data}
         if "group" in data and group_keys:
@@ -503,7 +508,7 @@ def main(argv=None):
         p.add_argument("--torus", help="torus twist block as a JSON matrix")
         p.add_argument("--shift", choices=["none", "dual_coxeter"],
                        help="interpret levels as loop-group levels")
-        p.add_argument("--format", choices=["json", "tsv"], default=None)
+        p.add_argument("--format", choices=FORMATS, default=None)
 
     for name in ("info", "basis", "classes", "table", "verify"):
         common(sub.add_parser(name))
@@ -515,7 +520,7 @@ def main(argv=None):
     example.add_argument("which", choices=["s3", "u1", "su2"])
     example.add_argument("n", type=int)
     example.add_argument("--epsilon", type=int, default=0)
-    example.add_argument("--format", choices=["json", "tsv"], default=None)
+    example.add_argument("--format", choices=FORMATS, default=None)
 
     args = parser.parse_args(argv)
     try:
@@ -524,6 +529,9 @@ def main(argv=None):
             out, code = cmd_example(job, args.which, args.n, args.epsilon)
         else:
             job = build_job(args)
+            if job.command not in ("", args.command):
+                raise SpecParseError(f"spec command {job.command!r} conflicts with the "
+                                     f"subcommand {args.command!r}")
             job.command = args.command
             if args.command == "info":
                 out, code = cmd_info(job)
@@ -537,13 +545,20 @@ def main(argv=None):
                 out, code = cmd_table(job)
             else:
                 out, code = cmd_verify(job)
-        print(render(out, job.format))
-        return code
+        text = render(out, job.format)
     except VktError as exc:
         # malformed input (options, spec text or file) is a usage error
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2 if isinstance(exc, SpecParseError) else 1
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early (`| head -1`): devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -52,6 +52,7 @@ from .rootdata import (
     vec_add,
     vec_sub,
     weight_multiplicities,
+    weyl_dimension_key,
     weyl_numerator,
     weyl_order,
 )
@@ -140,11 +141,8 @@ class FusionRing:
             raise InvariantError("the shift class must survive exactly when the ring is nonzero")
         # the whole group can vanish (e.g. the smallest nonzero twists)
         self.unit_index = self.index[unit.representative] if self.basis else None
-        # prod over positive coroots of <2 lam + 2 rho, alpha^vee>: dim V_lam
-        # times a constant, in integers
-        self.size_keys = tuple(
-            prod(2 * dot(lam, cv) + dot(rd.rho2, cv) for _, cv in rd.positive_root_pairs)
-            for lam in self.transversal)
+        # dim V_lam times a constant, in integers
+        self.size_keys = tuple(weyl_dimension_key(rd, lam) for lam in self.transversal)
         self._product_cache = {}
 
     # -- basis bookkeeping -------------------------------------------------

@@ -5,8 +5,10 @@ Conventions, fixed once for the whole package:
 * The weight lattice and the coweight lattice both carry fixed bases of
   rank n, dual to each other, so the canonical pairing of a weight with a
   coweight is the dot product of coordinate tuples.
-* Weights and coweights are plain integer tuples; rational vectors are
-  tuples of fractions.Fraction.
+* Weights and coweights are plain integer tuples.  Rational points of t
+  are reported as tuples of fractions.Fraction but computed on as integer
+  lifts (v, d) with x = v / d; rho is kept only as the integer weight
+  2 rho (`RootDatum.rho2`).
 * A Weyl element acts on weight coordinates by its `matrix` and on
   coweight coordinates by the inverse transpose (`comatrix`).
 * Named groups are built as (simply connected) x (torus): the coweight
@@ -24,7 +26,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
 from .errors import (
@@ -34,12 +36,7 @@ from .errors import (
     NotTorsionFreePi1,
     SpecParseError,
 )
-from .zlattice import (
-    IntMatrix,
-    cokernel_structure,
-    inverse_rational,
-    kernel_basis,
-)
+from .zlattice import IntMatrix, inverse_rational, smith_normal_form
 
 
 def dot(x, y):
@@ -110,6 +107,16 @@ class WeylElement:
         return self.comatrix.apply(coweight)
 
 
+def reflection(alpha, coalpha, word):
+    """The reflection s_alpha, lam -> lam - <lam, alpha^vee> alpha, as a
+    WeylElement with the given word."""
+    n = len(alpha)
+    return WeylElement(
+        IntMatrix(n, n, [int(r == c) - alpha[r] * coalpha[c] for r in range(n) for c in range(n)]),
+        IntMatrix(n, n, [int(r == c) - coalpha[r] * alpha[c] for r in range(n) for c in range(n)]),
+        word, -1)
+
+
 @dataclass(frozen=True)
 class SimpleFactor:
     """One simple factor: which simple roots belong to it, plus derived data.
@@ -140,8 +147,9 @@ class RootDatum:
     """Immutable root datum; construct via `root_datum_from_spec` or the
     `from_cartan` / `from_root_data` classmethods.
 
-    Construction raises InvalidCartanData on bad input, and InvariantError
-    if <rho, highest coroot> of a simple factor is not an integer."""
+    Construction raises InvalidCartanData on bad input, NotTorsionFreePi1
+    when pi_1 has torsion, and InvariantError if <2 rho, highest coroot> of
+    a simple factor is odd."""
 
     def __init__(self, rank, simple_roots, simple_coroots, factor_blocks,
                  torus_indices, kappa_torus, split_form, spec_text=""):
@@ -204,18 +212,18 @@ class RootDatum:
     # -- validation and derived structure --------------------------------
 
     def _validate(self):
+        """One Smith normal form U C V = D of the simple-coroot matrix C, kept
+        as `coroot_snf`: D is the torsion test, V's last columns are
+        invariant_lattice_basis, and affineweyl.Alcove reads U and V."""
         n = self.rank
         for r in self.simple_roots + self.simple_coroots:
             if len(r) != n:
                 raise InvalidCartanData("root/coroot length does not match the rank")
-        # pi_1 torsion: (coweight lattice / coroot lattice) must be free
-        if self.simple_coroots:
-            cols = IntMatrix.from_rows(
-                [[c[i] for c in self.simple_coroots] for i in range(n)])
-            torsion = cokernel_structure(cols).invariant_factors
-            if torsion:
-                raise NotTorsionFreePi1(
-                    f"coweight lattice / coroot lattice has torsion {list(torsion)}")
+        self.coroot_snf = smith_normal_form(IntMatrix(
+            len(self.simple_coroots), n, [c for cv in self.simple_coroots for c in cv]))
+        torsion = [d for d in self.coroot_snf.invariant_diagonal() if d > 1]
+        if torsion:
+            raise NotTorsionFreePi1(f"coweight lattice / coroot lattice has torsion {torsion}")
 
     def _derive(self, factor_blocks):
         m = len(self.simple_roots)
@@ -224,17 +232,8 @@ class RootDatum:
         self.cartan = IntMatrix.from_rows(cartan) if m else IntMatrix.zeros(0, 0)
 
         # simple reflection matrices on weights and coweights
-        gens = []
-        for i in range(m):
-            a, av = self.simple_roots[i], self.simple_coroots[i]
-            mat = IntMatrix(self.rank, self.rank,
-                            [int(r == c) - a[r] * av[c]
-                             for r in range(self.rank) for c in range(self.rank)])
-            comat = IntMatrix(self.rank, self.rank,
-                              [int(r == c) - av[r] * a[c]
-                               for r in range(self.rank) for c in range(self.rank)])
-            gens.append(WeylElement(mat, comat, (i,), -1))
-        self.generators = tuple(gens)
+        self.generators = tuple(reflection(a, av, (i,)) for i, (a, av) in
+                                enumerate(zip(self.simple_roots, self.simple_coroots)))
         # the simple reflections as walls of the dominant chamber (see
         # reflect_into_chamber)
         self.simple_walls = tuple(
@@ -273,7 +272,6 @@ class RootDatum:
 
         self.rho2 = tuple(sum(r[i] for r, _ in self.positive_root_pairs)
                           for i in range(self.rank))
-        self.rho = tuple(Fraction(x, 2) for x in self.rho2)
 
         # dual Coxeter numbers per factor, from the factor's highest root
         factors = []
@@ -287,13 +285,13 @@ class RootDatum:
                 h = sum(coords)
                 if best is None or h > best[0]:
                     best = (h, cv, r)
-            pairing = dot(self.rho, best[1])
-            if pairing.denominator != 1:
-                raise InvariantError(f"<rho, highest coroot> = {pairing} is not an integer")
+            pairing2 = dot(self.rho2, best[1])
+            if pairing2 % 2:
+                raise InvariantError(f"<2 rho, highest coroot> = {pairing2} is odd")
             factors.append(SimpleFactor(
                 name=_classify(sub), indices=comp,
                 cartan=IntMatrix.from_rows(sub), kappa=_basic_pairing(sub),
-                dual_coxeter=1 + pairing.numerator, highest_root=(best[2], best[1])))
+                dual_coxeter=1 + pairing2 // 2, highest_root=(best[2], best[1])))
         self.factors = tuple(factors)
 
         self.rho_tilde, self.rho_tilde_note = self._pick_rho_tilde()
@@ -304,8 +302,6 @@ class RootDatum:
         # Stored as one integer Gram matrix over a common denominator.
         inv_basis = self.invariant_lattice_basis()
         cols = [list(r) for r in self.simple_roots] + [list(v) for v in inv_basis]
-        if len(cols) != self.rank:
-            raise InvalidCartanData("roots and invariants do not span the weight lattice")
         if self.rank:
             S = IntMatrix.from_rows(cols).transpose()
             basis_inv = inverse_rational(S)  # coords in [roots | invariants]
@@ -348,15 +344,11 @@ class RootDatum:
                                 "modulo the invariant lattice")
 
     def invariant_lattice_basis(self):
-        """Z-basis of the W-invariant sublattice of the weight lattice."""
-        if not self.simple_roots:
-            return [tuple(int(i == j) for j in range(self.rank))
-                    for i in range(self.rank)]
-        rows = []
-        for g in self.generators:
-            for i in range(self.rank):
-                rows.append([g.matrix.at(i, j) - int(i == j) for j in range(self.rank)])
-        return kernel_basis(IntMatrix.from_rows(rows))
+        """Z-basis of the W-invariant sublattice of the weight lattice: a
+        weight is fixed by s_i exactly when it pairs to 0 with alpha_i^vee,
+        so this is ker C, the last rank - m columns of coroot_snf's V."""
+        v = self.coroot_snf.V
+        return [v.column(j) for j in range(len(self.simple_roots), self.rank)]
 
     # -- basic queries ----------------------------------------------------
 
@@ -655,38 +647,25 @@ MAX_GROUP_ORDER = 10 ** 6
 MAX_PAIRING_WORK = 10 ** 7
 
 
-def weyl_group_elements(rd: RootDatum, max_order=MAX_GROUP_ORDER):
-    """All elements of W, enumerated breadth-first from the generators.
-
-    Words are shortest expressions; the result is cached on the datum and
-    deterministic (sorted by word length, then word).  Raises GroupTooLarge,
-    before enumerating anything, when |W| (weyl_order) exceeds max_order,
-    and InvariantError if the enumeration finds another count."""
-    if rd._weyl_cache is not None:
-        return rd._weyl_cache
-    order = weyl_order(rd)
-    if order > max_order:
-        raise GroupTooLarge(f"Weyl group exceeds {max_order} elements")
-    ident = rd.identity_element
-    seen = {ident.matrix.entries: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i, g in enumerate(rd.generators):
-                mat = g.matrix * w.matrix
-                key = mat.entries
-                if key not in seen:
-                    elem = WeylElement(mat, g.comatrix * w.comatrix,
-                                       (i,) + w.word, -w.determinant)
-                    seen[key] = elem
-                    nxt.append(elem)
-        frontier = nxt
-    if len(seen) != order:
-        raise InvariantError(f"enumerated {len(seen)} Weyl elements, expected {order}")
-    elems = sorted(seen.values(), key=lambda e: (len(e.word), e.word))
-    rd._weyl_cache = elems
-    return elems
+def weyl_group_elements(rd: RootDatum):
+    """All elements of W, read off the per-datum tree of the W-orbit of
+    2 rho (_free_orbit_template): point k + 1 is s_i applied to its parent
+    point, so its element is s_i times the parent's: one product of
+    matrices and one of comatrices per edge.  Words are shortest expressions (the tree is breadth-first);
+    the result is cached on the datum and deterministic (sorted by word
+    length, then word).  Raises GroupTooLarge, before building anything,
+    when |W| (weyl_order) exceeds MAX_GROUP_ORDER."""
+    if rd._weyl_cache is None:
+        if weyl_order(rd) > MAX_GROUP_ORDER:
+            raise GroupTooLarge(f"Weyl group exceeds {MAX_GROUP_ORDER} elements")
+        moves, signs = _free_orbit_template(rd)
+        elems = [rd.identity_element]
+        for (parent, i, _, _), sign in zip(moves, signs[1:]):
+            w, g = elems[parent], rd.generators[i]
+            elems.append(WeylElement(g.matrix * w.matrix, g.comatrix * w.comatrix,
+                                     (i,) + w.word, sign))
+        rd._weyl_cache = sorted(elems, key=lambda e: (len(e.word), e.word))
+    return rd._weyl_cache
 
 
 def simple_reflections_mod(rd: RootDatum, y, m):
@@ -779,26 +758,31 @@ def weyl_orbit(rd: RootDatum, weight):
 
 # -- representations --------------------------------------------------------
 
+def weyl_dimension_key(rd: RootDatum, lam):
+    """prod over positive coroots of <2 lam + 2 rho, alpha^vee>: by the Weyl
+    dimension formula, dim V_lam times the key of the zero weight."""
+    return prod(2 * dot(lam, cv) + dot(rd.rho2, cv) for _, cv in rd.positive_root_pairs)
+
+
 def weyl_dimension(rd: RootDatum, lam):
-    """Dimension of the irreducible with dominant highest weight lam; raises
-    InvariantError if the Weyl dimension formula gives a non-integer."""
+    """Dimension of the irreducible with dominant highest weight lam, as
+    weyl_dimension_key(lam) // weyl_dimension_key(0); raises InvariantError
+    if the division leaves a remainder."""
     lam = rd.check_weight(lam)
-    num = Fraction(1)
-    for _, cv in rd.positive_root_pairs:
-        h = dot(rd.rho, cv)
-        num *= Fraction(dot(lam, cv) + h, h)
-    if num.denominator != 1:
-        raise InvariantError(f"Weyl dimension of {lam} is not an integer: {num}")
-    return num.numerator
+    dim, rem = divmod(weyl_dimension_key(rd, lam), weyl_dimension_key(rd, (0,) * rd.rank))
+    if rem:
+        raise InvariantError(f"Weyl dimension of {lam} is not an integer")
+    return dim
 
 
 def _free_orbit_template(rd: RootDatum):
     """The W-orbit of 2 rho as a breadth-first tree, built once per datum:
-    (moves, signs), where moves[k] = (parent, coroot, root) makes point
-    k + 1 the reflection of point `parent` through that simple wall, and
-    signs[k] = det w for point k = w(2 rho).  2 rho is strictly dominant, so
-    its orbit is free and point k names w; the same moves carry any strictly
-    dominant weight over its orbit with one reflection per point.
+    (moves, signs), where moves[k] = (parent, i, coroot, root) makes point
+    k + 1 the reflection of point `parent` through the simple wall i,
+    rd.simple_walls[i] = (coroot, root, ...), and signs[k] = det w for
+    point k = w(2 rho).  2 rho is strictly dominant, so its orbit
+    is free and point k names w; the same moves carry any strictly dominant
+    weight over its orbit with one reflection per point.
     InvariantError if a reflection meets a point with the sign of its
     source (a point with both signs) or the orbit does not have |W| points."""
     if rd._orbit_template is not None:
@@ -806,7 +790,7 @@ def _free_orbit_template(rd: RootDatum):
     points, signs, moves = [rd.rho2], [1], []
     index = {rd.rho2: 0}
     for k, v in enumerate(points):               # points grows as it is read
-        for coroot, root, _, _ in rd.simple_walls:
+        for i, (coroot, root, _, _) in enumerate(rd.simple_walls):
             p = 0
             for j, c in coroot:
                 p += v[j] * c
@@ -816,7 +800,7 @@ def _free_orbit_template(rd: RootDatum):
                 index[u] = len(points)
                 points.append(u)
                 signs.append(-signs[k])
-                moves.append((k, coroot, root))
+                moves.append((k, i, coroot, root))
             elif signs[seen] == signs[k]:
                 raise InvariantError(f"the W-orbit of 2 rho holds {u} with both signs")
     order = weyl_order(rd)
@@ -843,12 +827,11 @@ def weyl_numerator(rd: RootDatum, lam):
     lam = rd.check_weight(lam)
     if not rd.is_dominant(lam):
         raise ValueError("highest weight must be dominant")
-    order = weyl_order(rd)
-    if order > MAX_GROUP_ORDER:
+    if weyl_order(rd) > MAX_GROUP_ORDER:
         raise GroupTooLarge(f"Weyl group exceeds {MAX_GROUP_ORDER} elements")
     moves, signs = _free_orbit_template(rd)
     points = [tuple(2 * a + r for a, r in zip(lam, rd.rho2))]
-    for parent, coroot, root in moves:
+    for parent, _, coroot, root in moves:
         v = points[parent]
         p = 0
         for j, c in coroot:
@@ -859,9 +842,9 @@ def weyl_numerator(rd: RootDatum, lam):
         nu = tuple((x - r) // 2 for x, r in zip(v, rd.rho2))
         if out.setdefault(nu, sign) != sign:
             raise InvariantError(f"the Weyl numerator of {lam} holds {nu} with both signs")
-    if len(out) != order:
+    if len(out) != len(signs):
         raise InvariantError(f"the Weyl numerator of {lam} has {len(out)} terms, "
-                             f"expected |W| = {order}")
+                             f"expected |W| = {len(signs)}")
     return out
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import vkt.checks
+import vkt.cli
 import vkt.fusion
 import vkt.twist
 import vkt.zlattice
@@ -355,6 +360,53 @@ def test_repeated_spec_key_is_a_usage_error(tmp_path, capsys, text, where):
     err = _usage_error(capsys, "basis", "--spec", str(spec))
     assert err["error"] == "SpecParseError"
     assert f"line {where[0]}, column {where[1]}: duplicate key" in err["message"]
+
+
+@pytest.mark.parametrize("argv, text, named", [
+    (("table",), 'group = "SU(3)"\ntwist = { levels = [9] }\nformat = "xml"\n', "'xml'"),
+    (("fuse", "0", "0"), 'group = "SU(2)"\ntwist = { levels = [5] }\ncommand = "info"\n',
+     "'info'"),
+], ids=["format-xml", "command-info-run-as-fuse"])
+def test_spec_file_is_checked_before_any_work(tmp_path, capsys, monkeypatch, argv, text, named):
+    # refused as a usage error while the job is built: no ring is ever made
+    def refuse(*args, **kwargs):
+        raise AssertionError("a FusionRing was built")
+
+    monkeypatch.setattr(vkt.cli, "FusionRing", refuse)
+    spec = tmp_path / "job.spec"
+    spec.write_text(text)
+    code, out, err = run_cli(capsys, argv[0], "--spec", str(spec), *argv[1:])
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "SpecParseError"
+    assert named in err["message"]
+
+
+def test_spec_command_that_names_the_subcommand_is_accepted(tmp_path, capsys):
+    spec = tmp_path / "job.spec"
+    spec.write_text('group = "SU(2)"\ntwist = { levels = [5] }\ncommand = "fuse"\n')
+    code, out, _ = run_cli(capsys, "fuse", "--spec", str(spec), "1", "1")
+    assert code == 0
+    assert json.loads(out)["fuse"]["coefficients"] == {"0": 1, "2": 1}
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # `vkt table ... | head -1`: the reader goes away after one line of a
+    # report larger than the pipe buffer
+    src = str(Path(vkt.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vkt.cli", "table", "--group", "SU(3)", "--twist", "9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 # -- the report writer against json.dumps ---------------------------------------

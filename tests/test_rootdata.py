@@ -150,11 +150,12 @@ def test_so3_style_datum_rejected():
         RootDatum.from_root_data(1, [(1,)], [(2,)])
 
 
-def test_group_too_large_guard():
+def test_group_too_large_guard(monkeypatch):
     from vkt.errors import GroupTooLarge
     rd = root_datum_from_spec("SU(4)")
+    monkeypatch.setattr(vkt.rootdata, "MAX_GROUP_ORDER", 5)
     with pytest.raises(GroupTooLarge):
-        weyl_group_elements(rd, max_order=5)
+        weyl_group_elements(rd)
 
 
 G2_CARTAN = [[2, -1], [-3, 2]]
@@ -245,9 +246,9 @@ def test_large_weyl_group_refused_before_enumeration(monkeypatch):
 
 def test_u2_style_datum_accepted():
     rd = RootDatum.from_root_data(2, [(1, -1)], [(1, -1)])
-    assert rd.rho == (0.5, -0.5)
+    assert rd.rho2 == (1, -1)
     assert sum(rd.rho_tilde) % 2 == 1  # integral lift differs from rho by an invariant
-    lifted = [a - b for a, b in zip(rd.rho_tilde, rd.rho)]
+    lifted = [2 * a - b for a, b in zip(rd.rho_tilde, rd.rho2)]
     assert lifted[0] == lifted[1]  # correction is W-invariant
 
 
