@@ -57,7 +57,7 @@ from .rootdata import (
     weyl_order,
 )
 from .twist import Twisting
-from .zlattice import IntMatrix, box_points, smith_coordinates
+from .zlattice import IntMatrix, box_points, smith_coordinates, smith_normal_form
 
 
 class KClass:
@@ -365,9 +365,10 @@ def mult_by_U_matrix(ring: FusionRing) -> IntMatrix:
 
 class _PairingCoordinates:
     """Smith coordinates on G = weights / b(L_eps), L_eps = {pi : eps.pi even},
-    by one zlattice.smith_coordinates.  For pi in L_eps, K(mu + b(pi)) =
-    (-1)^eps(pi) K(mu) = K(mu), so the kernel is an ordinary function on G;
-    |G| = |F| when eps = 0 and 2|F| otherwise.
+    by one zlattice.smith_coordinates: the twisting's own when eps = 0, else
+    those of b span, span a basis of L_eps.  For pi in L_eps, K(mu + b(pi))
+    = (-1)^eps(pi) K(mu) = K(mu), so the kernel is an ordinary function on
+    G; |G| = |F| when eps = 0 and 2|F| otherwise.
 
     A weight mu has digits (u_i . mu) mod e_i over the nontrivial Smith
     factors e_i, and code(mu) = sum digit_i place_i on the doubled radix
@@ -378,16 +379,16 @@ class _PairingCoordinates:
 
     def __init__(self, tau: Twisting):
         n, eps = tau.rd.rank, tau.eps
-        # L_eps is spanned by the columns of `span`: e_i - eps_i e_j for i != j
-        # and 2 e_j, with j the first coordinate where eps is odd (the unit
-        # vectors when eps = 0)
-        span = [[int(r == c) for c in range(n)] for r in range(n)]
         j = next((i for i, e in enumerate(eps) if e), None)
+        coords = tau.smith
         if j is not None:
+            # L_eps is spanned by the columns of `span`: e_i - eps_i e_j for
+            # i != j and 2 e_j, with j the first coordinate where eps is odd
+            span = [[int(r == c) for c in range(n)] for r in range(n)]
             span[j] = [-e for e in eps]
             span[j][j] = 2
-        self.factors, self.rows, self.generators = smith_coordinates(
-            tau.b * IntMatrix.from_rows(span))
+            coords = smith_coordinates(smith_normal_form(tau.b * IntMatrix.from_rows(span)))
+        self.factors, self.rows, self.generators = coords
         self.size = prod(self.factors)
         self.places = [prod(2 * e for e in self.factors[i + 1:])
                        for i in range(len(self.factors))]
@@ -406,8 +407,8 @@ def _pairing_coordinates(tau: Twisting) -> _PairingCoordinates:
 
 def check_pairing_budget(tau: Twisting):
     """GroupTooLarge when building the pairing kernel would take more than
-    MAX_PAIRING_WORK steps; reads one Smith normal form and builds no coset
-    or F_eps point."""
+    MAX_PAIRING_WORK steps; reads the pairing's Smith coordinates and builds
+    no coset or F_eps point."""
     work = _pairing_coordinates(tau).work
     if work > MAX_PAIRING_WORK:
         raise GroupTooLarge(f"the pairing kernel takes {work} steps, "

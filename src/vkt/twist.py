@@ -7,10 +7,13 @@ integer matrix in our dual coordinate bases), and eps is a W-invariant
 mod-2 vector grading the translation action.  The half-shift point
 lambda_eps = eps/2 and the finite groups F = coker(b) and F_eps (the
 torus points solving b(x) = lambda_eps mod the weight lattice) are
-derived.  F_eps is built in integers only: each point x is held as its
-lift y = m x at one common order m.  Its regular points come from the
-root test RootDatum.is_regular and their W-orbits from closure under the
-simple reflections mod m, with no loop over W.
+derived.  One Smith normal form U b V = D gives F's invariant factors and
+generators, its cosets, the Smith coordinates of the averaged pairing and
+the adjugate adj(b) = V diag(det b / d_i) U.  F_eps is built in integers
+only: each point x is held as its lift y = m x at one common order m.  Its
+regular points come from the root test RootDatum.is_regular and their
+W-orbits from closure under the simple reflections mod m, with no loop
+over W.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ from operator import mul
 from .errors import Degenerate, GroupTooLarge, InvariantError, NotEquivariant
 from .rootdata import MAX_GROUP_ORDER, RootDatum, coweight_orbit_mod, dot, weyl_order
 from .zlattice import (
+    FiniteAbelianGroup,
     IntMatrix,
-    cokernel_structure,
     coset_representatives,
-    inverse_rational,
+    smith_coordinates,
+    smith_normal_form,
 )
 
 
@@ -33,12 +37,14 @@ class Twisting:
     """Validated twisting data for a root datum.
 
     Holds the exact integer kernel for b^-1: the adjugate adj(b) and det b,
-    so that b^-1 v = adj(b) v / det b with no rational arithmetic.  Data
-    derived from the twisting alone (the integer lifts of the F_eps points,
-    their W-orbits, the cosets of coker(b), the alcove walls and basis
-    points of affineweyl, the Smith coordinates, pairing tables, coset codes
-    and irregular codes of fusion.delta_eval, whether it is primitive) is
-    built on first use and cached on the object (see `cached`)."""
+    so that b^-1 v = adj(b) v / det b with no rational arithmetic.  adj(b),
+    F and its Smith coordinates `smith` (zlattice.smith_coordinates) are
+    read off one Smith normal form of b.  Data derived from the twisting
+    alone (the integer lifts of the F_eps points, their W-orbits, the
+    cosets of coker(b), the alcove walls and basis points of affineweyl, the
+    pairing's Smith coordinates and tables, coset codes and irregular codes
+    of fusion.delta_eval, whether it is primitive) is built on first use
+    and cached on the object (see `cached`)."""
 
     def __init__(self, rd: RootDatum, b: IntMatrix, eps=None, level_data=None):
         self.rd = rd
@@ -46,10 +52,13 @@ class Twisting:
         self.eps = tuple(int(e) % 2 for e in (eps or (0,) * rd.rank))
         self.level_data = level_data  # (levels per factor, torus block) when known
         self._validate()
-        self.det_b = b.determinant()
-        self.f_group = cokernel_structure(b)
+        snf = smith_normal_form(b)
+        self.smith = smith_coordinates(snf)
+        self.f_group = FiniteAbelianGroup(self.smith[0], 0, self.smith[2])
         self._rows = tuple(b.row(i) for i in range(b.rows))
-        self._adj = tuple(tuple(int(x * self.det_b) for x in row) for row in inverse_rational(b))
+        scaled = IntMatrix.from_rows([[self.det_b // d * u for u in snf.U.row(k)]
+                                      for k, d in enumerate(snf.invariant_diagonal())])
+        self._adj = tuple(map(tuple, (snf.V * scaled).to_rows()))
         self.lambda_eps = tuple(Fraction(e, 2) for e in self.eps)
         self._cache = {}
 
@@ -59,7 +68,8 @@ class Twisting:
             raise Degenerate(f"b must be {rd.rank} x {rd.rank}")
         if len(self.eps) != rd.rank:
             raise NotEquivariant("grading vector length must equal the rank")
-        if b.determinant() == 0:
+        self.det_b = b.determinant()
+        if self.det_b == 0:
             raise Degenerate("b is not injective (det b = 0)")
         if not b.is_symmetric():
             raise NotEquivariant("b must be symmetric as a bilinear form on coweights")
@@ -104,7 +114,8 @@ class Twisting:
         enumerating anything, when |F| exceeds MAX_GROUP_ORDER."""
         if self.order_F() > MAX_GROUP_ORDER:
             raise GroupTooLarge(f"|F| = {self.order_F()} exceeds {MAX_GROUP_ORDER} cosets")
-        return self.cached("cosets", lambda: coset_representatives(self.b))
+        return self.cached("cosets", lambda: coset_representatives(
+            self.smith[0], self.smith[2], self.rd.rank))
 
     def f_epsilon(self, regular_only=False):
         """(m, lifts): the integer lifts y = m x of the points x of F_eps,

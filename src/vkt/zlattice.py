@@ -302,29 +302,20 @@ def cokernel_structure(M: IntMatrix) -> FiniteAbelianGroup:
     """
     snf = smith_normal_form(M)
     d = snf.invariant_diagonal()
+    d += (0,) * (M.rows - len(d))
     uinv = inverse_unimodular(snf.U)
-    factors = []
-    gens = []
-    for i, di in enumerate(d):
-        if di > 1:
-            factors.append(di)
-            gens.append(uinv.column(i))
-    free = M.rows - sum(1 for x in d if x != 0)
-    for i in range(M.rows):
-        if i >= len(d) or d[i] == 0:
-            gens.append(uinv.column(i))
-    return FiniteAbelianGroup(tuple(factors), free, tuple(gens))
+    return FiniteAbelianGroup(tuple(x for x in d if x > 1), d.count(0),
+                              tuple(uinv.column(i) for i, x in enumerate(d) if x != 1))
 
 
-def smith_coordinates(M: IntMatrix):
-    """(factors, rows, generators) for a finite quotient Z^rows / M(Z^cols)
-    from one Smith normal form U M V = D: the invariant factors d > 1, the
-    rows u of U with x -> (u . x mod d) an isomorphism onto the product of
-    the Z/d, and the columns of U^-1 that map to its unit vectors.  Raises
-    ValueError when the quotient is infinite."""
-    snf = smith_normal_form(M)
+def smith_coordinates(snf: SmithDecomposition):
+    """(factors, rows, generators) for a finite quotient Z^rows / M(Z^cols),
+    read off one Smith normal form U M V = D of M: the invariant factors
+    d > 1, the rows u of U with x -> (u . x mod d) an isomorphism onto the
+    product of the Z/d, and the columns of U^-1 that map to its unit
+    vectors.  Raises ValueError when the quotient is infinite."""
     d = snf.invariant_diagonal()
-    if len(d) < M.rows or 0 in d:
+    if len(d) < snf.D.rows or 0 in d:
         raise ValueError("quotient is infinite")
     uinv = inverse_unimodular(snf.U)
     keep = [i for i, x in enumerate(d) if x > 1]
@@ -371,17 +362,13 @@ def box_points(sizes, start=0):
     return product(*(range(start, start + s) for s in sizes))
 
 
-def coset_representatives(M: IntMatrix):
-    """Deterministic coset representatives of Z^rows / M(Z^cols).
-
-    Requires the quotient to be finite (square M with det != 0).  Returns
-    |det M| integer tuples, one per coset.
-    """
-    if M.rows != M.cols:
-        raise ValueError("finite quotient needs a square matrix")
-    snf = smith_normal_form(M)
-    d = snf.invariant_diagonal()
-    if any(x == 0 for x in d):
-        raise ValueError("quotient is infinite")
-    uinv = inverse_unimodular(snf.U)
-    return [uinv.apply(idx) for idx in box_points(d)]
+def coset_representatives(factors, generators, rank):
+    """Deterministic coset representatives of a finite quotient of Z^rank
+    with cyclic factors Z/d generated by the given vectors (the factors and
+    generators of smith_coordinates): the sums of k_i g_i over the box
+    0 <= k_i < d_i, in lexicographic order of k, the last index varying
+    fastest.  Returns prod(factors) integer tuples, one per coset."""
+    reps = [(0,) * rank]
+    for d, g in zip(factors, generators):
+        reps = [tuple(x + k * y for x, y in zip(r, g)) for r in reps for k in range(d)]
+    return reps

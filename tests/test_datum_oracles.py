@@ -221,12 +221,17 @@ def test_stabilizers_by_integer_lifts_match_the_fraction_oracles():
             assert geometric_stabilizer_brute(rd, x) == fraction_stabilizer_brute(elements, x)
 
 
-@pytest.mark.parametrize("name, levels, torus, eps", [
+# a ring and every verify check on these count the factorizations per datum
+# and per twisting
+COUNTED = [
     ("SU(3)", (5,), None, None),
     ("Spin(5)", (4,), None, None),
     ("SU(2) x U(1)", (3,), [[4]], (0, 1)),
     ("U(1)^2", (), [[2, 1], [1, 2]], None),
-])
+]
+
+
+@pytest.mark.parametrize("name, levels, torus, eps", COUNTED)
 def test_one_coroot_snf_and_one_orbit_tree_per_datum(monkeypatch, name, levels, torus, eps):
     # over a ring and every verify check: the torsion test, the invariant
     # lattice and the alcove read one SNF of the coroot matrix, and W, the
@@ -256,3 +261,42 @@ def test_one_coroot_snf_and_one_orbit_tree_per_datum(monkeypatch, name, levels, 
     assert [M for M in snfs if M == coroots] == [coroots]
     assert trees == [rd]
     assert rd._weyl_cache is not None
+
+
+@pytest.mark.parametrize("name, levels, torus, eps", COUNTED)
+def test_one_smith_form_and_one_determinant_per_twisting(monkeypatch, name, levels, torus, eps):
+    # over a ring and every verify check: F, adj(b), the cosets and the
+    # ungraded pairing coordinates read one SNF of b, with one determinant of
+    # b and no Fraction inverse of it; a grading adds one SNF of b * span,
+    # span a basis of L_eps (index 2)
+    snfs, inverses, dets = [], [], []
+    real_snf = vkt.zlattice.smith_normal_form
+    real_inverse = vkt.zlattice.inverse_rational
+    real_det = IntMatrix.determinant
+
+    def spy(calls, real):
+        def counting(M):
+            calls.append(M)
+            return real(M)
+        return counting
+
+    for module in vars(vkt).values():
+        for attr, calls, real in (("smith_normal_form", snfs, real_snf),
+                                  ("inverse_rational", inverses, real_inverse)):
+            if getattr(module, attr, None) is real:
+                monkeypatch.setattr(module, attr, spy(calls, real))
+    monkeypatch.setattr(IntMatrix, "determinant", spy(dets, real_det))
+    rd = root_datum_from_spec(name)
+    tau = twisting_from_level(rd, levels, torus_block=torus, eps=eps)
+    assert all(check["passed"] for check in run_all_checks(FusionRing(rd, tau)))
+    coroots = IntMatrix(len(rd.simple_coroots), rd.rank,
+                        [c for cv in rd.simple_coroots for c in cv])
+    twisting_snfs = [M for M in snfs if M != coroots]
+    assert twisting_snfs[0] == tau.b
+    if eps:
+        assert len(twisting_snfs) == 2
+        assert abs(real_det(twisting_snfs[1])) == 2 * tau.order_F()
+    else:
+        assert twisting_snfs == [tau.b]
+    assert tau.b not in inverses
+    assert dets.count(tau.b) == 1

@@ -33,9 +33,9 @@ from vkt.fusion import (
 )
 from vkt.rootdata import root_datum_from_spec, simple_reflections_mod
 from vkt.twist import twisting_from_level
-from vkt.zlattice import coset_representatives
 
 from test_kernel import fraction_character, fraction_verlinde_classes
+from test_zlattice import matrix_coset_representatives
 
 
 def su2_ring(n, eps=(0,)):
@@ -428,7 +428,7 @@ def test_delta_eval_matches_equivariant_values():
         kc = KClass(coeffs)
         fn = equivariant_function(rd, tau, kc)
         f = {rep: fn(rep) for rep in
-             (tuple(r) for r in coset_representatives(tau.b))}
+             (tuple(r) for r in matrix_coset_representatives(tau.b))}
         g = (rng.randint(-15, 15),)
         assert delta_eval(rd, tau, f, g) == fn(g)
         assert delta_eval(rd, tau, f, g, regular_only=True) == fn(g)

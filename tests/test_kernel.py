@@ -2,25 +2,28 @@
 lifts and character evaluator, the per-twisting pairing caches and the
 modular character route, against the computations they replaced.
 
-The oracles below are the earlier implementations: box reduction by the
-rational inverse of b and a floor, orbit normal forms by box-reducing all
-|W| images of a weight, the basis by reducing every coset of b, orbit
-labels as the least box point of the orbit (one scan over W each), the
-F_eps points enumerated from the Smith normal form of b with Fraction
-shifts, characters evaluated with Fraction pairings at each point's own
-order, the averaged pairing rebuilt in full (coset enumeration, F_eps
-points, rational fixed-point tests) on every call, its kernel as one
-reduced sum of |F| roots of unity per coset, the ideal test on full
-Freudenthal weight systems, and the character route's sums in Z[zeta_m]
-by Kronecker packing with a reduction mod Phi_m.  None of them calls the
-code it checks."""
+The oracles below are the earlier implementations: adj(b) as det b times
+the Fraction inverse of b, the cosets by b's own Smith normal form (in
+test_zlattice), box reduction by the rational inverse of b and a floor,
+orbit normal forms by box-reducing all |W| images of a weight, the basis
+by reducing every coset of b, orbit labels as the least box point of the
+orbit (one scan over W each), the F_eps points enumerated from the Smith
+normal form of b with Fraction shifts, characters evaluated with
+Fraction pairings at each point's own order, the averaged pairing rebuilt
+in full (coset enumeration, F_eps points, rational fixed-point tests) on
+every call, its kernel as one reduced sum of |F| roots of unity per
+coset, the ideal test on full Freudenthal weight systems, and the
+character route's sums in Z[zeta_m] by Kronecker packing with a reduction
+mod Phi_m.  None of them calls the code it checks."""
 
+import importlib.util
 import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
+from pathlib import Path
 
 import contextlib
 import io
@@ -84,10 +87,13 @@ from vkt.rootdata import (
 from vkt.twist import Twisting, f_epsilon_points, shift_by_dual_coxeter, twisting_from_level
 from vkt.zlattice import (
     IntMatrix,
-    coset_representatives,
+    cokernel_structure,
     inverse_rational,
+    smith_coordinates,
     smith_normal_form,
 )
+
+from test_zlattice import matrix_coset_representatives
 
 # the acceptance grid, plus the indefinite and negative-determinant forms the
 # verify benchmark runs: det b = -24, -6 and 3
@@ -180,6 +186,12 @@ def rational_inverse(b):
     return inverse_rational(b)
 
 
+def fraction_adjugate(b):
+    """adj(b) = det b * b^-1 by Fraction Gauss-Jordan elimination."""
+    det = b.determinant()
+    return tuple(tuple(int(x * det) for x in row) for row in inverse_rational(b))
+
+
 def matvec_fraction(rows, vec):
     """rows: list of Fraction rows; vec: sequence of numbers."""
     return tuple(sum(r[j] * vec[j] for j in range(len(vec))) for r in rows)
@@ -260,7 +272,7 @@ def fraction_delta_eval(rd, tau, f, g, regular_only=False):
     for lam, v in sorted(f.items()):
         rep, pi = fraction_box_reduce(tau, lam)
         values[rep] = tau.translation_sign(pi) * v
-    reps = [fraction_box_reduce(tau, lam)[0] for lam in coset_representatives(tau.b)]
+    reps = [fraction_box_reduce(tau, lam)[0] for lam in matrix_coset_representatives(tau.b)]
     points = fraction_f_epsilon_points(rd, tau)
     if regular_only:
         reps = [lam for lam in reps if fraction_is_free(rd, tau, lam)]
@@ -324,7 +336,7 @@ def scan_zero_criterion_discrepancies(rd, tau):
     """The discrepancy list by visiting every coset of b: freeness by the
     Fraction stabilizer scan, survival and the orbit key by the W scan."""
     out = {}
-    for lam in coset_representatives(tau.b):
+    for lam in matrix_coset_representatives(tau.b):
         rep, _ = scan_orbit_normal_form(rd, tau, lam)
         free = fraction_is_free(rd, tau, lam)
         if (rep is None) == free:
@@ -347,7 +359,7 @@ def scan_label(rd, tau, point):
 
 
 def scan_basis_orbits(rd, tau):
-    reps = {scan_orbit_normal_form(rd, tau, lam)[0] for lam in coset_representatives(tau.b)}
+    reps = {scan_orbit_normal_form(rd, tau, lam)[0] for lam in matrix_coset_representatives(tau.b)}
     return sorted(reps - {None})
 
 
@@ -539,7 +551,7 @@ def test_integrality_test_matches_fraction_oracle():
 def test_stabilizers_match_fraction_oracle():
     # the root test at b^-1 lam against the Fraction scan over W, on every coset
     for name, rd, tau in grid_twistings(GRID + WALK_EXTRA + F_EPSILON_EXTRA):
-        for lam in coset_representatives(tau.b):
+        for lam in matrix_coset_representatives(tau.b):
             lam = tuple(lam)
             assert rd.is_regular(tau.adj_apply(lam), tau.det_b) == \
                 fraction_is_free(rd, tau, lam), (name, lam)
@@ -652,7 +664,7 @@ def test_f_epsilon_matches_snf_oracle():
 def test_orbit_normal_form_matches_scan_oracle():
     rng = random.Random(9)
     for name, rd, tau in grid_twistings(GRID + WALK_EXTRA):
-        weights = [tuple(lam) for lam in coset_representatives(tau.b)]
+        weights = [tuple(lam) for lam in matrix_coset_representatives(tau.b)]
         weights += [tuple(rng.randint(-30, 30) for _ in range(rd.rank)) for _ in range(40)]
         for lam in weights:
             red = orbit_normal_form(rd, tau, lam)
@@ -904,7 +916,7 @@ def test_delta_eval_matches_uncached_oracle():
     # data, Sp(2), G2 and rank 3, against the |F|^2 Fraction sum
     rng = random.Random(8)
     for name, rd, tau in grid_twistings(GRID + WALK_EXTRA + F_EPSILON_EXTRA):
-        reps = [tuple(r) for r in coset_representatives(tau.b)]
+        reps = [tuple(r) for r in matrix_coset_representatives(tau.b)]
         f = {rep: rng.randint(-3, 3) for rep in reps}
         g = tuple(rng.randint(-12, 12) for _ in range(rd.rank))
         for regular_only in (False, True):
@@ -1070,9 +1082,9 @@ def test_cosets_are_built_once_per_verify(monkeypatch):
     calls = []
     real = vkt.zlattice.coset_representatives
 
-    def counting(M):
-        calls.append(M)
-        return real(M)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
     for module in vars(vkt).values():
         if getattr(module, "coset_representatives", None) is real:
@@ -1084,6 +1096,48 @@ def test_cosets_are_built_once_per_verify(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert vkt.cli.main(argv) == 0
         assert len(calls) == 1, argv
+
+
+def bench_twistings():
+    """The twisting of every job the benchmark can pick, built the way its
+    workloads build them."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    jobs = {job.input_label: job for name in workloads.WORKLOADS
+            for job in workloads.all_jobs(name)}
+    for label, job in sorted(jobs.items()):
+        ring = workloads.build_ring(job)
+        yield label, ring.rd, ring.tau
+
+
+def test_one_smith_form_matches_the_old_readings():
+    # adj(b), the cosets, F and the ungraded pairing coordinates, read off the
+    # twisting's one Smith normal form, equal the Fraction adjugate, the
+    # enumeration by b's own SNF, cokernel_structure(b) and the coordinates of
+    # b * I; on every benchmark job, the acceptance grid with its graded and
+    # negative-level variants, and G2 and F4 at loop level 1 (F4: |F| = 40 000,
+    # so adj(b) and the coordinates only)
+    cases = [(name, rd, tau, True) for name, rd, tau in
+             grid_twistings(GRID + WALK_EXTRA + F_EPSILON_EXTRA + IDEAL_EXTRA)]
+    cases += [(name, rd, tau, True) for name, rd, tau in bench_twistings()]
+    cases += [(name, rd, tau, name != "F4") for name, rd, tau in
+              grid_twistings([("G2", (5,), None, None), ("G2 swapped", (5,), None, None),
+                              ("F4", (10,), None, None)])]
+    signs = set()
+    for name, rd, tau, small in cases:
+        signs.add(tau.det_b > 0)
+        assert tau._adj == fraction_adjugate(tau.b), name
+        if small:
+            assert tau.cosets() == matrix_coset_representatives(tau.b), name
+            assert tau.f_group == cokernel_structure(tau.b), name
+        if not any(tau.eps):
+            old = smith_coordinates(smith_normal_form(tau.b * IntMatrix.identity(rd.rank)))
+            coords = vkt.fusion._pairing_coordinates(tau)
+            assert (coords.factors, coords.rows, coords.generators) == old, name
+    assert signs == {True, False}
+    assert len(cases) > 40
 
 
 def test_check_annihilation_evaluates_each_weight_once(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from vkt.zlattice import (
     FiniteAbelianGroup,
     IntMatrix,
+    box_points,
     cokernel_structure,
     coset_representatives,
     inverse_rational,
@@ -179,9 +180,23 @@ def test_inverse_unimodular_roundtrip():
     assert M * inverse_unimodular(M) == IntMatrix.identity(2)
 
 
+def matrix_coset_representatives(M):
+    """The cosets of Z^rows / M(Z^cols) by their own Smith normal form: U^-1
+    applied to the box of the whole Smith diagonal, last index fastest."""
+    snf = smith_normal_form(M)
+    uinv = inverse_unimodular(snf.U)
+    return [uinv.apply(idx) for idx in box_points(snf.invariant_diagonal())]
+
+
+def cosets_of(M):
+    """coset_representatives over the Smith coordinates of M."""
+    factors, _, gens = smith_coordinates(smith_normal_form(M))
+    return coset_representatives(factors, gens, M.rows)
+
+
 def test_coset_representatives():
     M = IntMatrix.from_rows([[2, 0], [0, 3]])
-    reps = coset_representatives(M)
+    reps = cosets_of(M)
     assert len(reps) == 6
     # no two representatives may differ by an element of the column lattice
     seen = set()
@@ -190,8 +205,24 @@ def test_coset_representatives():
         assert key not in seen
         seen.add(key)
     # the order is pinned: the Smith box is enumerated with the last index fastest
-    assert coset_representatives(IntMatrix.from_rows([[4, 0], [0, 6]])) == \
+    assert cosets_of(IntMatrix.from_rows([[4, 0], [0, 6]])) == \
         [(-k, -k) for k in range(12)] + [(2 - k, 3 - k) for k in range(12)]
+
+
+def test_coset_representatives_match_the_matrix_enumeration():
+    # the same representatives, in the same order, as U^-1 over the box of
+    # M's own Smith diagonal; a unimodular M has the one coset of 0
+    rng = random.Random(20)
+    seen_trivial = False
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        M = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+        if M.determinant() == 0:
+            continue
+        seen_trivial |= abs(M.determinant()) == 1
+        assert cosets_of(M) == matrix_coset_representatives(M)
+    assert seen_trivial
+    assert cosets_of(IntMatrix.from_rows([[2, 1], [1, 1]])) == [(0, 0)]
 
 
 def test_finite_abelian_group_str():
@@ -209,7 +240,7 @@ def test_smith_coordinates_name_each_coset_once():
         M = IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
         if M.determinant() == 0:
             continue
-        factors, rows, gens = smith_coordinates(M)
+        factors, rows, gens = smith_coordinates(smith_normal_form(M))
         assert all(d > 1 for d in factors)
 
         def digits(x):
@@ -218,7 +249,7 @@ def test_smith_coordinates_name_each_coset_once():
         assert all(digits(M.column(j)) == (0,) * len(factors) for j in range(n))
         for i, g in enumerate(gens):
             assert digits(g) == tuple(int(k == i) for k in range(len(factors)))
-        reps = coset_representatives(M)
+        reps = cosets_of(M)
         assert len({digits(x) for x in reps}) == len(reps) == abs(M.determinant())
     with pytest.raises(ValueError, match="infinite"):
-        smith_coordinates(IntMatrix.from_rows([[2, 0], [0, 0]]))
+        smith_coordinates(smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 0]])))
