@@ -39,10 +39,12 @@ from dataclasses import dataclass
 from itertools import product
 from math import ceil, floor, lcm
 
-from .errors import InvariantError
+from .errors import GroupTooLarge, InvariantError
 from .rootdata import (
+    MAX_GROUP_ORDER,
     RootDatum,
     WeylElement,
+    _free_orbit_template,
     closure,
     dot,
     reflect_into_chamber,
@@ -50,7 +52,7 @@ from .rootdata import (
     vec_add,
     vec_scale,
     vec_sub,
-    weyl_group_elements,
+    weyl_order,
 )
 from .twist import Twisting
 from .zlattice import (
@@ -332,23 +334,33 @@ def stabilizer_generators(rd: RootDatum, x):
 
 
 def geometric_stabilizer_brute(rd: RootDatum, x):
-    """All (pi, w) fixing x under the geometric action; pi = x - w(x) is
-    forced by w, so with x = v / d the element exists when v - w(v) = 0
-    mod d."""
+    """The Weyl parts w of all (pi, w) fixing x under the geometric action,
+    each given as its point w(2 rho): 2 rho is regular, so w -> w(2 rho) is
+    injective.  pi = x - w(x) is forced by w, so with x = v / d the element
+    exists when v - w(v) = 0 mod d.  Walks the per-datum tree of the orbit
+    of 2 rho (rootdata._free_orbit_template), carrying v with one simple
+    coreflection v -> v - <alpha_i, v> alpha_i^vee per element.
+    GroupTooLarge, before the tree is built, when |W| exceeds
+    MAX_GROUP_ORDER."""
+    if weyl_order(rd) > MAX_GROUP_ORDER:
+        raise GroupTooLarge(f"Weyl group exceeds {MAX_GROUP_ORDER} elements")
     v, d = _lift(x)
-    out = []
-    for w in weyl_group_elements(rd):
-        pi = [divmod(a - b, d) for a, b in zip(v, w.apply_coweight(v))]
-        if not any(rem for _, rem in pi):
-            out.append(AffineElement(tuple(q for q, _ in pi), w))
-    return out
+    moves, _, points = _free_orbit_template(rd)
+    images = [v]                                # images[k] = w(v), points[k] = w(2 rho)
+    for parent, i, coroot, root in moves:
+        u = list(images[parent])
+        p = dot(root, u)
+        for j, c in coroot:
+            u[j] -= p * c
+        images.append(tuple(u))
+    return {point for point, u in zip(points, images)
+            if not any((a - b) % d for a, b in zip(v, u))}
 
 
 def generated_subgroup(rd: RootDatum, generators):
-    """The Weyl parts of the group generated by affine elements, as the
-    closure of their weight-coordinate matrices under composition.  On
-    elements fixing one point x the translation of (pi, w) is forced to be
-    x - w(x), so there (pi, w) -> w is injective and the matrices stand for
-    the whole group."""
-    mats = [g.weyl.matrix for g in generators]
-    return closure([IntMatrix.identity(rd.rank)], lambda w: [h * w for h in mats])
+    """The Weyl parts of the group generated by affine elements, each given
+    as its point w(2 rho) (as geometric_stabilizer_brute): the closure of
+    {2 rho} under the generators' Weyl parts.  On elements fixing one point
+    x the translation of (pi, w) is forced to be x - w(x), so there
+    (pi, w) -> w is injective and the points stand for the whole group."""
+    return closure([rd.rho2], lambda point: [g.weyl.apply(point) for g in generators])

@@ -49,9 +49,9 @@ from .rootdata import (
     RootDatum,
     _weight_system,
     dot,
+    highest_weight,
     vec_add,
     vec_sub,
-    weight_multiplicities,
     weyl_dimension_key,
     weyl_numerator,
     weyl_order,
@@ -311,7 +311,7 @@ def module_action(ring: FusionRing, combo, kc: KClass) -> KClass:
     for lam, c in sorted(combo.items()):
         if not c:
             continue
-        for nu, m in sorted(weight_multiplicities(ring.rd, lam).items()):
+        for nu, m in _weight_system(ring.rd, highest_weight(ring.rd, lam)).items():
             for rep, k in kc.items():
                 red = orbit_normal_form(ring.rd, ring.tau, vec_add(rep, nu))
                 if not red.is_zero:

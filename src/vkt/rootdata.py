@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import (
     GroupTooLarge,
@@ -44,11 +44,11 @@ def dot(x, y):
 
 
 def vec_add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple(map(add, x, y))
 
 
 def vec_sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
+    return tuple(map(sub, x, y))
 
 
 def vec_scale(c, x):
@@ -364,7 +364,15 @@ class RootDatum:
         return acc
 
     def is_dominant(self, weight):
-        return all(dot(weight, cv) >= 0 for cv in self.simple_coroots)
+        """Does the weight pair to >= 0 with every simple coroot?  The
+        coroots are read sparsely, off simple_walls."""
+        for coroot, _, _, _ in self.simple_walls:
+            p = 0
+            for j, c in coroot:
+                p += weight[j] * c
+            if p < 0:
+                return False
+        return True
 
     def is_regular(self, v, d):
         """Is the point x = v / d of t regular: is its stabilizer in
@@ -651,14 +659,15 @@ def weyl_group_elements(rd: RootDatum):
     """All elements of W, read off the per-datum tree of the W-orbit of
     2 rho (_free_orbit_template): point k + 1 is s_i applied to its parent
     point, so its element is s_i times the parent's: one product of
-    matrices and one of comatrices per edge.  Words are shortest expressions (the tree is breadth-first);
-    the result is cached on the datum and deterministic (sorted by word
-    length, then word).  Raises GroupTooLarge, before building anything,
-    when |W| (weyl_order) exceeds MAX_GROUP_ORDER."""
+    matrices and one of comatrices per edge.  Words are shortest
+    expressions (the tree is breadth-first); the result is cached on the
+    datum and deterministic (sorted by word length, then word).  Raises
+    GroupTooLarge, before building anything, when |W| (weyl_order) exceeds
+    MAX_GROUP_ORDER."""
     if rd._weyl_cache is None:
         if weyl_order(rd) > MAX_GROUP_ORDER:
             raise GroupTooLarge(f"Weyl group exceeds {MAX_GROUP_ORDER} elements")
-        moves, signs = _free_orbit_template(rd)
+        moves, signs, _ = _free_orbit_template(rd)
         elems = [rd.identity_element]
         for (parent, i, _, _), sign in zip(moves, signs[1:]):
             w, g = elems[parent], rd.generators[i]
@@ -741,21 +750,6 @@ def dominant_representative(rd: RootDatum, weight) -> DominantResult:
     return DominantResult(lam, elem, elem.determinant, on_wall)
 
 
-def weyl_orbit(rd: RootDatum, weight):
-    """The W-orbit of a weight, by breadth-first search over the simple
-    reflections: the work is the orbit's size times the rank, not |W|."""
-    def reflections(lam):
-        out = []
-        for coroot, root, _, _ in rd.simple_walls:
-            p = 0
-            for j, c in coroot:
-                p += lam[j] * c
-            if p:
-                out.append(tuple(x - p * r for x, r in zip(lam, root)))
-        return out
-    return closure([tuple(weight)], reflections)
-
-
 # -- representations --------------------------------------------------------
 
 def weyl_dimension_key(rd: RootDatum, lam):
@@ -777,10 +771,10 @@ def weyl_dimension(rd: RootDatum, lam):
 
 def _free_orbit_template(rd: RootDatum):
     """The W-orbit of 2 rho as a breadth-first tree, built once per datum:
-    (moves, signs), where moves[k] = (parent, i, coroot, root) makes point
-    k + 1 the reflection of point `parent` through the simple wall i,
+    (moves, signs, points), where moves[k] = (parent, i, coroot, root) makes
+    point k + 1 the reflection of point `parent` through the simple wall i,
     rd.simple_walls[i] = (coroot, root, ...), and signs[k] = det w for
-    point k = w(2 rho).  2 rho is strictly dominant, so its orbit
+    points[k] = w(2 rho).  2 rho is strictly dominant, so its orbit
     is free and point k names w; the same moves carry any strictly dominant
     weight over its orbit with one reflection per point.
     InvariantError if a reflection meets a point with the sign of its
@@ -807,7 +801,7 @@ def _free_orbit_template(rd: RootDatum):
     if len(points) != order:
         raise InvariantError(f"the W-orbit of 2 rho has {len(points)} points, "
                              f"expected |W| = {order}")
-    rd._orbit_template = (tuple(moves), tuple(signs))
+    rd._orbit_template = (tuple(moves), tuple(signs), tuple(points))
     return rd._orbit_template
 
 
@@ -820,16 +814,14 @@ def weyl_numerator(rd: RootDatum, lam):
     is not.  lam + rho is strictly dominant, so its orbit is free: the
     per-datum tree of _free_orbit_template carries 2 lam + 2 rho over it
     with one reflection per point, |W| in all.
-    ValueError unless lam is a dominant weight (as weight_multiplicities);
+    ValueError unless lam is a dominant weight (highest_weight);
     GroupTooLarge, before the tree is built, when |W| exceeds
     MAX_GROUP_ORDER; InvariantError if a weight comes with both signs or
     there are not |W| of them."""
-    lam = rd.check_weight(lam)
-    if not rd.is_dominant(lam):
-        raise ValueError("highest weight must be dominant")
+    lam = highest_weight(rd, lam)
     if weyl_order(rd) > MAX_GROUP_ORDER:
         raise GroupTooLarge(f"Weyl group exceeds {MAX_GROUP_ORDER} elements")
-    moves, signs = _free_orbit_template(rd)
+    moves, signs, _ = _free_orbit_template(rd)
     points = [tuple(2 * a + r for a, r in zip(lam, rd.rho2))]
     for parent, _, coroot, root in moves:
         v = points[parent]
@@ -848,24 +840,33 @@ def weyl_numerator(rd: RootDatum, lam):
     return out
 
 
-def weight_multiplicities(rd: RootDatum, lam):
-    """The full weight system of the irreducible V_lam, as {weight: mult}.
-
-    Multiplicities of dominant weights come from the Freudenthal recursion;
-    the rest of the system is filled in over each dominant weight's W-orbit
-    (weyl_orbit); InvariantError if
-    the recursion meets a non-integer multiplicity.  Cached per datum
-    (the cache fill is idempotent, so concurrent first calls are safe);
-    the caller gets its own copy."""
+def highest_weight(rd: RootDatum, lam):
+    """lam as a weight tuple (RootDatum.check_weight); ValueError unless it
+    is dominant."""
     lam = rd.check_weight(lam)
     if not rd.is_dominant(lam):
         raise ValueError("highest weight must be dominant")
-    return dict(_weight_system(rd, lam))
+    return lam
+
+
+def weight_multiplicities(rd: RootDatum, lam):
+    """The full weight system of the irreducible V_lam, as {weight: mult}.
+
+    The dominant weights are taken in order of decreasing |mu + rho|^2; the
+    Freudenthal recursion gives each one's multiplicity, and its W-orbit,
+    found breadth-first over the simple reflections, goes into the same
+    dict at once, so every alpha-string term is one look-up.
+    ValueError unless lam is dominant (highest_weight); InvariantError if
+    the recursion meets a non-integer multiplicity.  Cached per datum
+    (the cache fill is idempotent, so concurrent first calls are safe);
+    the caller gets its own copy."""
+    return dict(_weight_system(rd, highest_weight(rd, lam)))
 
 
 def _weight_system(rd: RootDatum, lam):
-    """The cached weight system of V_lam for a dominant weight tuple lam,
-    not validated and not copied: callers must not mutate it."""
+    """The cached weight system of V_lam (weight_multiplicities) for a
+    dominant weight tuple lam, not validated and not copied: callers must
+    not mutate it."""
     cached = rd._weight_system_cache.get(lam)
     if cached is not None:
         return cached
@@ -873,52 +874,72 @@ def _weight_system(rd: RootDatum, lam):
         rd._weight_system_cache[lam] = {lam: 1}
         return rd._weight_system_cache[lam]
 
-    # work with the doubled, rho-shifted vectors 2*mu + 2*rho so the whole
-    # recursion stays in integer arithmetic
-    def shifted(mu):
-        return tuple(2 * a + b for a, b in zip(mu, rd.rho2))
-
-    top = rd.inner_scaled(shifted(lam), shifted(lam))
-
     # the dominant weights of V_lam are the dominant mu <= lam, and each is
     # reached from lam through dominant weights by subtracting positive roots
     # (Stembridge, Adv. Math. 136 (1998) 340)
     positive = rd.positive_roots()
     dominants = closure([lam], lambda mu: [nu for nu in (vec_sub(mu, alpha) for alpha in positive)
                                            if rd.is_dominant(nu)])
-    dominants = sorted(dominants, key=lambda mu: rd.inner_scaled(shifted(mu), shifted(mu)),
-                       reverse=True)
-    mult = {}
+    # |mu + rho|^2, scaled, on the doubled vectors 2 mu + 2 rho so the whole
+    # recursion stays in integer arithmetic
+    norm = {}
     for mu in dominants:
-        if mu == lam:
-            mult[mu] = 1
-            continue
-        mu2 = shifted(mu)
-        denom = top - rd.inner_scaled(mu2, mu2)
-        acc = 0
-        for alpha, _ in rd.positive_root_pairs:
-            # the alpha-string through the weight mu is unbroken: stop at the
-            # first mu + k alpha that is not a weight
-            k = 1
-            while True:
-                xi = vec_add(mu, vec_scale(k, alpha))
-                m = mult.get(dominant_walk(rd, xi)[0], 0)
-                if not m:
-                    break
-                acc += m * rd.inner_scaled(xi, alpha)
-                k += 1
-        # the scale factors cancel to (2 * 4) / denominator-in-doubled-norms
-        val, rem = divmod(8 * acc, denom)
-        if rem:
-            raise InvariantError(f"Freudenthal recursion for {lam} gives a non-integer "
-                                 f"multiplicity at {mu}")
-        if val:
-            mult[mu] = val
-    # expand each dominant weight over its W-orbit
+        mu2 = tuple(2 * a + b for a, b in zip(mu, rd.rho2))
+        norm[mu] = rd.inner_scaled(mu2, mu2)
+    top = norm[lam]
+    # each positive root with the covector inner_scaled(., alpha) and its step
+    # inner_scaled(alpha, alpha) along the alpha-strings
+    strings = []
+    for alpha in positive:
+        form = tuple(sum(map(mul, row, alpha)) for row in rd._gram_int)
+        strings.append((alpha, form, sum(map(mul, alpha, form))))
+
+    # Each dominant weight above mu has a strictly larger norm, so in this
+    # order its whole W-orbit is in `system` before mu is reached, and each
+    # term of mu's alpha-strings is one look-up
     system = {}
-    for mu, m in mult.items():
-        for nu in weyl_orbit(rd, mu):
-            system[nu] = m
+    for mu in sorted(dominants, key=norm.__getitem__, reverse=True):
+        if mu == lam:
+            val = 1
+        else:
+            acc = 0
+            for alpha, form, step in strings:
+                # the alpha-string through the weight mu is unbroken: stop at
+                # the first mu + k alpha that is not a weight;
+                # <mu + k alpha, alpha> grows by <alpha, alpha> per step
+                xi = vec_add(mu, alpha)
+                m = system.get(xi)
+                if m:
+                    pairing = sum(map(mul, xi, form))
+                    while m:
+                        acc += m * pairing
+                        pairing += step
+                        xi = vec_add(xi, alpha)
+                        m = system.get(xi)
+            # the scale factors cancel to (2 * 4) / denominator-in-doubled-norms
+            val, rem = divmod(8 * acc, top - norm[mu])
+            if rem:
+                raise InvariantError(f"Freudenthal recursion for {lam} gives a non-integer "
+                                     f"multiplicity at {mu}")
+            if not val:
+                continue
+        # mu's W-orbit, breadth-first over the simple reflections; orbits are
+        # disjoint, so a weight already in `system` was reached in this one
+        system[mu] = val
+        frontier = [mu]
+        while frontier:
+            nxt = []
+            for nu in frontier:
+                for coroot, root, _, _ in rd.simple_walls:
+                    p = 0
+                    for j, c in coroot:
+                        p += nu[j] * c
+                    if p:
+                        u = tuple([x - p * r for x, r in zip(nu, root)])
+                        if u not in system:
+                            system[u] = val
+                            nxt.append(u)
+            frontier = nxt
     rd._weight_system_cache[lam] = system
     return system
 

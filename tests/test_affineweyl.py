@@ -17,10 +17,22 @@ from vkt.affineweyl import (
     zero_criterion_discrepancies,
 )
 from vkt.errors import InvariantError
-from vkt.rootdata import WeylElement, root_datum_from_spec, vec_add, weyl_group_elements
+from vkt.rootdata import (
+    RootDatum,
+    WeylElement,
+    root_datum_from_spec,
+    vec_add,
+    weyl_group_elements,
+)
 from vkt.twist import twisting_from_level
 from vkt.zlattice import IntMatrix
 
+from test_datum_oracles import (
+    F4_CARTAN,
+    G2_CARTAN,
+    matrix_generated_subgroup,
+    matrix_stabilizer_brute,
+)
 from test_zlattice import matrix_coset_representatives
 
 
@@ -53,6 +65,11 @@ def affine_closure(rd, generators):
                     nxt.append(comp)
         frontier = nxt
     return list(elems.values())
+
+
+def as_points(rd, matrices):
+    """Weyl-group matrices, each named by its point w(2 rho)."""
+    return {w.apply(rd.rho2) for w in matrices}
 
 
 def su2(n, eps=(0,)):
@@ -223,9 +240,11 @@ def test_stabilizer_alcove_vertex_su3():
     gens = stabilizer_generators(rd, x)
     group = affine_closure(rd, gens)
     assert len(group) == 6
-    assert generated_subgroup(rd, gens) == {g.weyl.matrix for g in group}
-    brute = geometric_stabilizer_brute(rd, x)
+    assert matrix_generated_subgroup(rd, gens) == {g.weyl.matrix for g in group}
+    brute = matrix_stabilizer_brute(rd, x)
     assert len(brute) == 6
+    points = as_points(rd, (g.weyl.matrix for g in group))
+    assert generated_subgroup(rd, gens) == geometric_stabilizer_brute(rd, x) == points
     for g in group:
         # the geometric action x -> w(x) + pi fixes x
         assert vec_add(g.weyl.apply_coweight(x), g.translation) == x
@@ -244,13 +263,41 @@ def test_stabilizer_generators_match_brute_force():
                      Fraction(rng.randint(0, 30), rng.randint(1, 12)))
             gens = stabilizer_generators(rd, x)
             group = affine_closure(rd, gens)
-            brute = geometric_stabilizer_brute(rd, x)
+            brute = matrix_stabilizer_brute(rd, x)
             key = lambda e: (e.translation, e.weyl.matrix.entries)
             assert sorted(map(key, group)) == sorted(map(key, brute))
             # the Weyl parts alone determine a stabilizer
-            weyl_parts = generated_subgroup(rd, gens)
+            weyl_parts = matrix_generated_subgroup(rd, gens)
             assert len(weyl_parts) == len(group)
             assert weyl_parts == {g.weyl.matrix for g in group}
+            # and so do their points w(2 rho)
+            points = as_points(rd, (g.weyl.matrix for g in group))
+            assert len(points) == len(group)
+            assert generated_subgroup(rd, gens) == geometric_stabilizer_brute(rd, x) == points
+
+
+def test_stabilizer_points_match_the_matrix_oracles():
+    # w -> w(2 rho) is injective, so the point sets are the matrix sets; the
+    # points are drawn as check_stabilizers draws them, fewer on F4, whose
+    # matrix closure is the slow side, plus two F4 points with stabilizers
+    # of order 384 and 96
+    rng = random.Random(5)
+    half = Fraction(1, 2)
+    data = [(root_datum_from_spec(name), 40, []) for name in
+            ("SU(2)", "SU(3)", "Spin(5)", "Sp(3)", "SU(2) x U(1)", "U(1)^2")]
+    data += [(RootDatum.from_cartan(G2_CARTAN), 40, []),
+             (RootDatum.from_cartan(F4_CARTAN), 12, [(half, 0, 0, 0), (0, 0, half, 0)]),
+             (RootDatum.from_root_data(2, [(1, -1)], [(1, -1)]), 40, [])]
+    for rd, trials, fixed in data:
+        drawn = [tuple(Fraction(rng.randint(0, 24), rng.randint(1, 12)) for _ in range(rd.rank))
+                 for _ in range(trials)]
+        for x in drawn + fixed:
+            gens = stabilizer_generators(rd, x)
+            brute = geometric_stabilizer_brute(rd, x)
+            weyl_parts = matrix_generated_subgroup(rd, gens)
+            assert brute == as_points(rd, (e.weyl.matrix for e in matrix_stabilizer_brute(rd, x))), x
+            assert generated_subgroup(rd, gens) == as_points(rd, weyl_parts), x
+            assert len(brute) == len(weyl_parts), x
 
 
 def test_stabilizer_reflections_match_their_words():

@@ -5,11 +5,12 @@ The oracles below are the earlier implementations: W by its own
 breadth-first search over the simple reflections with a matrix-keyed
 dedupe, the invariant lattice as the kernel of the stacked s_i - I rows,
 rho as a Fraction vector for the Weyl dimension formula and the dual
-Coxeter pairing, and the geometric stabilizers in Fraction arithmetic.
-None of them calls the code it checks."""
+Coxeter pairing, and the geometric stabilizers in Fraction arithmetic and
+as Weyl-group matrices.  None of them calls the code it checks."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -22,6 +23,7 @@ from vkt.fusion import FusionRing, dominant_weights_up_to
 from vkt.rootdata import (
     RootDatum,
     WeylElement,
+    closure,
     dot,
     root_datum_from_spec,
     vec_scale,
@@ -169,6 +171,27 @@ def fraction_stabilizer_brute(elements, x):
     return out
 
 
+def matrix_stabilizer_brute(rd, x):
+    """All (pi, w) fixing x under the geometric action, w over every element
+    of W as a matrix: pi = x - w(x) is forced by w, so with x = v / d the
+    element exists when v - w(v) = 0 mod d."""
+    d = lcm(*(Fraction(c).denominator for c in x))
+    v = tuple(int(c * d) for c in x)
+    out = []
+    for w in weyl_group_elements(rd):
+        pi = [divmod(a - b, d) for a, b in zip(v, w.apply_coweight(v))]
+        if not any(rem for _, rem in pi):
+            out.append(AffineElement(tuple(q for q, _ in pi), w))
+    return out
+
+
+def matrix_generated_subgroup(rd, generators):
+    """The Weyl parts of the group generated by affine elements, as the
+    closure of their weight-coordinate matrices under composition."""
+    mats = [g.weyl.matrix for g in generators]
+    return closure([IntMatrix.identity(rd.rank)], lambda w: [h * w for h in mats])
+
+
 # -- the tests ------------------------------------------------------------------
 
 def test_weyl_group_from_the_tree_matches_the_bfs():
@@ -218,7 +241,9 @@ def test_stabilizers_by_integer_lifts_match_the_fraction_oracles():
         for _ in range(25):
             x = tuple(Fraction(rng.randint(0, 24), rng.randint(1, 12)) for _ in range(rd.rank))
             assert stabilizer_generators(rd, x) == fraction_stabilizer_generators(rd, x)
-            assert geometric_stabilizer_brute(rd, x) == fraction_stabilizer_brute(elements, x)
+            brute = fraction_stabilizer_brute(elements, x)
+            assert matrix_stabilizer_brute(rd, x) == brute
+            assert geometric_stabilizer_brute(rd, x) == {e.weyl.apply(rd.rho2) for e in brute}
 
 
 # a ring and every verify check on these count the factorizations per datum

@@ -824,7 +824,7 @@ def test_ideal_test_builds_no_weight_system(monkeypatch):
 
     for module in (vkt.rootdata, vkt.fusion):
         monkeypatch.setattr(module, "_weight_system", refuse)
-        monkeypatch.setattr(module, "weight_multiplicities", refuse)
+    monkeypatch.setattr(vkt.rootdata, "weight_multiplicities", refuse)
     # fresh data: no cached weight system to fall back on
     for (name, rd, tau), expected in zip(grid_twistings(cases), want):
         ring = FusionRing(rd, tau)

@@ -310,7 +310,8 @@ def test_dominant_walk_matches_dominant_representative():
 
 
 def test_weight_systems_and_products_build_no_weyl_witness(monkeypatch):
-    # the Freudenthal lookups and tensor_decompose use the integer walk
+    # the weight systems walk no weight at all, and tensor_decompose uses the
+    # integer walk
     def refuse(*args):
         raise AssertionError("dominant_representative builds IntMatrix witnesses")
 
