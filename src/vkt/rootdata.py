@@ -26,7 +26,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from operator import add, mul, sub
 
 from .errors import (
@@ -36,7 +36,7 @@ from .errors import (
     NotTorsionFreePi1,
     SpecParseError,
 )
-from .zlattice import IntMatrix, inverse_rational, smith_normal_form
+from .zlattice import IntMatrix, smith_normal_form
 
 
 def dot(x, y):
@@ -296,34 +296,13 @@ class RootDatum:
 
         self.rho_tilde, self.rho_tilde_note = self._pick_rho_tilde()
 
-        # W-invariant rational inner product on weight coordinates:
-        # coroot-orbit sum on the root span plus a plain dot product on the
-        # W-fixed complement (any such choice works for the weight recursion).
-        # Stored as one integer Gram matrix over a common denominator.
-        inv_basis = self.invariant_lattice_basis()
-        cols = [list(r) for r in self.simple_roots] + [list(v) for v in inv_basis]
-        if self.rank:
-            S = IntMatrix.from_rows(cols).transpose()
-            basis_inv = inverse_rational(S)  # coords in [roots | invariants]
-            gram = [[Fraction(0)] * self.rank for _ in range(self.rank)]
-            for _, cv in self.positive_root_pairs:
-                for i in range(self.rank):
-                    if cv[i]:
-                        for j in range(self.rank):
-                            gram[i][j] += cv[i] * cv[j]
-            for k in range(m, self.rank):
-                for i in range(self.rank):
-                    if basis_inv[k][i]:
-                        for j in range(self.rank):
-                            gram[i][j] += basis_inv[k][i] * basis_inv[k][j]
-            den = 1
-            for row in gram:
-                for v in row:
-                    den = lcm(den, v.denominator)
-            self._gram_int = [[int(v * den) for v in row] for row in gram]
-        else:
-            self._gram_int = []
-        self._num_simple = m
+        # W-invariant form on weight coordinates: the sum of alpha^vee
+        # (alpha^vee)^T over the positive coroots, in integers.  It is
+        # degenerate on the W-fixed weights, which the weight recursion never
+        # sees: it reads differences of norms inside one weight system, whose
+        # weights differ by roots, and pairings with roots.
+        self._gram_int = [[sum(cv[i] * cv[j] for _, cv in self.positive_root_pairs)
+                           for j in range(self.rank)] for i in range(self.rank)]
 
     def _pick_rho_tilde(self):
         if all(x % 2 == 0 for x in self.rho2):
@@ -353,8 +332,8 @@ class RootDatum:
     # -- basic queries ----------------------------------------------------
 
     def inner_scaled(self, x, y):
-        """The invariant form times the global denominator: an integer for
-        integer coordinate vectors."""
+        """The integer invariant form (_gram_int): the sum over the positive
+        coroots of <x, alpha^vee> <y, alpha^vee>."""
         g = self._gram_int
         acc = 0
         for i, xi in enumerate(x):

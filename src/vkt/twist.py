@@ -7,7 +7,11 @@ integer matrix in our dual coordinate bases), and eps is a W-invariant
 mod-2 vector grading the translation action.  The half-shift point
 lambda_eps = eps/2 and the finite groups F = coker(b) and F_eps (the
 torus points solving b(x) = lambda_eps mod the weight lattice) are
-derived.  One Smith normal form U b V = D gives F's invariant factors and
+derived.  An invariant form is fixed by the images b(alpha_i^vee) of the
+simple coroots, so these alone decide equivariance (Twisting._validate)
+and the level of each simple factor (Twisting._detect_levels), with no
+Weyl matrix and no scan of b's blocks.
+One Smith normal form U b V = D gives F's invariant factors and
 generators, its cosets, the Smith coordinates of the averaged pairing and
 the adjugate adj(b) = V diag(det b / d_i) U.  F_eps is built in integers
 only: each point x is held as its lift y = m x at one common order m.  Its
@@ -43,14 +47,15 @@ class Twisting:
     alone (the integer lifts of the F_eps points, their W-orbits, the
     cosets of coker(b), the alcove walls and basis points of affineweyl, the
     pairing's Smith coordinates and tables, coset codes and irregular codes
-    of fusion.delta_eval, whether it is primitive) is built on first use
-    and cached on the object (see `cached`)."""
+    of fusion.delta_eval, the levels and whether it is primitive) is built
+    on first use and cached on the object (see `cached`).  b and eps are
+    validated on the simple coroots (`_validate`); an eps of None is the
+    zero grading, and any other eps needs one entry per coordinate."""
 
-    def __init__(self, rd: RootDatum, b: IntMatrix, eps=None, level_data=None):
+    def __init__(self, rd: RootDatum, b: IntMatrix, eps=None):
         self.rd = rd
         self.b = b
-        self.eps = tuple(int(e) % 2 for e in (eps or (0,) * rd.rank))
-        self.level_data = level_data  # (levels per factor, torus block) when known
+        self.eps = tuple(int(e) % 2 for e in ((0,) * rd.rank if eps is None else eps))
         self._validate()
         snf = smith_normal_form(b)
         self.smith = smith_coordinates(snf)
@@ -63,6 +68,14 @@ class Twisting:
         self._cache = {}
 
     def _validate(self):
+        """Refuse b unless it is square, injective and symmetric, and refuse
+        b or eps unless it is W-equivariant.  Both are tested on the simple
+        coroots alone, in the order of the simple roots.  For symmetric b,
+        s_i b = b s_i^vee reads alpha_i (x) v = v (x) alpha_i with
+        v = b(alpha_i^vee), that is v a multiple of alpha_i, that is
+        2 v = <v, alpha_i^vee> alpha_i.  And s_i eps = eps - <eps, alpha_i^vee>
+        alpha_i, so eps is invariant mod 2 when <eps, alpha_i^vee> alpha_i is
+        even."""
         rd, b = self.rd, self.b
         if b.rows != rd.rank or b.cols != rd.rank:
             raise Degenerate(f"b must be {rd.rank} x {rd.rank}")
@@ -73,11 +86,13 @@ class Twisting:
             raise Degenerate("b is not injective (det b = 0)")
         if not b.is_symmetric():
             raise NotEquivariant("b must be symmetric as a bilinear form on coweights")
-        for g in rd.generators:
-            if g.matrix * b != b * g.comatrix:
+        for alpha, coalpha in zip(rd.simple_roots, rd.simple_coroots):
+            v = b.apply(coalpha)
+            p = dot(v, coalpha)
+            if any(2 * x != p * a for x, a in zip(v, alpha)):
                 raise NotEquivariant("b does not commute with the Weyl action")
-            image = g.matrix.apply(self.eps)
-            if any((x - y) % 2 for x, y in zip(image, self.eps)):
+            p = dot(self.eps, coalpha)
+            if any(p * a % 2 for a in alpha):
                 raise NotEquivariant("grading vector is not W-invariant mod 2")
 
     # -- derived structure ------------------------------------------------
@@ -179,48 +194,37 @@ class Twisting:
         return self.rd.rank % 2
 
     def is_primitive(self):
-        """Conservative normal-form test: trivial grading, level-form b on
-        the simple blocks, and an even symmetric torus block.  Decided once
-        per twisting."""
-        return self.cached("primitive",
-                           lambda: not any(self.eps) and self._detect_levels() is not None)
+        """Conservative normal-form test, decided once per twisting: a split
+        datum, trivial grading, a level on every simple factor
+        (_detect_levels) and an even diagonal on the torus block.  On split
+        data the torus block is all of b off the simple blocks, because an
+        equivariant b is block-diagonal there."""
+        rd = self.rd
+        return self.cached("primitive", lambda: (
+            rd.split_form and not any(self.eps) and self._detect_levels() is not None
+            and not any(self.b.at(i, i) % 2 for i in rd.torus_indices)))
 
     def _detect_levels(self):
-        """Recognize b as (sum of level_i * kappa_i) + even torus block."""
-        rd = self.rd
-        if not rd.split_form:
-            return None
-        levels = []
-        covered = set()
-        for f in rd.factors:
-            idx = f.indices
-            covered.update(idx)
-            k00 = f.kappa.at(0, 0)
-            v = self.b.at(idx[0], idx[0])
-            if v % k00:
-                return None
-            lvl = v // k00
-            for ai, i in enumerate(idx):
-                for aj, j in enumerate(idx):
-                    if self.b.at(i, j) != lvl * f.kappa.at(ai, aj):
-                        return None
-            levels.append(lvl)
-        torus = rd.torus_indices
-        for i in range(rd.rank):
-            for j in range(rd.rank):
-                if i in covered and j in covered:
-                    continue
-                inside = i in torus and j in torus
-                if not inside and self.b.at(i, j) != 0:
+        """The level of each simple factor, or None when one is not an
+        integer; read once per twisting, on any datum.  An equivariant b
+        sends alpha_i^vee to c_i alpha_i, and symmetry gives
+        c_i a_ji = c_j a_ij, so c_i d_i is one constant c on a factor
+        (d_i a_ij = d_j a_ji).  Then b(alpha_i^vee, alpha_j^vee) =
+        c_j a_ij = c kappa_ij on the factor's block, and c is
+        b(alpha^vee, alpha^vee) / kappa_00 at the factor's first coroot."""
+        def read():
+            levels = []
+            for f in self.rd.factors:
+                coalpha = self.rd.simple_coroots[f.indices[0]]
+                level, rem = divmod(dot(self.b.apply(coalpha), coalpha), f.kappa.at(0, 0))
+                if rem:
                     return None
-        for i in torus:
-            if self.b.at(i, i) % 2:
-                return None
-        block = IntMatrix.from_rows([[self.b.at(i, j) for j in torus] for i in torus]) \
-            if torus else IntMatrix.zeros(0, 0)
-        return tuple(levels), block
+                levels.append(level)
+            return tuple(levels)
+        return self.cached("levels", read)
 
     def describe(self):
+        levels = self._detect_levels()
         return {
             "b": self.b.to_rows(),
             "epsilon": list(self.eps),
@@ -229,7 +233,7 @@ class Twisting:
             "lambda_eps": [str(x) for x in self.lambda_eps],
             "degree_parity": self.degree_parity(),
             "primitive": self.is_primitive(),
-            "levels": list(self.level_data[0]) if self.level_data else None,
+            "levels": None if levels is None else list(levels),
         }
 
 
@@ -275,7 +279,7 @@ def twisting_from_level(rd: RootDatum, levels, torus_block=None, eps=None) -> Tw
         for aj, j in enumerate(rd.torus_indices):
             rows[i][j] = tb.at(ai, aj)
     b = IntMatrix.from_rows(rows) if rd.rank else IntMatrix.zeros(0, 0)
-    return Twisting(rd, b, eps, level_data=(levels, tb))
+    return Twisting(rd, b, eps)
 
 
 def f_epsilon_points(rd: RootDatum, tau: Twisting):

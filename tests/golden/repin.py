@@ -87,7 +87,8 @@ MORE = [
     ("--spec specs/e8.spec --twist 1", False),
 ]
 
-# usage errors (exit 2), a refusal (exit 1) and the worked examples
+# usage errors (exit 2), a missing level and a refusal (exit 1), and the
+# worked examples
 SINGLE = [
     "info --group 'SU(2) x Q(3)'",
     "info --group SU(2) --twist a",

@@ -225,6 +225,26 @@ def test_graded_basis_flags(capsys):
     assert data["basis"]["grading_flags"]
 
 
+@pytest.mark.parametrize("epsilon", ["", "1"])
+def test_a_short_grading_is_refused(capsys, epsilon):
+    # an empty grading is not read as zero: on rank 2 it is refused like a
+    # one-entry grading
+    code, out, err = run_cli(capsys, "info", "--group", "SU(2) x U(1)", "--twist", "3",
+                             "--torus", "[[4]]", "--epsilon", epsilon)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "NotEquivariant",
+                               "message": "grading vector length must equal the rank"}
+
+
+def test_an_empty_spec_grading_is_refused(tmp_path, capsys):
+    spec = tmp_path / "job.spec"
+    spec.write_text('group = "SU(2) x U(1)"\n'
+                    'twist = { levels = [3], torus = [[4]], epsilon = [] }\n')
+    code, out, err = run_cli(capsys, "info", "--spec", str(spec))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "NotEquivariant"
+
+
 def _usage_error(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

@@ -1,16 +1,20 @@
-"""One Smith normal form and one Weyl-group tree per root datum, against
-the mechanisms they replaced.
+"""One Smith normal form and one Weyl-group tree per root datum, and the
+invariant forms read off the simple coroots, against the mechanisms they
+replaced.
 
 The oracles below are the earlier implementations: W by its own
 breadth-first search over the simple reflections with a matrix-keyed
 dedupe, the invariant lattice as the kernel of the stacked s_i - I rows,
 rho as a Fraction vector for the Weyl dimension formula and the dual
-Coxeter pairing, and the geometric stabilizers in Fraction arithmetic and
-as Weyl-group matrices.  None of them calls the code it checks."""
+Coxeter pairing, the geometric stabilizers in Fraction arithmetic and as
+Weyl-group matrices, b's equivariance as products with the simple
+reflection matrices, the levels by a scan of b's blocks, and the
+Freudenthal form with a rational invariant complement.  None of them calls
+the code it checks."""
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -18,11 +22,12 @@ import vkt
 import vkt.rootdata
 from vkt.affineweyl import AffineElement, geometric_stabilizer_brute, stabilizer_generators
 from vkt.checks import run_all_checks
-from vkt.errors import NotTorsionFreePi1
+from vkt.errors import Degenerate, NotEquivariant, NotTorsionFreePi1
 from vkt.fusion import FusionRing, dominant_weights_up_to
 from vkt.rootdata import (
     RootDatum,
     WeylElement,
+    _weight_system,
     closure,
     dot,
     root_datum_from_spec,
@@ -31,8 +36,8 @@ from vkt.rootdata import (
     weyl_dimension,
     weyl_group_elements,
 )
-from vkt.twist import twisting_from_level
-from vkt.zlattice import IntMatrix, kernel_basis
+from vkt.twist import Twisting, twisting_from_level
+from vkt.zlattice import IntMatrix, inverse_rational, kernel_basis
 
 G2_CARTAN = [[2, -1], [-3, 2]]
 G2_SWAPPED = [[2, -3], [-1, 2]]
@@ -192,6 +197,98 @@ def matrix_generated_subgroup(rd, generators):
     return closure([IntMatrix.identity(rd.rank)], lambda w: [h * w for h in mats])
 
 
+def matrix_equivariance(rd, b, eps):
+    """The NotEquivariant message of b and eps, or None: s_i b = b s_i^vee
+    as products of the simple reflection matrices, then s_i eps = eps mod 2,
+    for each simple reflection in order."""
+    for g in rd.generators:
+        if g.matrix * b != b * g.comatrix:
+            return "b does not commute with the Weyl action"
+        if any((x - y) % 2 for x, y in zip(g.matrix.apply(eps), eps)):
+            return "grading vector is not W-invariant mod 2"
+    return None
+
+
+def block_scan_levels(tau):
+    """(levels, torus block) when b is level * kappa on each simple block,
+    zero off the blocks and even on the torus diagonal, by a scan of b;
+    None otherwise and on data that is not split."""
+    rd, b = tau.rd, tau.b
+    if not rd.split_form:
+        return None
+    levels, covered = [], set()
+    for f in rd.factors:
+        idx = f.indices
+        covered.update(idx)
+        k00 = f.kappa.at(0, 0)
+        v = b.at(idx[0], idx[0])
+        if v % k00:
+            return None
+        level = v // k00
+        for ai, i in enumerate(idx):
+            for aj, j in enumerate(idx):
+                if b.at(i, j) != level * f.kappa.at(ai, aj):
+                    return None
+        levels.append(level)
+    torus = rd.torus_indices
+    for i in range(rd.rank):
+        for j in range(rd.rank):
+            if (i not in covered or j not in covered) \
+                    and not (i in torus and j in torus) and b.at(i, j):
+                return None
+    if any(b.at(i, i) % 2 for i in torus):
+        return None
+    return tuple(levels), [[b.at(i, j) for j in torus] for i in torus]
+
+
+def complement_gram(rd):
+    """The Freudenthal form with an invariant complement: the positive
+    coroots' sum alpha^vee (alpha^vee)^T plus the dot product of the
+    coordinates along invariant_lattice_basis in the basis
+    [simple roots | invariant lattice], over one common denominator."""
+    n, m = rd.rank, len(rd.simple_roots)
+    if not n:
+        return []
+    cols = [list(r) for r in rd.simple_roots] + [list(v) for v in rd.invariant_lattice_basis()]
+    coords = inverse_rational(IntMatrix.from_rows(cols).transpose())
+    gram = [[Fraction(sum(cv[i] * cv[j] for _, cv in rd.positive_root_pairs))
+             + sum(coords[k][i] * coords[k][j] for k in range(m, n))
+             for j in range(n)] for i in range(n)]
+    den = lcm(*(v.denominator for row in gram for v in row))
+    return [[int(v * den) for v in row] for row in gram]
+
+
+def random_form(rd, rng):
+    """A symmetric integer matrix of the datum's rank: an equivariant one
+    (a rational multiple of kappa on each simple block of split data, any
+    symmetric torus block; k I + l J on U(n)-style data), such a one with
+    one symmetric pair of entries moved, or one with small random entries."""
+    n = rd.rank
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    kind = rng.randrange(3)
+    if kind < 2:
+        if rd.split_form:
+            rows = [[rows[i][j] if i in rd.torus_indices and j in rd.torus_indices else 0
+                     for j in range(n)] for i in range(n)]
+            for f in rd.factors:
+                k = f.kappa.to_rows()
+                g = gcd(*(x for row in k for x in row))
+                c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), g)
+                for ai, i in enumerate(f.indices):
+                    for aj, j in enumerate(f.indices):
+                        rows[i][j] = int(c * k[ai][aj])
+        else:
+            k, l = rng.randint(-6, 6), rng.randint(-6, 6)
+            rows = [[k * (i == j) + l for j in range(n)] for i in range(n)]
+        if kind == 1:
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] += rng.choice([-2, -1, 1, 2])
+    for i in range(n):
+        for j in range(i):
+            rows[i][j] = rows[j][i]
+    return IntMatrix.from_rows(rows)
+
+
 # -- the tests ------------------------------------------------------------------
 
 def test_weyl_group_from_the_tree_matches_the_bfs():
@@ -325,3 +422,117 @@ def test_one_smith_form_and_one_determinant_per_twisting(monkeypatch, name, leve
         assert twisting_snfs == [tau.b]
     assert tau.b not in inverses
     assert dets.count(tau.b) == 1
+
+
+def form_grid():
+    """Data with a simple factor: named groups, G2 in both root orders, and
+    U(2)- to U(4)-style data, which are not split."""
+    out = [root_datum_from_spec(name) for name in NAMES if name not in ("U(1)", "U(1)^2")]
+    out += [root_datum_from_spec({"cartan": cartan}) for cartan in (G2_CARTAN, G2_SWAPPED)]
+    out += [u_style(n) for n in (2, 3, 4)]
+    return out
+
+
+def coroot_equivariance(rd, b, eps):
+    try:
+        Twisting(rd, b, eps)
+    except NotEquivariant as exc:
+        return str(exc)
+    return None
+
+
+def test_equivariance_on_the_coroots_matches_the_matrix_test():
+    # same verdict and same message, over random symmetric b and gradings
+    rng = random.Random(22)
+    data = form_grid()
+    assert len(data) >= 12
+    verdicts = {}
+    for rd in data:
+        for _ in range(350):
+            b = random_form(rd, rng)
+            if not b.determinant():
+                continue
+            eps = tuple(rng.randint(0, 1) if rng.randrange(2) else 0 for _ in range(rd.rank))
+            want = matrix_equivariance(rd, b, eps)
+            assert coroot_equivariance(rd, b, eps) == want, (rd.spec_text, b.to_rows(), eps)
+            verdicts[want] = verdicts.get(want, 0) + 1
+    assert sum(verdicts.values()) >= 4000
+    assert min(verdicts.values()) >= 200 and len(verdicts) == 3, verdicts
+
+
+def test_levels_on_the_coroots_match_the_block_scan():
+    # over valid twistings: the levels of every level-form b, and None
+    # where the scan finds b off level form; primitive exactly when the
+    # scan finds level form with an even torus diagonal and eps = 0
+    rng = random.Random(7)
+    data = form_grid() + [root_datum_from_spec(name) for name in ("U(1)", "U(1)^2")]
+    valid = level_form = 0
+    while valid < 10000:
+        for rd in data:
+            b = random_form(rd, rng)
+            eps = tuple(rng.randint(0, 1) if rng.randrange(4) == 0 else 0
+                        for _ in range(rd.rank))
+            if not b.determinant() or matrix_equivariance(rd, b, eps):
+                continue
+            tau = Twisting(rd, b, eps)
+            valid += 1
+            scan = block_scan_levels(tau)
+            levels = tau._detect_levels()
+            if scan is not None:
+                level_form += 1
+                assert levels == scan[0], (rd.spec_text, b.to_rows())
+            elif rd.split_form:
+                assert levels is None or any(b.at(i, i) % 2 for i in rd.torus_indices)
+            assert tau.is_primitive() == (scan is not None and not any(eps))
+            assert tau.describe()["levels"] == (None if levels is None else list(levels))
+    assert level_form >= 2000 and valid - level_form >= 2000
+
+
+@pytest.mark.parametrize("name", ["U(1)", "U(1)^2", "SU(2) x U(1)", "U(1) x SU(3) x U(1)",
+                                  "G2 x U(1)", "SU(2) x SU(3)", "U(2)", "U(3)", "U(4)"])
+def test_weight_systems_need_no_invariant_complement(name):
+    # the integer coroot sum gives the weight systems of the form with a
+    # rational invariant complement, in the same order
+    def datum():
+        if name.startswith("U(") and name[2] != "1":
+            return u_style(int(name[2]))
+        if name == "G2 x U(1)":
+            return RootDatum.from_cartan(G2_CARTAN, torus_rank=1)
+        return root_datum_from_spec(name)
+
+    rd, oracle = datum(), datum()
+    oracle._gram_int = complement_gram(oracle)
+    assert (oracle._gram_int == rd._gram_int) == (len(rd.simple_roots) == rd.rank)
+    for lam in dominant_weights_up_to(rd, 3):
+        assert list(_weight_system(rd, lam).items()) == \
+            list(_weight_system(oracle, lam).items()), lam
+
+
+def test_equivariance_reads_no_weyl_matrix(monkeypatch):
+    # fails where b is tested by products with the reflection matrices
+    rd = root_datum_from_spec("SU(2) x U(1)")
+    monkeypatch.setattr(rd, "generators", ())
+    with pytest.raises(NotEquivariant, match="does not commute"):
+        Twisting(rd, IntMatrix.from_rows([[2, 1], [1, 2]]))
+
+
+def test_a_root_datum_takes_no_rational_inverse(monkeypatch):
+    # fails where the Freudenthal form inverts [simple roots | invariants]
+    def boom(*args):
+        raise AssertionError("rational inverse while building a root datum")
+
+    for module in (vkt.rootdata, vkt.zlattice):
+        monkeypatch.setattr(module, "inverse_rational", boom, raising=False)
+    rd = root_datum_from_spec("SU(2) x U(1)")
+    assert rd._gram_int == [[1, 0], [0, 0]]
+
+
+def test_levels_of_an_explicit_b_are_detected():
+    # fails where the levels are known only to twisting_from_level
+    rd = root_datum_from_spec("SU(2)")
+    tau = Twisting(rd, IntMatrix.from_rows([[10]]))
+    assert tau.describe()["levels"] == [5]
+    assert Twisting(rd, IntMatrix.from_rows([[7]])).describe()["levels"] is None
+    # on data that is not split too, though only split data is primitive
+    tau = Twisting(u_style(2), IntMatrix.from_rows([[3, 1], [1, 3]]))
+    assert tau.describe()["levels"] == [2] and not tau.is_primitive()

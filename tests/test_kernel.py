@@ -1050,9 +1050,9 @@ def test_tables_build_no_pairing_cache():
     rd = root_datum_from_spec("SU(3)")
     tau = twisting_from_level(rd, (5,))
     FusionRing(rd, tau).structure_constants()
-    # only the alcove walls, the basis points and the primitivity flag: no
-    # pairing kernel, F_eps or cosets
-    assert set(tau._cache) == {"alcove", "basis", "primitive"}
+    # only the alcove walls, the basis points, the levels and the primitivity
+    # flag: no pairing kernel, F_eps or cosets
+    assert set(tau._cache) == {"alcove", "basis", "levels", "primitive"}
 
 
 def test_delta_identity_work_does_not_grow_with_trials(monkeypatch):

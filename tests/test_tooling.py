@@ -80,3 +80,31 @@ def test_no_floating_point_in_the_package():
                           for alias in node.names
                           if node.module == "cmath" or alias.name not in EXACT_MATH]
     assert found == []
+
+
+def _assigned_self_attributes(tree):
+    """(attribute name, line) of every `self.<name> = ...` in the tree."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) \
+                            and sub.value.id == "self":
+                        out.append((sub.attr, node.lineno))
+    return out
+
+
+def test_every_instance_attribute_is_read():
+    # an attribute the package sets on self is read somewhere in src/,
+    # tests/ or bench/: a write-only attribute is work no result uses
+    paths = [path for folder in ("src", "tests", "bench")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name}:{line} {name}" for path, tree in trees.items()
+              if SRC in path.parents
+              for name, line in _assigned_self_attributes(tree) if name not in read]
+    assert unread == []

@@ -65,6 +65,14 @@ def test_not_equivariant_rejected():
         twisting_from_level(rd, (1,), torus_block=[[2]], eps=(0,))  # bad eps length
 
 
+def test_an_empty_grading_is_not_zero():
+    rd = root_datum_from_spec("SU(2) x U(1)")
+    b = IntMatrix.from_rows([[6, 0], [0, 4]])
+    assert Twisting(rd, b).eps == (0, 0)
+    with pytest.raises(NotEquivariant, match="length must equal the rank"):
+        Twisting(rd, b, eps=())
+
+
 def test_asymmetric_torus_block_rejected():
     rd = root_datum_from_spec("U(1)^2")
     with pytest.raises(NotEquivariant):
