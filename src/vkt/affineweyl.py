@@ -59,7 +59,6 @@ from .zlattice import (
     IntMatrix,
     box_points,
     inverse_rational,
-    inverse_unimodular,
 )
 
 
@@ -129,8 +128,7 @@ class Alcove:
         self.section = [tuple(sum(cols[k][i] * u.at(k, j) for k in range(m))
                               for i in range(n)) for j in range(m)]
         self.invariant = rd.invariant_lattice_basis()
-        vinv = inverse_unimodular(v)
-        self.lifts = [vinv.row(j) for j in range(m, n)]
+        self.lifts = [rd.coroot_snf.Vinv.row(j) for j in range(m, n)]
         # f(lam) = (v_k . adj(b) lam) / det b for the invariant weights v_k
         self.free_rows = [tuple(tau.adj_apply(vk)) for vk in self.invariant]
 

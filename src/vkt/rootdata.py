@@ -188,7 +188,7 @@ class RootDatum:
         if torus_form is None:
             kt = IntMatrix.identity(torus_rank)
         else:
-            kt = IntMatrix.from_rows(torus_form) if torus_rank else IntMatrix.zeros(0, 0)
+            kt = IntMatrix.from_rows(torus_form)
             if kt.rows != torus_rank or not kt.is_symmetric():
                 raise InvalidCartanData("torus_form must be a symmetric matrix of the torus rank")
         return cls(n, roots, coroots, _components(cartan_rows),
@@ -214,7 +214,7 @@ class RootDatum:
     def _validate(self):
         """One Smith normal form U C V = D of the simple-coroot matrix C, kept
         as `coroot_snf`: D is the torsion test, V's last columns are
-        invariant_lattice_basis, and affineweyl.Alcove reads U and V."""
+        invariant_lattice_basis, and affineweyl.Alcove reads U, V and Vinv."""
         n = self.rank
         for r in self.simple_roots + self.simple_coroots:
             if len(r) != n:
@@ -398,6 +398,8 @@ def _named_factor(name):
     if not m:
         raise SpecParseError(f"cannot parse group factor {name!r}")
     kind, arg, power = m.group(1), int(m.group(2)), int(m.group(3) or 1)
+    if power < 1:
+        raise SpecParseError(f"a power of a group factor needs n >= 1, got {name!r}")
     if kind == "U":
         if arg != 1:
             raise SpecParseError("only U(1) torus factors are supported by name")

@@ -1,8 +1,8 @@
 """Exact integer linear algebra: Smith normal form, kernels, cokernels.
 
-Everything here is over plain Python ints (arbitrary precision) or
-fractions.Fraction; no floating point anywhere.  Matrices are immutable
-and small (desk scale, dimensions up to ~50).
+Everything here is over plain Python ints (arbitrary precision); only
+inverse_rational works in fractions.Fraction.  No floating point anywhere.
+Matrices are immutable and small (desk scale, dimensions up to ~50).
 """
 
 from __future__ import annotations
@@ -18,7 +18,12 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
-        entries = tuple(int(e) for e in entries)
+        """ValueError unless every entry equals an integer."""
+        given = tuple(entries)
+        entries = tuple(map(int, given))
+        if entries != given:
+            bad = next(x for x, k in zip(given, entries) if x != k)
+            raise ValueError(f"non-integral matrix entry {bad!r}")
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         object.__setattr__(self, "rows", rows)
@@ -123,11 +128,14 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U * M * V = D with U, V unimodular and D in Smith normal form."""
+    """U * M * V = D with U, V unimodular and D in Smith normal form;
+    Uinv and Vinv are the inverses of U and V."""
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
+    Uinv: IntMatrix
+    Vinv: IntMatrix
 
     def invariant_diagonal(self):
         n = min(self.D.rows, self.D.cols)
@@ -173,117 +181,85 @@ def _find_pivot(a, t, rows, cols):
 
 
 def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
-    """Diagonalize M over Z: U*M*V = D, d_i >= 0 and d_i | d_{i+1}.
+    """Diagonalize M over Z: U*M*V = D, d_i >= 0 and d_i | d_{i+1}, with
+    Uinv = U^-1 and Vinv = V^-1 built from the same elementary operations.
 
     Deterministic: pivots are chosen by smallest absolute value, ties
-    broken by row index then column index.
+    broken by row index then column index.  A pivot that has cleared its
+    row and column but does not divide some entry of the trailing block
+    takes in the first row holding one; reducing that row again leaves a
+    smaller pivot.  So the loop ends, and each pivot divides all later ones.
     """
     rows, cols = M.rows, M.cols
     a = M.to_rows()
-    u = IntMatrix.identity(rows).to_rows()
-    v = IntMatrix.identity(cols).to_rows()
+    u, uinv = IntMatrix.identity(rows).to_rows(), IntMatrix.identity(rows).to_rows()
+    v, vinv = IntMatrix.identity(cols).to_rows(), IntMatrix.identity(cols).to_rows()
 
+    # a row operation on U is the inverse column operation on U^-1, and a
+    # column operation on V the inverse row operation on V^-1
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        for r in uinv:
+            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(dst, src, c):
         # row_dst += c * row_src
         a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
         u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        for r in uinv:
+            r[src] -= c * r[dst]
 
     def add_col(dst, src, c):
         for r in a:
             r[dst] += c * r[src]
         for r in v:
             r[dst] += c * r[src]
+        vinv[src] = [x - c * y for x, y in zip(vinv[src], vinv[dst])]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        for r in uinv:
+            r[i] = -r[i]
 
     t = 0
-    while t < min(rows, cols):
-        pos = _find_pivot(a, t, rows, cols)
-        if pos is None:
-            break
-        if pos[0] != t:
-            swap_rows(t, pos[0])
-        if pos[1] != t:
-            swap_cols(t, pos[1])
+    while t < min(rows, cols) and (pos := _find_pivot(a, t, rows, cols)):
         while True:
-            # reduce column t, then row t, against the pivot
-            done = True
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
-                    if a[i][t]:
-                        done = False
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
-                    if a[t][j]:
-                        done = False
-            if done:
-                break
-            pos = _find_pivot(a, t, rows, cols)
             if pos[0] != t:
                 swap_rows(t, pos[0])
             if pos[1] != t:
                 swap_cols(t, pos[1])
+            # reduce column t, then row t, against the pivot
+            p = a[t][t]
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    add_row(i, t, -(a[i][t] // p))
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    add_col(j, t, -(a[t][j] // p))
+            if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1:]):
+                pos = _find_pivot(a, t, rows, cols)
+                continue
+            bad = next((i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1:])), None)
+            if bad is None:
+                break
+            add_row(t, bad, 1)
+            pos = (t, t)
         if a[t][t] < 0:
             negate_row(t)
         t += 1
 
-    # enforce the divisibility chain d_i | d_{i+1}
-    r = t
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if di and dj % di == 0:
-                continue
-            changed = True
-            # fold the 2x2 block diag(di, dj) into diag(gcd, lcm)
-            g, x, y = _xgcd(di, dj)
-            # U2 = [[x, y], [-dj/g, di/g]], V2 = [[1, -y*dj/g], [1, x*di/g]]
-            p, q = i, i + 1
-            rowp = [x * ap + y * aq for ap, aq in zip(a[p], a[q])]
-            rowq = [(-dj // g) * ap + (di // g) * aq for ap, aq in zip(a[p], a[q])]
-            a[p], a[q] = rowp, rowq
-            urowp = [x * ap + y * aq for ap, aq in zip(u[p], u[q])]
-            urowq = [(-dj // g) * ap + (di // g) * aq for ap, aq in zip(u[p], u[q])]
-            u[p], u[q] = urowp, urowq
-            for rr in a:
-                cp, cq = rr[p], rr[q]
-                rr[p] = cp + cq
-                rr[q] = (-(y * dj) // g) * cp + ((x * di) // g) * cq
-            for rr in v:
-                cp, cq = rr[p], rr[q]
-                rr[p] = cp + cq
-                rr[q] = (-(y * dj) // g) * cp + ((x * di) // g) * cq
-
-    D = IntMatrix.from_rows(a)
-    return SmithDecomposition(IntMatrix.from_rows(u), D, IntMatrix.from_rows(v))
-
-
-def _xgcd(p, q):
-    """g, x, y with x*p + y*q = g = gcd(p, q), g >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while q:
-        k, p, q = p // q, q, p % q
-        x0, x1 = x1, x0 - k * x1
-        y0, y1 = y1, y0 - k * y1
-    if p < 0:
-        p, x0, y0 = -p, -x0, -y0
-    return p, x0, y0
+    D = IntMatrix(rows, cols, [x for r in a for x in r])
+    return SmithDecomposition(IntMatrix.from_rows(u), D, IntMatrix.from_rows(v),
+                              IntMatrix.from_rows(uinv), IntMatrix.from_rows(vinv))
 
 
 def kernel_basis(M: IntMatrix):
@@ -303,9 +279,8 @@ def cokernel_structure(M: IntMatrix) -> FiniteAbelianGroup:
     snf = smith_normal_form(M)
     d = snf.invariant_diagonal()
     d += (0,) * (M.rows - len(d))
-    uinv = inverse_unimodular(snf.U)
     return FiniteAbelianGroup(tuple(x for x in d if x > 1), d.count(0),
-                              tuple(uinv.column(i) for i, x in enumerate(d) if x != 1))
+                              tuple(snf.Uinv.column(i) for i, x in enumerate(d) if x != 1))
 
 
 def smith_coordinates(snf: SmithDecomposition):
@@ -317,22 +292,9 @@ def smith_coordinates(snf: SmithDecomposition):
     d = snf.invariant_diagonal()
     if len(d) < snf.D.rows or 0 in d:
         raise ValueError("quotient is infinite")
-    uinv = inverse_unimodular(snf.U)
     keep = [i for i, x in enumerate(d) if x > 1]
     return (tuple(d[i] for i in keep), tuple(snf.U.row(i) for i in keep),
-            tuple(uinv.column(i) for i in keep))
-
-
-def inverse_unimodular(M: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix (det +-1)."""
-    inv = inverse_rational(M)
-    ent = []
-    for row in inv:
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            ent.append(x.numerator)
-    return IntMatrix(M.rows, M.cols, ent)
+            tuple(snf.Uinv.column(i) for i in keep))
 
 
 def inverse_rational(M: IntMatrix):

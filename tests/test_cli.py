@@ -332,6 +332,24 @@ def test_example_size_out_of_range_is_a_usage_error(capsys, which, n):
     assert which in err["message"]
 
 
+@pytest.mark.parametrize("group", ["SU(2)^0", "U(1)^0", "SU(2)^0 x U(1)"])
+def test_zero_power_is_a_usage_error(capsys, group):
+    # not the trivial group with the level dropped
+    err = _usage_error(capsys, "info", "--group", group, "--twist", "3")
+    assert err["error"] == "SpecParseError"
+    assert "^0" in err["message"]
+
+
+def test_torus_form_without_a_torus_is_refused(tmp_path, capsys):
+    spec = tmp_path / "job.spec"
+    spec.write_text("cartan = [[2]]\ntorus_form = [[5]]\ntwist = { levels = [3] }\n")
+    code, out, err = run_cli(capsys, "info", "--spec", str(spec))
+    assert (code, out) == (1, "")
+    err = json.loads(err)
+    assert err["error"] == "InvalidCartanData"
+    assert "torus_form" in err["message"]
+
+
 @pytest.mark.parametrize("text, key", [
     ('group = "SU(2)"\ntwist = { levles = [5] }\n', "levles"),
     ('group = "SU(2)"\ntwist = { levels = [5] }\nformt = "tsv"\n', "formt"),

@@ -8,9 +8,10 @@ dedupe, the invariant lattice as the kernel of the stacked s_i - I rows,
 rho as a Fraction vector for the Weyl dimension formula and the dual
 Coxeter pairing, the geometric stabilizers in Fraction arithmetic and as
 Weyl-group matrices, b's equivariance as products with the simple
-reflection matrices, the levels by a scan of b's blocks, and the
-Freudenthal form with a rational invariant complement.  None of them calls
-the code it checks."""
+reflection matrices, the levels by a scan of b's blocks, the
+Freudenthal form with a rational invariant complement, and the coroot
+Smith form by the two-pass reduction with its transforms inverted in
+Fraction arithmetic.  None of them calls the code it checks."""
 
 import random
 from fractions import Fraction
@@ -38,6 +39,9 @@ from vkt.rootdata import (
 )
 from vkt.twist import Twisting, twisting_from_level
 from vkt.zlattice import IntMatrix, inverse_rational, kernel_basis
+
+from test_known_tables import cartan_e
+from test_zlattice import inverse_unimodular, two_pass_smith_normal_form
 
 G2_CARTAN = [[2, -1], [-3, 2]]
 G2_SWAPPED = [[2, -3], [-1, 2]]
@@ -318,6 +322,37 @@ def test_weyl_dimension_from_the_integer_key():
             assert weyl_dimension(rd, lam) == fraction_weyl_dimension(rd, lam), (rd.spec_text, lam)
     f4 = root_datum_from_spec({"cartan": F4_CARTAN})
     assert [weyl_dimension(f4, lam) for lam in ((1, 0, 0, 0), (0, 0, 0, 1))] == [26, 52]
+
+
+def test_coroot_transforms_match_the_two_pass_oracle():
+    # the alcove frame, the invariant lattice and the labels read U, V and
+    # V^-1 of the coroot matrix: all its pivots are units, so the one-pass
+    # reduction gives the same U and V, and inverses equal to the Fraction ones
+    data = [rd for rd, _ in grid()] + [RootDatum.from_cartan(cartan_e(n)) for n in (6, 7, 8)]
+    for rd in data:
+        snf = rd.coroot_snf
+        coroots = IntMatrix(len(rd.simple_coroots), rd.rank,
+                            [c for cv in rd.simple_coroots for c in cv])
+        U, D, V, fired = two_pass_smith_normal_form(coroots)
+        assert (snf.U, snf.D, snf.V, fired) == (U, D, V, False), rd.spec_text
+        assert snf.Uinv == inverse_unimodular(U) and snf.Vinv == inverse_unimodular(V)
+
+
+@pytest.mark.parametrize("name, levels", [
+    ("SU(3)", (5,)), ("Spin(5)", (4,)), ({"cartan": G2_CARTAN}, (5,)),
+], ids=["SU(3)", "Spin(5)", "G2"])
+def test_a_ring_and_its_checks_take_no_rational_inverse(monkeypatch, name, levels):
+    # fails where the alcove or the cosets invert a Smith transform in
+    # Fraction arithmetic; G2 at level 5 is loop level 1
+    def boom(*args):
+        raise AssertionError("rational inverse on data with no torus")
+
+    for module in vars(vkt).values():
+        if hasattr(module, "inverse_rational"):
+            monkeypatch.setattr(module, "inverse_rational", boom)
+    rd = root_datum_from_spec(name)
+    ring = FusionRing(rd, twisting_from_level(rd, levels))
+    assert all(check["passed"] for check in run_all_checks(ring))
 
 
 @pytest.mark.parametrize("roots, coroots, torsion", [

@@ -22,8 +22,8 @@ from vkt.rootdata import (
     weyl_numerator,
     weyl_order,
 )
-from vkt.twist import twisting_from_level
-from vkt.zlattice import inverse_rational
+from vkt.twist import Twisting, twisting_from_level
+from vkt.zlattice import IntMatrix, inverse_rational
 
 
 def su2():
@@ -134,6 +134,29 @@ def test_bad_specs():
         root_datum_from_spec({"cartan": [[2, -2], [-2, 2]]})  # affine type
     with pytest.raises(InvalidCartanData):
         root_datum_from_spec({"cartan": [[2, 1], [1, 2]]})
+
+
+@pytest.mark.parametrize("name", ["SU(2)^0", "U(1)^0", "SU(2)^0 x U(1)"])
+def test_a_zero_power_is_refused(name):
+    # not read as the trivial group, as SU(1) is not
+    with pytest.raises(SpecParseError, match=r"power .* n >= 1"):
+        root_datum_from_spec(name)
+
+
+def test_a_torus_form_at_torus_rank_0_is_checked():
+    # a form for no torus is refused, as a form of the wrong size is
+    for rank, form in ((0, [[5]]), (1, [[1, 0], [0, 1]])):
+        with pytest.raises(InvalidCartanData, match="torus_form"):
+            RootDatum.from_cartan([[2]], rank, torus_form=form)
+    assert RootDatum.from_cartan([[2]], 0, torus_form=[]).rank == 1
+
+
+def test_non_integral_matrix_data_is_refused():
+    # not truncated toward zero
+    with pytest.raises(ValueError, match="non-integral"):
+        RootDatum.from_cartan([[2]], 1, torus_form=[[Fraction(3, 2)]])
+    with pytest.raises(ValueError, match="non-integral"):
+        Twisting(root_datum_from_spec("SU(2)"), IntMatrix.from_rows([[Fraction(13, 2)]]))
 
 
 def test_group_split_keeps_parentheses_whole():

@@ -2,6 +2,7 @@
 
 import ast
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -108,3 +109,20 @@ def test_every_instance_attribute_is_read():
               if SRC in path.parents
               for name, line in _assigned_self_attributes(tree) if name not in read]
     assert unread == []
+
+
+def test_the_package_imports_only_the_standard_library():
+    # the runtime has no dependencies: every import is relative or names a
+    # module of the standard library, wherever in the file it stands
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
+    assert found == []
