@@ -28,127 +28,100 @@ from .twist import shift_by_dual_coxeter, twisting_from_level
 # -- spec text ----------------------------------------------------------------
 
 class _Scanner:
+    """A cursor on spec text: line and column are worked out from the
+    offset only where an error is raised."""
+
     def __init__(self, text):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    def error(self, message):
-        raise SpecParseError(message, self.line, self.col)
+    def error(self, message, pos=None):
+        """Raise SpecParseError at offset pos (by default the cursor's)."""
+        pos = self.pos if pos is None else pos
+        raise SpecParseError(message, self.text.count("\n", 0, pos) + 1,
+                             pos - self.text.rfind("\n", 0, pos))
 
     def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def advance(self):
-        c = self.text[self.pos]
-        self.pos += 1
-        if c == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return c
+        return self.text[self.pos:self.pos + 1]
 
     def skip_space(self, newlines=False):
+        space = " \t\r\n" if newlines else " \t"
         while self.pos < len(self.text):
-            c = self.peek()
+            c = self.text[self.pos]
             if c == "#":
-                while self.pos < len(self.text) and self.peek() != "\n":
-                    self.advance()
-            elif c in " \t" or (newlines and c in "\r\n"):
-                self.advance()
+                end = self.text.find("\n", self.pos)
+                self.pos = len(self.text) if end < 0 else end
+            elif c in space:
+                self.pos += 1
             else:
                 break
 
     def expect(self, c):
         if self.peek() != c:
             self.error(f"expected {c!r}, found {self.peek()!r}")
-        self.advance()
+        self.pos += 1
 
     def entry(self, table):
         """Read `key = value` into table, refusing a key it already holds."""
-        line, col, start = self.line, self.col, self.pos
+        start = self.pos
         while self.peek().isalnum() or self.peek() == "_":
-            self.advance()
+            self.pos += 1
         if start == self.pos:
             self.error("expected a key")
         key = self.text[start:self.pos]
         if key in table:
-            raise SpecParseError(f"duplicate key {key!r}", line, col)
+            self.error(f"duplicate key {key!r}", start)
         self.skip_space()
         self.expect("=")
         table[key] = self.value()
 
     def value(self):
+        """A string, an integer (an optional `-`, then decimal digits: the
+        digits `int` reads), a list or an inline table."""
         self.skip_space()
-        c = self.peek()
+        c, start = self.peek(), self.pos
         if c == '"':
-            return self._string()
+            end = self.text.find('"', start + 1)
+            newline = self.text.find("\n", start + 1, len(self.text) if end < 0 else end)
+            if newline >= 0:
+                self.error("newline inside string", newline + 1)
+            if end < 0:
+                self.error("unterminated string", len(self.text))
+            self.pos = end + 1
+            return self.text[start + 1:end]
         if c == "[":
-            return self._list()
+            return self._items("]", self.value)
         if c == "{":
-            return self._table()
-        if c == "-" or c.isdigit():
-            return self._int()
+            table = {}
+            self._items("}", lambda: self.entry(table))
+            return table
+        if c == "-" or c.isdecimal():
+            if c == "-":
+                self.pos += 1
+            digits = self.pos
+            while self.peek().isdecimal():
+                self.pos += 1
+            if self.pos == digits:
+                self.error("expected digits")
+            return int(self.text[start:self.pos])
         self.error(f"cannot parse value starting with {c!r}")
 
-    def _string(self):
-        self.expect('"')
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                self.error("unterminated string")
-            c = self.advance()
-            if c == '"':
-                return "".join(out)
-            if c == "\n":
-                self.error("newline inside string")
-            out.append(c)
-
-    def _int(self):
-        start = self.pos
-        if self.peek() == "-":
-            self.advance()
-        if not self.peek().isdigit():
-            self.error("expected digits")
-        while self.peek().isdigit():
-            self.advance()
-        return int(self.text[start:self.pos])
-
-    def _list(self):
-        self.expect("[")
-        out = []
+    def _items(self, close, read):
+        """read() on each item of a comma-separated sequence, from the
+        opening bracket under the cursor to `close`."""
+        self.pos += 1
         self.skip_space(newlines=True)
-        if self.peek() == "]":
-            self.advance()
-            return out
-        while True:
-            self.skip_space(newlines=True)
-            out.append(self.value())
-            self.skip_space(newlines=True)
-            if self.peek() == ",":
-                self.advance()
-                continue
-            self.expect("]")
-            return out
-
-    def _table(self):
-        self.expect("{")
-        out = {}
-        self.skip_space(newlines=True)
-        if self.peek() == "}":
-            self.advance()
-            return out
-        while True:
-            self.skip_space(newlines=True)
-            self.entry(out)
-            self.skip_space(newlines=True)
-            if self.peek() == ",":
-                self.advance()
-                continue
-            self.expect("}")
-            return out
+        out = []
+        if self.peek() != close:
+            while True:
+                out.append(read())
+                self.skip_space(newlines=True)
+                if self.peek() != ",":
+                    break
+                self.pos += 1
+                self.skip_space(newlines=True)
+        self.expect(close)
+        return out
 
 
 def parse_spec_text(text):

@@ -463,9 +463,9 @@ def _pairing_kernel(tau: Twisting, regular_only):
     (1) The lift set is Galois-stable (checked: k y is a lift for each unit
     k mod m), so each K is a Galois-fixed element of Z[zeta_m], a rational
     integer; (2) |K| <= |F|; (3) so its balanced residue mod N is K.
-    ValueError ("did not reduce to an integer") when the lift set is not
-    Galois-stable; InvariantError when m is not the exponent of G or a lift
-    is not a character of G; GroupTooLarge (check_pairing_budget) before any
+    InvariantError when the lift set is not Galois-stable ("did not reduce
+    to an integer"), m is not the exponent of G or a lift is not a
+    character of G; GroupTooLarge (check_pairing_budget) before any
     coset or lift is built."""
     check_pairing_budget(tau)
 
@@ -479,7 +479,7 @@ def _pairing_kernel(tau: Twisting, regular_only):
         for k in range(2, m):
             if gcd(k, m) == 1 and any(tuple(k * c % m for c in y) not in lift_set
                                       for y in lifts):
-                raise ValueError(f"averaged pairing did not reduce to an integer: the "
+                raise InvariantError(f"averaged pairing did not reduce to an integer: the "
                                  f"F_eps lifts are not stable under y -> {k} y mod {m}")
         histogram = [0] * coords.size
         for y in lifts:
@@ -580,7 +580,7 @@ def _check_galois_stable(tau: Twisting, m, ys):
         if gcd(k, m) == 1:
             for y in ys:
                 if tuple(k * scale * c % top for c in y) not in regular:
-                    raise ValueError(f"the class set is not Galois-stable: {k} * {y} / {m} "
+                    raise InvariantError(f"the class set is not Galois-stable: {k} * {y} / {m} "
                                      f"is not a regular point of F_eps")
 
 
@@ -601,7 +601,7 @@ def structure_constants_via_characters(ring: FusionRing):
     it makes the character matrix M invertible with inverse
     conj(M)^T D / |F|, so N_ab^c = |F|^-1 sum_x d(x) chi_a chi_b conj(chi_c)
     is the exact solve of M N_ab = chi_a chi_b, not a trusted shortcut.
-    Raises ValueError when the class count differs from the basis size, the
+    Raises InvariantError when the class count differs from the basis size, the
     class set is not Galois-stable, the Gram identity fails, or a constant
     is not an integer.
 
@@ -615,7 +615,7 @@ def structure_constants_via_characters(ring: FusionRing):
     rd, tau, n = ring.rd, ring.tau, len(ring.basis)
     m, ys = tau.verlinde_lifts()
     if len(ys) != n:
-        raise ValueError("class count does not match basis size")
+        raise InvariantError("class count does not match basis size")
     if not n:
         return []
     _check_galois_stable(tau, m, ys)
@@ -654,13 +654,13 @@ def structure_constants_via_characters(ring: FusionRing):
 
     for a in range(n):
         if sums(chi[a]) != [order if c == a else 0 for c in range(n)]:
-            raise ValueError(f"Gram identity sum_x d(x) chi_a conj(chi_c) = |F| delta_ac "
+            raise InvariantError(f"Gram identity sum_x d(x) chi_a conj(chi_c) = |F| delta_ac "
                              f"fails for basis element {a}")
     out = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
             row = sums([p * q % modulus for p, q in zip(chi[a], chi[b])])
             if any(v % order for v in row):
-                raise ValueError("character route produced a non-integer")
+                raise InvariantError("character route produced a non-integer")
             out[a][b] = out[b][a] = tuple(v // order for v in row)
     return out

@@ -7,6 +7,7 @@ from vkt.affineweyl import (
     AffineElement,
     Alcove,
     act,
+    alcove,
     box_reduce,
     enumerate_basis_orbits,
     generated_subgroup,
@@ -16,7 +17,9 @@ from vkt.affineweyl import (
     stabilizer_generators,
     zero_criterion_discrepancies,
 )
+from vkt.checks import check_orbit_constancy
 from vkt.errors import InvariantError
+from vkt.fusion import FusionRing
 from vkt.rootdata import (
     RootDatum,
     WeylElement,
@@ -165,6 +168,26 @@ def test_orbit_constancy_property():
         else:
             assert moved.representative == base.representative
             assert moved.sign == base.sign * sign_character(tau, g)
+
+
+@pytest.mark.parametrize("name, levels, torus, eps", [
+    ("SU(3)", (5,), None, None),
+    ("Spin(5)", (4,), None, None),
+    ("SU(2) x U(1)", (3,), [[4]], (0, 1)),
+])
+def test_orbit_check_catches_a_flipped_wall_sign(name, levels, torus, eps):
+    # the check moves weights by words in the simple reflections, read off
+    # the roots: a wrong sign on a simple wall or the affine wall shows
+    rd = root_datum_from_spec(name)
+    ring = FusionRing(rd, twisting_from_level(rd, levels, torus_block=torus, eps=eps))
+    assert check_orbit_constancy(ring)["passed"]
+    walls = alcove(rd, ring.tau)
+    for k in range(len(walls.signs)):
+        walls.signs[k] = -walls.signs[k]
+        walls._zero.clear()
+        assert not check_orbit_constancy(ring)["passed"], (name, k)
+        walls.signs[k] = -walls.signs[k]
+        walls._zero.clear()
 
 
 def test_zero_iff_not_free_when_ungraded():

@@ -291,6 +291,29 @@ def test_spec_levels_of_strings_is_a_usage_error(tmp_path, capsys):
     assert "levels" in err["message"]
 
 
+@pytest.mark.parametrize("levels, message, column", [
+    ("[²]", "cannot parse value starting with '²'", 21),
+    ("[-²]", "expected digits", 22),
+    ("[1²]", "expected ']', found '²'", 22),
+], ids=["digit", "after-minus", "after-a-digit"])
+def test_a_digit_int_refuses_is_a_usage_error(tmp_path, capsys, levels, message, column):
+    # str.isdigit admits the superscript two, which int refuses
+    text = f'group = "SU(2)"\ntwist = {{ levels = {levels} }}\n'
+    with pytest.raises(SpecParseError) as caught:
+        parse_spec_text(text)
+    assert (caught.value.line, caught.value.column) == (2, column)
+    spec = tmp_path / "job.spec"
+    spec.write_text(text, encoding="utf-8")
+    err = _usage_error(capsys, "info", "--spec", str(spec))
+    assert err == {"error": "SpecParseError",
+                   "message": f"line 2, column {column}: {message}"}
+
+
+def test_a_decimal_digit_of_any_script_is_read():
+    # as int reads it, and as --twist already does
+    assert parse_spec_text("twist = { levels = [٣, -1٣] }") == {"twist": {"levels": [3, -13]}}
+
+
 def test_huge_f_is_refused_before_enumerating(tmp_path, capsys, monkeypatch):
     # E6 at loop level 1 has |F| = 14 480 427 cosets, over the cap: classes
     # refuses at once, with no coset enumerated

@@ -391,8 +391,9 @@ COUNTED = [
 @pytest.mark.parametrize("name, levels, torus, eps", COUNTED)
 def test_one_coroot_snf_and_one_orbit_tree_per_datum(monkeypatch, name, levels, torus, eps):
     # over a ring and every verify check: the torsion test, the invariant
-    # lattice and the alcove read one SNF of the coroot matrix, and W, the
-    # Weyl numerators and the orbit checks read one tree of the orbit of 2 rho
+    # lattice and the alcove read one SNF of the coroot matrix, the Weyl
+    # numerators and the stabilizer check read one tree of the orbit of
+    # 2 rho, and no check enumerates W
     snfs, trees = [], []
     real_snf = vkt.zlattice.smith_normal_form
     real_tree = vkt.rootdata._free_orbit_template
@@ -417,7 +418,7 @@ def test_one_coroot_snf_and_one_orbit_tree_per_datum(monkeypatch, name, levels, 
                         [c for cv in rd.simple_coroots for c in cv])
     assert [M for M in snfs if M == coroots] == [coroots]
     assert trees == [rd]
-    assert rd._weyl_cache is not None
+    assert rd._weyl_cache is None
 
 
 @pytest.mark.parametrize("name, levels, torus, eps", COUNTED)

@@ -220,7 +220,7 @@ def test_character_route_gram_guard():
     # the first basis element now carries the character of the second, so
     # two rows of the character matrix agree and orthogonality fails
     ring.transversal = (ring.transversal[1],) + ring.transversal[1:]
-    with pytest.raises(ValueError, match="Gram identity"):
+    with pytest.raises(InvariantError, match="Gram identity"):
         structure_constants_via_characters(ring)
 
 
@@ -233,7 +233,7 @@ def test_pairing_integrality_guard(monkeypatch):
     monkeypatch.setattr(tau, "f_epsilon",
                         lambda regular_only=False: (m, lifts[1:]) if regular_only else full())
     assert delta_eval(rd, tau, {(0, 0): 1}, (0, 0)) == 1      # the full kernel is intact
-    with pytest.raises(ValueError, match="did not reduce to an integer"):
+    with pytest.raises(InvariantError, match="did not reduce to an integer"):
         delta_eval(rd, tau, {(0, 0): 1}, (0, 0), regular_only=True)
     # nor is all of F_eps without its second lift (the first, the origin, is
     # fixed by every unit); the regular kernel built before stays as it was
@@ -242,13 +242,14 @@ def test_pairing_integrality_guard(monkeypatch):
     m, lifts = tau.f_epsilon()
     monkeypatch.setattr(tau, "f_epsilon",
                         lambda regular_only=False: (m, lifts[:1] + lifts[2:]))
-    with pytest.raises(ValueError, match="did not reduce to an integer"):
+    with pytest.raises(InvariantError, match="did not reduce to an integer"):
         delta_eval(rd, tau, {(0, 0): 1}, (0, 0))
     assert vkt.fusion._pairing_kernel(tau, True) is regular
 
 
 GUARDS_UNDER_O = """
 import sys
+from vkt.errors import InvariantError
 from vkt.fusion import FusionRing, delta_eval, structure_constants_via_characters
 from vkt.rootdata import root_datum_from_spec
 from vkt.twist import twisting_from_level
@@ -280,7 +281,7 @@ for call, message in (
          "did not reduce to an integer")):
     try:
         call()
-    except ValueError as exc:
+    except InvariantError as exc:
         if message not in str(exc):
             sys.exit(f"wrong error for the {message} guard: {exc}")
     else:

@@ -56,9 +56,10 @@ from vkt.checks import (
     check_f_epsilon,
     check_grading_flags,
     check_oracle_equivalence,
+    run_all_checks,
 )
 from vkt.cyclo import CyclotomicInt, character_bins, cyclotomic_polynomial, poly_divmod_exact
-from vkt.errors import GroupTooLarge
+from vkt.errors import GroupTooLarge, InvariantError
 from vkt.fusion import (
     FusionRing,
     KClass,
@@ -1098,18 +1099,29 @@ def test_cosets_are_built_once_per_verify(monkeypatch):
         assert len(calls) == 1, argv
 
 
-def bench_twistings():
-    """The twisting of every job the benchmark can pick, built the way its
-    workloads build them."""
+def bench_twistings(routes=("table", "characters", "verify")):
+    """The twisting of every job the benchmark can pick on the given routes,
+    built the way its workloads build them."""
     path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     jobs = {job.input_label: job for name in workloads.WORKLOADS
-            for job in workloads.all_jobs(name)}
+            for job in workloads.all_jobs(name) if job.route in routes}
     for label, job in sorted(jobs.items()):
         ring = workloads.build_ring(job)
         yield label, ring.rd, ring.tau
+
+
+def test_verify_enumerates_no_weyl_group(monkeypatch):
+    # orbit_constancy draws words in the simple reflections: every check
+    # runs with weyl_group_elements refusing, on the acceptance grid and
+    # every verify input of the benchmark
+    refuse_weyl_enumeration(monkeypatch)
+    for name, rd, tau in list(grid_twistings()) + list(bench_twistings(("verify",))):
+        checks = run_all_checks(FusionRing(rd, tau))
+        assert [c["name"] for c in checks if not c["passed"]] == [], name
+        assert rd._weyl_cache is None, name
 
 
 def test_one_smith_form_matches_the_old_readings():
@@ -1307,14 +1319,14 @@ def test_galois_guard_rejects_a_non_regular_class(monkeypatch):
                 if y not in regular and all(c % scale == 0 for c in y)]
     assert singular
     monkeypatch.setattr(tau, "verlinde_lifts", lambda: (m, [singular[-1]] + ys[1:]))
-    with pytest.raises(ValueError, match="Galois"):
+    with pytest.raises(InvariantError, match="Galois"):
         structure_constants_via_characters(ring)
     # a regular set holding the class lifts but not all their multiples by
     # units: k = 1 passes, and some unit k > 1 must be caught
     monkeypatch.setattr(tau, "verlinde_lifts", lambda: (m, ys))
     classes = [tuple(c * scale for c in y) for y in ys]
     monkeypatch.setattr(tau, "f_epsilon", lambda regular_only=False: (top, classes))
-    with pytest.raises(ValueError, match=r"Galois-stable: (?!1 \*)\d+ \*"):
+    with pytest.raises(InvariantError, match=r"Galois-stable: (?!1 \*)\d+ \*"):
         structure_constants_via_characters(ring)
 
 

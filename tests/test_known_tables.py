@@ -7,6 +7,9 @@ and character solving).
 
 import random
 
+import pytest
+
+from vkt.checks import check_orbit_constancy
 from vkt.fusion import FusionRing, fusion_product
 from vkt.rootdata import RootDatum, root_datum_from_spec, weyl_dimension
 from vkt.twist import shift_by_dual_coxeter, twisting_from_level
@@ -99,10 +102,13 @@ def test_g2_level1_is_fibonacci():
         assert assert_fibonacci(ring_at_loop_level(cartan, 1)) == t
 
 
+F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+
+
 def test_f4_level1_is_fibonacci():
     # |F| = 40000 cosets for a 2-element ring; t is the 26-dimensional
     # representation, at the short end of the Dynkin diagram
-    ring = ring_at_loop_level([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]], 1)
+    ring = ring_at_loop_level(F4, 1)
     assert ring.tau.order_F() == 40000
     assert ring.rd.factors[0].name == "F4"
     assert assert_fibonacci(ring) == (1, 0, 0, 0)
@@ -161,6 +167,16 @@ def test_e8_level2_is_ising(monkeypatch):
     assert product_on_weights(ring, sigma, sigma) == {one: 1, psi: 1}
     assert product_on_weights(ring, sigma, psi) == {sigma: 1}
     assert product_on_weights(ring, psi, psi) == {one: 1}
+
+
+@pytest.mark.parametrize("cartan", [F4, cartan_e(6), cartan_e(7), cartan_e(8)],
+                         ids=["F4", "E6", "E7", "E8"])
+def test_orbit_constancy_draws_words_not_weyl_elements(monkeypatch, cartan):
+    # E7 and E8 are past the enumeration cap; random words need no W
+    refuse_weyl_enumeration(monkeypatch)
+    ring = ring_at_loop_level(cartan, 1)
+    assert check_orbit_constancy(ring) == {"name": "orbit_constancy", "passed": True,
+                                           "detail": {"trials": 40, "failures": []}}
 
 
 def test_su2_level4_table_spot():

@@ -22,6 +22,17 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_isdigit_in_the_package():
+    # str.isdigit admits characters int refuses (the superscript two);
+    # isdecimal admits exactly the digits int reads
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "isdigit":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_every_public_name_resolves():
     assert [name for name in vkt.__all__ if not hasattr(vkt, name)] == []
 

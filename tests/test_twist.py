@@ -73,6 +73,31 @@ def test_an_empty_grading_is_not_zero():
         Twisting(rd, b, eps=())
 
 
+@pytest.mark.parametrize("levels", [(Fraction(7, 2),), (2.9,), (Fraction(-1, 3),)])
+def test_a_non_integral_level_is_refused(levels):
+    # int() truncated these: 7/2 built b = [[6]] and 2.9 read as level 2
+    rd = root_datum_from_spec("SU(2)")
+    with pytest.raises(ValueError, match="non-integral level"):
+        twisting_from_level(rd, levels)
+    assert twisting_from_level(rd, (Fraction(8, 2),)).b == twisting_from_level(rd, (4,)).b
+
+
+def test_a_non_integral_loop_level_is_refused():
+    rd = root_datum_from_spec("SU(2)")
+    with pytest.raises(ValueError, match="non-integral level"):
+        shift_by_dual_coxeter(rd, (Fraction(3, 2),))
+    assert shift_by_dual_coxeter(rd, (Fraction(6, 2),)) == (5,)
+
+
+def test_a_non_integral_grading_entry_is_refused():
+    # int(e) % 2 read 3/2 as 1
+    rd = root_datum_from_spec("SU(2) x U(1)")
+    b = IntMatrix.from_rows([[6, 0], [0, 4]])
+    with pytest.raises(ValueError, match="non-integral grading entry"):
+        Twisting(rd, b, eps=(0, Fraction(3, 2)))
+    assert Twisting(rd, b, eps=(0, Fraction(-2, 2))).eps == (0, 1)
+
+
 def test_asymmetric_torus_block_rejected():
     rd = root_datum_from_spec("U(1)^2")
     with pytest.raises(NotEquivariant):
