@@ -39,9 +39,8 @@ from dataclasses import dataclass
 from itertools import product
 from math import ceil, floor, lcm
 
-from .errors import GroupTooLarge, InvariantError
+from .errors import InvariantError
 from .rootdata import (
-    MAX_GROUP_ORDER,
     RootDatum,
     WeylElement,
     _free_orbit_template,
@@ -52,7 +51,6 @@ from .rootdata import (
     vec_add,
     vec_scale,
     vec_sub,
-    weyl_order,
 )
 from .twist import Twisting
 from .zlattice import (
@@ -338,12 +336,9 @@ def geometric_stabilizer_brute(rd: RootDatum, x):
     exists when v - w(v) = 0 mod d.  Walks the per-datum tree of the orbit
     of 2 rho (rootdata._free_orbit_template), carrying v with one simple
     coreflection v -> v - <alpha_i, v> alpha_i^vee per element.
-    GroupTooLarge, before the tree is built, when |W| exceeds
-    MAX_GROUP_ORDER."""
-    if weyl_order(rd) > MAX_GROUP_ORDER:
-        raise GroupTooLarge(f"Weyl group exceeds {MAX_GROUP_ORDER} elements")
-    v, d = _lift(x)
+    GroupTooLarge from the tree when |W| exceeds MAX_GROUP_ORDER."""
     moves, _, points = _free_orbit_template(rd)
+    v, d = _lift(x)
     images = [v]                                # images[k] = w(v), points[k] = w(2 rho)
     for parent, i, coroot, root in moves:
         u = list(images[parent])

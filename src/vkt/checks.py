@@ -18,6 +18,7 @@ from .affineweyl import (
     stabilizer_generators,
     zero_criterion_discrepancies,
 )
+from .errors import InvariantError
 from .fusion import (
     FusionRing,
     check_pairing_budget,
@@ -256,19 +257,34 @@ def check_grading_flags(ring: FusionRing):
             "detail": {"epsilon": list(ring.tau.eps), "discrepancies": disc}}
 
 
+# each check, by its name in this module and its report name, in report order
+CHECKS = (
+    ("check_double_count", "double_count"),
+    ("check_f_epsilon", "f_epsilon_solutions"),
+    ("check_cyclic_generator", "cyclic_generator"),
+    ("check_annihilation", "ideal_annihilation"),
+    ("check_oracle_equivalence", "oracle_equivalence"),
+    ("check_algebra_axioms", "algebra_axioms"),
+    ("check_delta_identity", "delta_identity"),
+    ("check_orbit_constancy", "orbit_constancy"),
+    ("check_stabilizers", "stabilizer_reflections"),
+    ("check_grading_flags", "grading_flags"),
+)
+
+
 def run_all_checks(ring: FusionRing):
     """Every check on one ring, in a fixed order; GroupTooLarge before any
-    check runs when the delta check's pairing kernel is over budget."""
+    check runs when the delta check's pairing kernel is over budget.  An
+    InvariantError raised inside a check is that check's failure, with the
+    error's class and message as its detail, and the other checks still
+    run.  Each check is looked up in this module's namespace at call time,
+    so a wrapper bound there sees the call."""
     check_pairing_budget(ring.tau)
-    return [
-        check_double_count(ring),
-        check_f_epsilon(ring),
-        check_cyclic_generator(ring),
-        check_annihilation(ring),
-        check_oracle_equivalence(ring),
-        check_algebra_axioms(ring),
-        check_delta_identity(ring),
-        check_orbit_constancy(ring),
-        check_stabilizers(ring),
-        check_grading_flags(ring),
-    ]
+    results = []
+    for function, name in CHECKS:
+        try:
+            results.append(globals()[function](ring))
+        except InvariantError as exc:
+            results.append({"name": name, "passed": False,
+                            "detail": {"error": type(exc).__name__, "message": str(exc)}})
+    return results

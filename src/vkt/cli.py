@@ -184,14 +184,29 @@ class JobSpec:
 # -- building the objects -----------------------------------------------------
 
 def build_root_datum(job: JobSpec):
+    """The RootDatum named by the job's group; raises SpecParseError when
+    there is none, or when a group table's cartan or torus_form is not
+    integer rows of one length or its torus_rank is not an integer."""
     if job.group is None:
         raise SpecParseError("no group given (use --group or a spec file)")
+    if isinstance(job.group, dict):
+        for key in ("cartan", "torus_form"):
+            if key in job.group:
+                _check_int_rows(f"group {key}", job.group[key], job.group[key])
+        if type(job.group.get("torus_rank", 0)) is not int:
+            raise SpecParseError(f"group torus_rank must be an integer, "
+                                 f"got {job.group['torus_rank']!r}")
     return root_datum_from_spec(job.group)
 
 
-def _int_rows(rows):
-    return isinstance(rows, list) and all(
-        isinstance(row, list) and all(type(v) is int for v in row) for row in rows)
+def _check_int_rows(what, rows, given):
+    """SpecParseError, naming `what` and the `given` value, unless rows is a
+    list of lists of ints, all of one length."""
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and all(type(v) is int for v in row) for row in rows)):
+        raise SpecParseError(f"{what} must be integers, got {given!r}")
+    if len(set(map(len, rows))) > 1:
+        raise SpecParseError(f"{what} must be rows of one length, got {given!r}")
 
 
 def build_twisting(rd, twist_spec):
@@ -203,8 +218,7 @@ def build_twisting(rd, twist_spec):
     torus = twist_spec.get("torus")
     for key, rows in (("levels", [levels]), ("epsilon", [] if eps is None else [eps]),
                       ("torus", [] if torus is None else torus)):
-        if not _int_rows(rows):
-            raise SpecParseError(f"twist {key} must be integers, got {twist_spec[key]!r}")
+        _check_int_rows(f"twist {key}", rows, twist_spec.get(key))
     levels = tuple(levels)
     shift = twist_spec.get("shift", "none")
     if shift not in ("none", "dual_coxeter"):

@@ -288,34 +288,39 @@ def fusion_product(ring: FusionRing, a, b) -> KClass:
     cached = ring._product_cache.get(key)
     if cached is not None:
         return cached
-    rd = ring.rd
     if ring.size_keys[a] < ring.size_keys[b]:
         a, b = b, a
-    lam, system = ring.transversal[a], _weight_system(rd, ring.transversal[b])
-    alc = alcove(rd, ring.tau)
-    shifted = vec_add(lam, ring.rho_tilde)
+    system = _weight_system(ring.rd, ring.transversal[b])
+    out = KClass(_kac_walton(ring, vec_add(ring.transversal[a], ring.rho_tilde), system))
+    ring._product_cache[key] = out
+    return out
+
+
+def _kac_walton(ring: FusionRing, base, system):
+    """{alcove point: sum of sign * mult} over the weights nu of the weight
+    system {nu: mult} whose alcove walk from base + nu survives: one walk
+    per weight, and a walk that ends on a sign -1 wall drops out."""
+    alc = alcove(ring.rd, ring.tau)
     out = {}
     for nu, mult in system.items():
-        point, sign = alc.walk(vec_add(shifted, nu))
+        point, sign = alc.walk(vec_add(base, nu))
         if not alc.is_zero(point):
             out[point] = out.get(point, 0) + sign * mult
-    out = KClass(out)
-    ring._product_cache[key] = out
     return out
 
 
 def module_action(ring: FusionRing, combo, kc: KClass) -> KClass:
     """The representation-ring action on a KClass, by convolution with the
-    full weight system of the virtual character {dominant weight: coeff}."""
+    full weight system of the virtual character {dominant weight: coeff}:
+    one Kac-Walton walk from each orbit point of kc."""
     out = {}
     for lam, c in sorted(combo.items()):
         if not c:
             continue
-        for nu, m in _weight_system(ring.rd, highest_weight(ring.rd, lam)).items():
-            for rep, k in kc.items():
-                red = orbit_normal_form(ring.rd, ring.tau, vec_add(rep, nu))
-                if not red.is_zero:
-                    out[red.representative] = out.get(red.representative, 0) + red.sign * c * m * k
+        system = _weight_system(ring.rd, highest_weight(ring.rd, lam))
+        for rep, k in kc.items():
+            for point, v in _kac_walton(ring, rep, system).items():
+                out[point] = out.get(point, 0) + c * k * v
     return KClass(out)
 
 

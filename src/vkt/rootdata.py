@@ -36,7 +36,7 @@ from .errors import (
     NotTorsionFreePi1,
     SpecParseError,
 )
-from .zlattice import IntMatrix, smith_normal_form
+from .zlattice import IntMatrix, integers, smith_normal_form
 
 
 def dot(x, y):
@@ -74,16 +74,11 @@ def closure(seeds, moves):
 
 def as_weight(rank, coords):
     """Validate and normalize an integer weight coordinate vector: ValueError
-    unless every coordinate equals an integer."""
-    out = []
-    for x in coords:
-        k = int(x)
-        if k != x:
-            raise ValueError(f"non-integral weight coordinate {x!r}")
-        out.append(k)
+    unless every coordinate equals an integer and there are rank of them."""
+    out = integers(coords, "weight coordinate")
     if len(out) != rank:
         raise ValueError(f"weight length {len(out)} != rank {rank}")
-    return tuple(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -540,23 +535,15 @@ def _symmetrizer(a):
 
 
 def _components(a):
-    n = len(a)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if not seen[j] and a[i][j] != 0:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(sorted(comp))
+    """The connected components of the Dynkin diagram of a, each one the
+    closure of its least index over the nonzero entries of the rows, sorted,
+    in order of least index."""
+    comps, seen = [], set()
+    for start in range(len(a)):
+        if start not in seen:
+            comp = closure([start], lambda i: [j for j, v in enumerate(a[i]) if v])
+            seen |= comp
+            comps.append(sorted(comp))
     return comps
 
 
@@ -643,11 +630,9 @@ def weyl_group_elements(rd: RootDatum):
     matrices and one of comatrices per edge.  Words are shortest
     expressions (the tree is breadth-first); the result is cached on the
     datum and deterministic (sorted by word length, then word).  Raises
-    GroupTooLarge, before building anything, when |W| (weyl_order) exceeds
-    MAX_GROUP_ORDER."""
+    GroupTooLarge, before building anything, when |W| exceeds
+    MAX_GROUP_ORDER (_free_orbit_template)."""
     if rd._weyl_cache is None:
-        if weyl_order(rd) > MAX_GROUP_ORDER:
-            raise GroupTooLarge(f"Weyl group exceeds {MAX_GROUP_ORDER} elements")
         moves, signs, _ = _free_orbit_template(rd)
         elems = [rd.identity_element]
         for (parent, i, _, _), sign in zip(moves, signs[1:]):
@@ -758,8 +743,12 @@ def _free_orbit_template(rd: RootDatum):
     points[k] = w(2 rho).  2 rho is strictly dominant, so its orbit
     is free and point k names w; the same moves carry any strictly dominant
     weight over its orbit with one reflection per point.
-    InvariantError if a reflection meets a point with the sign of its
-    source (a point with both signs) or the orbit does not have |W| points."""
+    GroupTooLarge, before the first point, when |W| (weyl_order) exceeds
+    MAX_GROUP_ORDER; InvariantError if a reflection meets a point with the
+    sign of its source (a point with both signs) or the orbit does not have
+    |W| points."""
+    if weyl_order(rd) > MAX_GROUP_ORDER:
+        raise GroupTooLarge(f"Weyl group exceeds {MAX_GROUP_ORDER} elements")
     if rd._orbit_template is not None:
         return rd._orbit_template
     points, signs, moves = [rd.rho2], [1], []
@@ -795,13 +784,11 @@ def weyl_numerator(rd: RootDatum, lam):
     is not.  lam + rho is strictly dominant, so its orbit is free: the
     per-datum tree of _free_orbit_template carries 2 lam + 2 rho over it
     with one reflection per point, |W| in all.
-    ValueError unless lam is a dominant weight (highest_weight);
-    GroupTooLarge, before the tree is built, when |W| exceeds
-    MAX_GROUP_ORDER; InvariantError if a weight comes with both signs or
-    there are not |W| of them."""
+    ValueError unless lam is a dominant weight (highest_weight), then
+    GroupTooLarge from the tree when |W| exceeds MAX_GROUP_ORDER;
+    InvariantError if a weight comes with both signs or there are not |W|
+    of them."""
     lam = highest_weight(rd, lam)
-    if weyl_order(rd) > MAX_GROUP_ORDER:
-        raise GroupTooLarge(f"Weyl group exceeds {MAX_GROUP_ORDER} elements")
     moves, signs, _ = _free_orbit_template(rd)
     points = [tuple(2 * a + r for a, r in zip(lam, rd.rho2))]
     for parent, _, coroot, root in moves:

@@ -32,6 +32,7 @@ from .zlattice import (
     FiniteAbelianGroup,
     IntMatrix,
     coset_representatives,
+    integers,
     smith_coordinates,
     smith_normal_form,
 )
@@ -55,7 +56,7 @@ class Twisting:
     def __init__(self, rd: RootDatum, b: IntMatrix, eps=None):
         self.rd = rd
         self.b = b
-        eps = (0,) * rd.rank if eps is None else _integers(eps, "grading entry")
+        eps = (0,) * rd.rank if eps is None else integers(eps, "grading entry")
         self.eps = tuple(e % 2 for e in eps)
         self._validate()
         snf = smith_normal_form(b)
@@ -238,21 +239,10 @@ class Twisting:
         }
 
 
-def _integers(values, what):
-    """values as a tuple of ints; ValueError on one that does not equal an
-    integer."""
-    given = tuple(values)
-    out = tuple(map(int, given))
-    for x, k in zip(given, out):
-        if x != k:
-            raise ValueError(f"non-integral {what} {x!r}")
-    return out
-
-
 def shift_by_dual_coxeter(rd: RootDatum, loop_levels):
     """Total twist levels from loop-group levels: add each factor's dual
     Coxeter number.  Torus blocks are unaffected and not represented here."""
-    loop_levels = _integers(loop_levels, "level")
+    loop_levels = integers(loop_levels, "level")
     if len(loop_levels) != len(rd.factors):
         raise Degenerate(f"expected {len(rd.factors)} levels, got {len(loop_levels)}")
     return tuple(lvl + f.dual_coxeter for lvl, f in zip(loop_levels, rd.factors))
@@ -267,7 +257,7 @@ def twisting_from_level(rd: RootDatum, levels, torus_block=None, eps=None) -> Tw
     if not rd.split_form:
         raise NotEquivariant("level-form twists need a split (simply connected x torus) datum; "
                              "pass an explicit b instead")
-    levels = _integers(levels, "level")
+    levels = integers(levels, "level")
     if len(levels) != len(rd.factors):
         raise Degenerate(f"expected {len(rd.factors)} levels, got {len(levels)}")
     tr = len(rd.torus_indices)

@@ -12,6 +12,17 @@ from fractions import Fraction
 from itertools import product
 
 
+def integers(values, what):
+    """values as a tuple of ints; ValueError, naming `what` and the value,
+    at the first value that does not equal an integer (none is truncated)."""
+    given = tuple(values)
+    out = tuple(map(int, given))
+    if out != given:
+        bad = next(x for x, k in zip(given, out) if x != k)
+        raise ValueError(f"non-integral {what} {bad!r}")
+    return out
+
+
 class IntMatrix:
     """An immutable integer matrix, entries stored row-major."""
 
@@ -19,11 +30,7 @@ class IntMatrix:
 
     def __init__(self, rows, cols, entries):
         """ValueError unless every entry equals an integer."""
-        given = tuple(entries)
-        entries = tuple(map(int, given))
-        if entries != given:
-            bad = next(x for x, k in zip(given, entries) if x != k)
-            raise ValueError(f"non-integral matrix entry {bad!r}")
+        entries = integers(entries, "matrix entry")
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         object.__setattr__(self, "rows", rows)

@@ -291,6 +291,38 @@ def test_spec_levels_of_strings_is_a_usage_error(tmp_path, capsys):
     assert "levels" in err["message"]
 
 
+@pytest.mark.parametrize("text, message", [
+    ('cartan = [["a"]]\n', "group cartan must be integers, got [['a']]"),
+    ("cartan = 3\n", "group cartan must be integers, got 3"),
+    ("cartan = [3]\n", "group cartan must be integers, got [3]"),
+    ("cartan = [[2, -1], [-1]]\n", "group cartan must be rows of one length, got [[2, -1], [-1]]"),
+    ('cartan = [[2]]\ntorus_rank = "x"\n', "group torus_rank must be an integer, got 'x'"),
+    ("cartan = [[2]]\ntorus_rank = [1]\n", "group torus_rank must be an integer, got [1]"),
+    ('cartan = [[2]]\ntorus_rank = 1\ntorus_form = [["q"]]\n',
+     "group torus_form must be integers, got [['q']]"),
+    ("cartan = [[2]]\ntorus_rank = 2\ntorus_form = [[1, 0], [0]]\n",
+     "group torus_form must be rows of one length, got [[1, 0], [0]]"),
+], ids=["cartan-strings", "cartan-int", "cartan-flat", "cartan-ragged", "torus_rank-string",
+        "torus_rank-list", "torus_form-strings", "torus_form-ragged"])
+def test_malformed_group_table_is_a_usage_error(tmp_path, capsys, text, message):
+    # a group table's values are type-checked before the datum is built, as
+    # the twist table's are: no ValueError or TypeError traceback
+    spec = tmp_path / "job.spec"
+    spec.write_text(text)
+    err = _usage_error(capsys, "info", "--spec", str(spec))
+    assert err == {"error": "SpecParseError", "message": message}
+
+
+def test_ragged_twist_torus_is_a_usage_error(tmp_path, capsys):
+    # from a spec file and from --torus: not IntMatrix's "ragged rows"
+    spec = tmp_path / "job.spec"
+    spec.write_text('group = "U(1)^2"\ntwist = { levels = [3], torus = [[1, 0], [0]] }\n')
+    want = {"error": "SpecParseError",
+            "message": "twist torus must be rows of one length, got [[1, 0], [0]]"}
+    assert _usage_error(capsys, "info", "--spec", str(spec)) == want
+    assert _usage_error(capsys, "basis", "--group", "U(1)^2", "--torus", "[[1,0],[0]]") == want
+
+
 @pytest.mark.parametrize("levels, message, column", [
     ("[²]", "cannot parse value starting with '²'", 21),
     ("[-²]", "expected digits", 22),

@@ -11,7 +11,8 @@ Weyl-group matrices, b's equivariance as products with the simple
 reflection matrices, the levels by a scan of b's blocks, the
 Freudenthal form with a rational invariant complement, and the coroot
 Smith form by the two-pass reduction with its transforms inverted in
-Fraction arithmetic.  None of them calls the code it checks."""
+Fraction arithmetic, and the Dynkin components by their own depth-first
+search.  None of them calls the code it checks."""
 
 import random
 from fractions import Fraction
@@ -28,6 +29,7 @@ from vkt.fusion import FusionRing, dominant_weights_up_to
 from vkt.rootdata import (
     RootDatum,
     WeylElement,
+    _components,
     _weight_system,
     closure,
     dot,
@@ -293,7 +295,58 @@ def random_form(rd, rng):
     return IntMatrix.from_rows(rows)
 
 
+def dfs_components(a):
+    """The Dynkin components by a depth-first search over the nonzero
+    entries of each row, each sorted, in order of least index."""
+    n = len(a)
+    seen = [False] * n
+    comps = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        comp = []
+        stack = [start]
+        seen[start] = True
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j in range(n):
+                if not seen[j] and a[i][j] != 0:
+                    seen[j] = True
+                    stack.append(j)
+        comps.append(sorted(comp))
+    return comps
+
+
+def cartan_a(n):
+    return [[2 if i == j else -(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+
+
+# connected Cartan blocks: chains, a branch (D4, E6), double and triple bonds
+BLOCKS = [cartan_a(1), cartan_a(2), cartan_a(3), cartan_a(5), G2_CARTAN, G2_SWAPPED, F4_CARTAN,
+          [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], cartan_e(6)]
+
+
 # -- the tests ------------------------------------------------------------------
+
+def test_components_by_closure_match_the_depth_first_search():
+    # block-diagonal Cartan matrices with their indices permuted
+    rng = random.Random(28)
+    for trial in range(2000):
+        blocks = [rng.choice(BLOCKS) for _ in range(rng.randint(1, 4))]
+        n = sum(map(len, blocks))
+        a = [[0] * n for _ in range(n)]
+        off = 0
+        for block in blocks:
+            for i, row in enumerate(block):
+                a[off + i][off:off + len(row)] = row
+            off += len(block)
+        perm = rng.sample(range(n), n)
+        a = [[a[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+        want = dfs_components(a)
+        assert len(want) == len(blocks)
+        assert _components(a) == want, (trial, a)
+
 
 def test_weyl_group_from_the_tree_matches_the_bfs():
     # every element's matrix, comatrix, word and determinant, in order

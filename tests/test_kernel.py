@@ -12,9 +12,10 @@ normal form of b with Fraction shifts, characters evaluated with
 Fraction pairings at each point's own order, the averaged pairing rebuilt
 in full (coset enumeration, F_eps points, rational fixed-point tests) on
 every call, its kernel as one reduced sum of |F| roots of unity per
-coset, the ideal test on full Freudenthal weight systems, and the
-character route's sums in Z[zeta_m] by Kronecker packing with a reduction
-mod Phi_m.  None of them calls the code it checks."""
+coset, the ideal test on full Freudenthal weight systems, the character
+route's sums in Z[zeta_m] by Kronecker packing with a reduction mod Phi_m,
+and the module action by one orbit normal form per (weight, orbit point).
+None of them calls the code it checks."""
 
 import importlib.util
 import random
@@ -371,6 +372,21 @@ def brauer_klimyk_product(ring, a, b):
     for nu, mult in tensor_decompose(ring.rd, ring.transversal[a], ring.transversal[b]).items():
         for k, v in class_from_weight(ring, nu).support.items():
             out[k] = out.get(k, 0) + mult * v
+    return KClass(out)
+
+
+def convolution_module_action(ring, combo, kc):
+    """The representation-ring action by convolution with the full weight
+    system: one orbit normal form per (weight, orbit point) pair."""
+    out = {}
+    for lam, c in sorted(combo.items()):
+        if not c:
+            continue
+        for nu, m in weight_multiplicities(ring.rd, lam).items():
+            for rep, k in kc.items():
+                red = orbit_normal_form(ring.rd, ring.tau, vec_add(rep, nu))
+                if not red.is_zero:
+                    out[red.representative] = out.get(red.representative, 0) + red.sign * c * m * k
     return KClass(out)
 
 
@@ -846,6 +862,25 @@ def test_check_annihilation_builds_weight_systems_for_its_action_sample_only():
         assert result["passed"] and result["detail"]["ideal_weights"] == len(gens), name
         # module_action's spot check on the first action_sample (3) generators
         assert built == set(gens[:3]) and len(built) == 3, name
+
+
+def test_module_action_matches_the_convolution_oracle():
+    # every ideal weight of check_annihilation's window on every basis
+    # element (both sides zero), the window's first weights (not zero) and
+    # one virtual combination of them, on the grid
+    ideal_weights = 0
+    for name, rd, tau in grid_twistings():
+        ring = FusionRing(rd, tau)
+        window = annihilation_window(rd, tau)
+        ideal = [lam for lam in window if verlinde_ideal_member(ring, {lam: 1})]
+        ideal_weights += len(ideal)
+        combos = [{lam: 1} for lam in ideal + window[:4]] + [{window[1]: 2, window[3]: -3}]
+        for i in range(len(ring.basis)):
+            kc = ring.class_from_index(i)
+            for combo in combos:
+                assert module_action(ring, combo, kc) == \
+                    convolution_module_action(ring, combo, kc), (name, combo, i)
+    assert ideal_weights > 100
 
 
 def test_verlinde_classes_match_fraction_oracle():

@@ -504,13 +504,18 @@ def test_weyl_numerator_is_the_character_times_the_denominator():
 
 
 def test_weyl_numerator_refuses_a_large_weyl_group_before_the_closure(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the orbit of 2 rho was started")
-
+    # the one |W| guard stands inside the tree's builder, before its first
+    # point: no tree is kept, and none is built (a built tree of the wrong
+    # size would raise InvariantError instead)
     rd = RootDatum.from_cartan(E7_CARTAN)                  # |W| = 2 903 040
-    monkeypatch.setattr(vkt.rootdata, "_free_orbit_template", refuse)
     with pytest.raises(GroupTooLarge):
         weyl_numerator(rd, (0,) * 7)
+    assert rd._orbit_template is None
+    rd = RootDatum.from_cartan([[2, -1], [-1, 2]])
+    monkeypatch.setattr(vkt.rootdata, "weyl_order", lambda rd: vkt.rootdata.MAX_GROUP_ORDER + 1)
+    with pytest.raises(GroupTooLarge):
+        weyl_numerator(rd, (0, 0))
+    assert rd._orbit_template is None
 
 
 NUMERATOR_GUARDS_UNDER_O = """

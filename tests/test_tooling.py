@@ -137,3 +137,25 @@ def test_the_package_imports_only_the_standard_library():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def _occurrences(phrase):
+    """(module, innermost enclosing function) of each occurrence of the
+    phrase in the package's source text."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        functions = [node for node in ast.walk(ast.parse(text, str(path)))
+                     if isinstance(node, ast.FunctionDef)]
+        for lineno, line in enumerate(text.splitlines(), 1):
+            inner = [f.name for f in functions if f.lineno <= lineno <= f.end_lineno]
+            found += [(path.stem, inner[-1] if inner else None)] * line.count(phrase)
+    return found
+
+
+def test_one_integrality_validator_and_one_weyl_group_guard():
+    # integrality is refused in one place, zlattice.integers, and |W| in
+    # one place, the orbit tree every W-sized loop reads; a second
+    # validator or guard would repeat its message
+    assert _occurrences("non-integral") == [("zlattice", "integers")]
+    assert _occurrences("Weyl group exceeds") == [("rootdata", "_free_orbit_template")]
