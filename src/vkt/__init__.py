@@ -50,7 +50,7 @@ from .affineweyl import (
     sign_character,
     stabilizer_generators,
 )
-from .cyclo import CyclotomicInt, cyclotomic_polynomial, eval_character_at_point, eval_weight_at_point
+from .cyclo import CyclotomicInt, cyclotomic_polynomial, eval_character_at_point
 from .fusion import (
     FusionRing,
     KClass,
@@ -85,8 +85,7 @@ __all__ = [
     "AffineElement", "OrbitReduction", "act", "sign_character",
     "orbit_normal_form", "enumerate_basis_orbits", "stabilizer_generators",
     # cyclotomic arithmetic
-    "CyclotomicInt", "cyclotomic_polynomial", "eval_weight_at_point",
-    "eval_character_at_point",
+    "CyclotomicInt", "cyclotomic_polynomial", "eval_character_at_point",
     # the fusion ring
     "FusionRing", "KClass", "VerlindeClass", "verlinde_classes",
     "class_from_weight", "fusion_product", "verlinde_ideal_member",

@@ -68,9 +68,9 @@ class AffineElement:
     weyl: WeylElement
 
 
-def act(rd: RootDatum, tau: Twisting, g: AffineElement, lam) -> tuple:
+def act(tau: Twisting, g: AffineElement, lam) -> tuple:
     """The affine action on the weight lattice: w(lam) + b(pi)."""
-    lam = rd.check_weight(lam)
+    lam = tau.rd.check_weight(lam)
     return vec_add(g.weyl.apply(lam), tau.apply_b(g.translation))
 
 
@@ -117,8 +117,9 @@ class Alcove:
     ker C, and coweights lifting the free coordinates; on split data all
     three are unit vectors."""
 
-    def __init__(self, rd: RootDatum, tau: Twisting):
-        self.rd, self.tau = rd, tau
+    def __init__(self, tau: Twisting):
+        rd = self.rd = tau.rd
+        self.tau = tau
         n, m = rd.rank, len(rd.simple_roots)
         u, v = rd.coroot_snf.U, rd.coroot_snf.V
         cols = [v.column(j) for j in range(n)]
@@ -236,57 +237,57 @@ def _bounded_vectors(weights, budget):
             yield (first,) + rest
 
 
-def alcove(rd: RootDatum, tau: Twisting) -> Alcove:
+def alcove(tau: Twisting) -> Alcove:
     """The twisting's Alcove, built once and cached on it."""
-    return tau.cached("alcove", lambda: Alcove(rd, tau))
+    return tau.cached("alcove", lambda: Alcove(tau))
 
 
-def orbit_normal_form(rd: RootDatum, tau: Twisting, lam) -> OrbitReduction:
+def orbit_normal_form(tau: Twisting, lam) -> OrbitReduction:
     """Canonical representative of the affine orbit of lam, with sign.
 
     Walks lam into the closed alcove (free part first) and reads ZERO off
     the walls through the alcove point; otherwise the point is the orbit's
     label and the walk's sign its sign: some g has act(g, lam) equal to
     the label and sign_character(g) equal to the sign."""
-    lam = rd.check_weight(lam)
-    alc = alcove(rd, tau)
+    lam = tau.rd.check_weight(lam)
+    alc = alcove(tau)
     point, sign = alc.walk(lam)
     if alc.is_zero(point):
         point, sign = None, 0
     return OrbitReduction(point, sign)
 
 
-def enumerate_basis_orbits(rd: RootDatum, tau: Twisting):
+def enumerate_basis_orbits(tau: Twisting):
     """Canonical representatives of the contributing (non-ZERO) orbits: the
     surviving lattice points of the closed alcove, sorted lexicographically
     and built once per twisting."""
-    alc = alcove(rd, tau)
+    alc = alcove(tau)
     return tau.cached("basis", lambda: sorted(p for p in alc.points() if not alc.is_zero(p)))
 
 
-def alcove_translates(rd: RootDatum, tau: Twisting, point, radius):
+def alcove_translates(tau: Twisting, point):
     """The alcove points of point's orbit reached by the free translations
-    sum_k z_k lift_k with |z_k| <= radius (just [point] when pi_1 = 0)."""
-    alc = alcove(rd, tau)
+    sum_k z_k lift_k with |z_k| <= 3 (just [point] when pi_1 = 0)."""
+    alc = alcove(tau)
     r = len(alc.lifts)
     out = []
-    for z in box_points((2 * radius + 1,) * r, -radius):
-        pi = tuple(sum(zk * c[i] for zk, c in zip(z, alc.lifts)) for i in range(rd.rank))
+    for z in box_points((7,) * r, -3):
+        pi = tuple(sum(zk * c[i] for zk, c in zip(z, alc.lifts)) for i in range(tau.rd.rank))
         out.append(reflect_into_chamber(vec_add(point, tau.apply_b(pi)), alc.walls)[0])
     return out
 
 
-def zero_criterion_discrepancies(rd: RootDatum, tau: Twisting):
+def zero_criterion_discrepancies(tau: Twisting):
     """Orbits where "stabilizer has a sign -1 element" (Alcove.is_zero) and
     "stabilizer is nontrivial" (the root test at b^-1 of the alcove point)
     disagree, keyed by their alcove points.  ZERO implies not free
     (InvariantError otherwise), so these are surviving orbits that are not
     free: none when the grading vanishes.  Reported, never silently
     resolved."""
-    alc = alcove(rd, tau)
+    alc = alcove(tau)
     out = []
     for point in alc.points():
-        free = rd.is_regular(tau.adj_apply(point), tau.det_b)
+        free = tau.rd.is_regular(tau.adj_apply(point), tau.det_b)
         if alc.is_zero(point):
             if free:
                 raise InvariantError(f"the ZERO orbit of {point} has a trivial stabilizer")

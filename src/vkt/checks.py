@@ -68,7 +68,7 @@ def check_cyclic_generator(ring: FusionRing):
             "detail": {"determinant": det}}
 
 
-def check_annihilation(ring: FusionRing, bound=None, action_sample=3):
+def check_annihilation(ring: FusionRing, bound=None):
     if bound is None:
         largest = max((abs(v) for row in ring.tau.b.to_rows() for v in row), default=4)
         # the window holds about bound^rank / rank! weights, each tested on
@@ -84,8 +84,8 @@ def check_annihilation(ring: FusionRing, bound=None, action_sample=3):
     for lam in gens:
         if not class_from_weight(ring, lam).is_zero():
             failures.append({"weight": list(lam), "reason": "nonzero reduction"})
-    # the full convolution action is costlier; spot-check it on the first few
-    for lam in gens[:action_sample]:
+    # the full convolution action is costlier; spot-check it on the first three
+    for lam in gens[:3]:
         for i in range(len(ring.basis)):
             if not module_action(ring, {lam: 1}, ring.class_from_index(i)).is_zero():
                 failures.append({"weight": list(lam), "reason": f"acts nonzero on {i}"})
@@ -157,9 +157,9 @@ def check_algebra_axioms(ring: FusionRing):
             "detail": {"problems": problems[:10], "triples": n ** 3}}
 
 
-def check_delta_identity(ring: FusionRing, trials=60, seed=7):
+def check_delta_identity(ring: FusionRing, trials=60):
     rd, tau = ring.rd, ring.tau
-    rng = random.Random(seed)
+    rng = random.Random(7)
     reps = [tuple(r) for r in tau.cosets()]
     # f(g) by box_reduce alone, independent of delta_eval's coset keys
     reduced = [box_reduce(tau, rep) for rep in reps]
@@ -171,7 +171,7 @@ def check_delta_identity(ring: FusionRing, trials=60, seed=7):
         red, pi = box_reduce(tau, g)
         rep, sign = boxed[red]
         expected = tau.translation_sign(pi) * sign * f[rep]
-        got = delta_eval(rd, tau, f, g)
+        got = delta_eval(tau, f, g)
         if got != expected:
             failures.append({"trial": t, "got": str(got), "expected": expected})
     # equivariant data: the full sum is the value; the Weyl-regular
@@ -182,13 +182,13 @@ def check_delta_identity(ring: FusionRing, trials=60, seed=7):
     # representative
     for i in range(min(len(ring.basis), 4)):
         kc = ring.class_from_index(i)
-        fn = equivariant_function(rd, tau, kc)
+        fn = equivariant_function(tau, kc)
         f = {rep: tau.translation_sign(pi) * fn(red) for rep, (red, pi) in zip(reps, reduced)}
         free = rd.is_regular(tau.adj_apply(ring.basis[i]), tau.det_b)
         for t in range(8):
             g = tuple(rng.randint(-10, 10) for _ in range(rd.rank))
-            full = delta_eval(rd, tau, f, g)
-            reg = delta_eval(rd, tau, f, g, regular_only=True)
+            full = delta_eval(tau, f, g)
+            reg = delta_eval(tau, f, g, regular_only=True)
             if full != fn(g) or reg != (full if free else 0):
                 failures.append({"basis": i, "g": list(g), "full": str(full),
                                  "regular": str(reg), "value": fn(g)})
@@ -196,7 +196,7 @@ def check_delta_identity(ring: FusionRing, trials=60, seed=7):
             "detail": {"trials": trials, "failures": failures[:5]}}
 
 
-def check_orbit_constancy(ring: FusionRing, trials=40, seed=3):
+def check_orbit_constancy(ring: FusionRing):
     """Moving a random weight by a random affine element keeps its orbit's
     label and multiplies its sign by the element's.  The element is a word
     in the simple reflections s_i(mu) = mu - <mu, alpha_i^vee> alpha_i, of
@@ -205,7 +205,8 @@ def check_orbit_constancy(ring: FusionRing, trials=40, seed=3):
     roots and coroots, not the alcove's walls, and no element of W is
     enumerated."""
     rd, tau = ring.rd, ring.tau
-    rng = random.Random(seed)
+    rng = random.Random(3)
+    trials = 40
     simple = list(zip(rd.simple_roots, rd.simple_coroots))
     failures = []
     for t in range(trials):
@@ -218,8 +219,8 @@ def check_orbit_constancy(ring: FusionRing, trials=40, seed=3):
             p = dot(mu, coroot)
             mu = tuple(m - p * r for m, r in zip(mu, root))
         sign = (-1) ** length * tau.translation_sign(pi)
-        base = orbit_normal_form(rd, tau, lam)
-        moved = orbit_normal_form(rd, tau, vec_add(mu, tau.apply_b(pi)))
+        base = orbit_normal_form(tau, lam)
+        moved = orbit_normal_form(tau, vec_add(mu, tau.apply_b(pi)))
         if base.is_zero != moved.is_zero:
             failures.append({"trial": t, "lam": list(lam)})
         elif not base.is_zero:
@@ -229,9 +230,9 @@ def check_orbit_constancy(ring: FusionRing, trials=40, seed=3):
             "detail": {"trials": trials, "failures": failures[:5]}}
 
 
-def check_stabilizers(ring: FusionRing, trials=25, seed=11):
+def check_stabilizers(ring: FusionRing, trials=25):
     rd = ring.rd
-    rng = random.Random(seed)
+    rng = random.Random(11)
     failures = []
     for t in range(trials):
         x = tuple(Fraction(rng.randint(0, 24), rng.randint(1, 12))
@@ -252,7 +253,7 @@ def check_stabilizers(ring: FusionRing, trials=25, seed=11):
 def check_grading_flags(ring: FusionRing):
     """Informational only: with a nonzero grading, orbits where the survival
     criterion differs from literal freeness are reported, not failed."""
-    disc = zero_criterion_discrepancies(ring.rd, ring.tau)
+    disc = zero_criterion_discrepancies(ring.tau)
     return {"name": "grading_flags", "passed": True,
             "detail": {"epsilon": list(ring.tau.eps), "discrepancies": disc}}
 

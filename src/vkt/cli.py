@@ -275,14 +275,14 @@ def cmd_basis(job: JobSpec):
         "unit_index": ring.unit_index,
     }
     if any(tau.eps):
-        out["basis"]["grading_flags"] = zero_criterion_discrepancies(rd, tau)
+        out["basis"]["grading_flags"] = zero_criterion_discrepancies(tau)
     return out, 0
 
 
 def cmd_classes(job: JobSpec):
     rd = build_root_datum(job)
     tau = build_twisting(rd, job.twist)
-    classes = verlinde_classes(rd, tau)
+    classes = verlinde_classes(tau)
     out = report_header(job, rd, tau)
     out["classes"] = {
         "count": len(classes),

@@ -11,8 +11,8 @@ Gal(Q(zeta_m)/Q) is a rational integer; (2) if its absolute value is at
 most B and (3) N > 2B, its balanced residue mod N is the integer itself.
 
 Characters are evaluated in one place, character_bins, at a torus point
-given by its integer lift y = m x; eval_character_at_point and
-eval_weight_at_point lift a rational point and call it.
+given by its integer lift y = m x; eval_character_at_point lifts a
+rational point and calls it.
 """
 
 from __future__ import annotations
@@ -217,24 +217,13 @@ def character_bins(systems, y, m):
     return out
 
 
-def _at_point(system, point):
-    """character_bins at a rational torus point, lifted once to y/m with m
-    its least common denominator."""
+def eval_character_at_point(rd, lam, point) -> CyclotomicInt:
+    """The character of the irreducible V_lam at a rational torus point:
+    character_bins at its lift y/m, with m its least common denominator."""
     point = [Fraction(c) for c in point]
     m = lcm(*(c.denominator for c in point))
     y = [c.numerator * (m // c.denominator) for c in point]
-    return CyclotomicInt(m, character_bins([system], y, m)[0])
-
-
-def eval_weight_at_point(rd, weight, point) -> CyclotomicInt:
-    """The value of the character `weight` at the rational torus point,
-    exactly: exp(2 pi i <weight, point>) as a root of unity."""
-    return _at_point({rd.check_weight(weight): 1}, point)
-
-
-def eval_character_at_point(rd, lam, point) -> CyclotomicInt:
-    """The character of the irreducible V_lam at a rational torus point."""
-    return _at_point(weight_multiplicities(rd, lam), point)
+    return CyclotomicInt(m, character_bins([weight_multiplicities(rd, lam)], y, m)[0])
 
 
 def __getattr__(name):

@@ -103,11 +103,11 @@ class VerlindeClass:
     orbit_size: int
 
 
-def verlinde_classes(rd: RootDatum, tau: Twisting):
+def verlinde_classes(tau: Twisting):
     """One representative per free Weyl orbit of regular points of F_eps:
     the class lifts of Twisting.verlinde_lifts as rational points."""
     m, ys = tau.verlinde_lifts()
-    size = weyl_order(rd)
+    size = weyl_order(tau.rd)
     return [VerlindeClass(tuple(Fraction(c, m) for c in y), size) for y in ys]
 
 
@@ -120,23 +120,27 @@ class FusionRing:
     twisting and raises NotPrimitive otherwise.  Construction raises
     InvariantError if a transversal weight or the shift class reduces to
     zero in a nonzero ring, or the shift class survives in a zero one.
+    ValueError, before anything is built or cached on tau, unless rd is
+    tau's own datum (tau.rd).
     """
 
     def __init__(self, rd: RootDatum, tau: Twisting):
+        if rd is not tau.rd:
+            raise ValueError("the root datum is not the twisting's own (tau.rd)")
         self.rd = rd
         self.tau = tau
-        self.basis = tuple(enumerate_basis_orbits(rd, tau))
+        self.basis = tuple(enumerate_basis_orbits(tau))
         self.index = {rep: i for i, rep in enumerate(self.basis)}
         self.rho_tilde = rd.rho_tilde
         self.transversal = tuple(self._transversal_weight(point) for point in self.basis)
         self.signs = []
         for lam in self.transversal:
-            red = orbit_normal_form(rd, tau, vec_add(lam, self.rho_tilde))
+            red = orbit_normal_form(tau, vec_add(lam, self.rho_tilde))
             if red.is_zero:
                 raise InvariantError(f"transversal weight {lam} reduces to zero")
             self.signs.append(red.sign)
         self.signs = tuple(self.signs)
-        unit = orbit_normal_form(rd, tau, self.rho_tilde)
+        unit = orbit_normal_form(tau, self.rho_tilde)
         if unit.is_zero == bool(self.basis):
             raise InvariantError("the shift class must survive exactly when the ring is nonzero")
         # the whole group can vanish (e.g. the smallest nonzero twists)
@@ -155,7 +159,7 @@ class FusionRing:
         translations of `point`.  The L1 norm of adj(b) nu is |det b| times
         that of b^-1 nu, so it gives the same order in integers."""
         tau = self.tau
-        nu = min(alcove_translates(self.rd, tau, point, 3),
+        nu = min(alcove_translates(tau, point),
                  key=lambda nu: (sum(map(abs, tau.adj_apply(nu))), nu))
         return vec_sub(nu, self.rho_tilde)
 
@@ -263,7 +267,7 @@ def class_from_weight(ring: FusionRing, lam) -> KClass:
     lam = ring.rd.check_weight(lam)
     if not ring.rd.is_dominant(lam):
         raise ValueError("class_from_weight needs a dominant weight")
-    red = orbit_normal_form(ring.rd, ring.tau, vec_add(lam, ring.rho_tilde))
+    red = orbit_normal_form(ring.tau, vec_add(lam, ring.rho_tilde))
     if red.is_zero:
         return KClass.zero()
     return KClass({red.representative: red.sign})
@@ -300,7 +304,7 @@ def _kac_walton(ring: FusionRing, base, system):
     """{alcove point: sum of sign * mult} over the weights nu of the weight
     system {nu: mult} whose alcove walk from base + nu survives: one walk
     per weight, and a walk that ends on a sign -1 wall drops out."""
-    alc = alcove(ring.rd, ring.tau)
+    alc = alcove(ring.tau)
     out = {}
     for nu, mult in system.items():
         point, sign = alc.walk(vec_add(base, nu))
@@ -363,7 +367,7 @@ def mult_by_U_matrix(ring: FusionRing) -> IntMatrix:
         for rep, c in kc.support.items():
             col[ring.index[rep]] = c
         cols.append(col)
-    return IntMatrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
+    return IntMatrix.from_rows(cols).transpose()
 
 
 # -- the averaged distribution pairing ---------------------------------------
@@ -420,7 +424,7 @@ def check_pairing_budget(tau: Twisting):
                             f"more than {MAX_PAIRING_WORK}")
 
 
-def _coset_code(rd: RootDatum, tau: Twisting, lam):
+def _coset_code(tau: Twisting, lam):
     """(code, sign) of the weight lam: with v = adj(b) lam and key = v mod
     |det b|, lam = mu_key + b(pi) for pi = (v - key) / det b, where mu_key is
     the one weight of its coset of b(coweights) with adj(b) mu_key = key.
@@ -431,12 +435,12 @@ def _coset_code(rd: RootDatum, tau: Twisting, lam):
     key = [c % tau.order_F() for c in v]
     pi = [(c - k) // tau.det_b for c, k in zip(v, key)]
     code = _pairing_coordinates(tau).code(vec_sub(lam, tau.apply_b(pi)))
-    if not rd.is_regular(key, tau.det_b):
+    if not tau.rd.is_regular(key, tau.det_b):
         tau.cached("irregular_codes", set).add(code)
     return code, tau.translation_sign(pi)
 
 
-def _canonical_coset_values(rd, tau, f):
+def _canonical_coset_values(tau: Twisting, f):
     """Push an arbitrary weight-keyed function to {code(mu_key): f(mu_key)} by
     translation equivariance; each weight's code is memoized per twisting,
     and a weight is validated when it first enters the memo.  ValueError
@@ -446,7 +450,7 @@ def _canonical_coset_values(rd, tau, f):
     for lam, v in f.items():
         hit = memo.get(lam)
         if hit is None:
-            hit = memo[lam] = _coset_code(rd, tau, rd.check_weight(lam))
+            hit = memo[lam] = _coset_code(tau, tau.rd.check_weight(lam))
         code, sign = hit
         v *= sign
         if values.setdefault(code, v) != v:
@@ -523,7 +527,7 @@ def _pairing_kernel(tau: Twisting, regular_only):
     return tau.cached(("kernel", regular_only), build)
 
 
-def delta_eval(rd: RootDatum, tau: Twisting, f, g, regular_only=False) -> Fraction:
+def delta_eval(tau: Twisting, f, g, regular_only=False) -> Fraction:
     """The averaged pairing (1/|F|) sum f(lam) K(g - lam) over coset
     representatives lam, with the kernel K(mu) = sum zeta^<mu, x> over the
     points x of F_eps.
@@ -538,8 +542,8 @@ def delta_eval(rd: RootDatum, tau: Twisting, f, g, regular_only=False) -> Fracti
     (-1)^eps(pi) K(mu): an ordinary integer function on the Smith group of
     _PairingCoordinates.  A call computes code(g) once and reads one entry
     of the _pairing_kernel table per coset: T[code(g) + shift - code(mu)]."""
-    g = rd.check_weight(g)
-    values = _canonical_coset_values(rd, tau, f)
+    g = tau.rd.check_weight(g)
+    values = _canonical_coset_values(tau, f)
     table = _pairing_kernel(tau, regular_only)
     coords = _pairing_coordinates(tau)
     base = coords.code(g) + coords.shift
@@ -551,10 +555,10 @@ def delta_eval(rd: RootDatum, tau: Twisting, f, g, regular_only=False) -> Fracti
     return Fraction(total, tau.order_F())
 
 
-def equivariant_function(rd: RootDatum, tau: Twisting, kc: KClass):
+def equivariant_function(tau: Twisting, kc: KClass):
     """The equivariant extension of a KClass, as a callable on weights."""
     def value(lam):
-        red = orbit_normal_form(rd, tau, lam)
+        red = orbit_normal_form(tau, lam)
         if red.is_zero:
             return 0
         return red.sign * kc.support.get(red.representative, 0)
@@ -563,13 +567,13 @@ def equivariant_function(rd: RootDatum, tau: Twisting, kc: KClass):
 
 # -- tori ---------------------------------------------------------------------
 
-def torus_pushforward(rd: RootDatum, tau: Twisting, lam) -> KClass:
+def torus_pushforward(tau: Twisting, lam) -> KClass:
     """Image of a character under the wrong-way map for a torus: the signed
     coset class through lam."""
-    if not rd.is_torus():
+    if not tau.rd.is_torus():
         raise NotATorus("pushforward in this form is defined for torus data only")
-    lam = rd.check_weight(lam)
-    red = orbit_normal_form(rd, tau, lam)
+    lam = tau.rd.check_weight(lam)
+    red = orbit_normal_form(tau, lam)
     return KClass({red.representative: red.sign})
 
 

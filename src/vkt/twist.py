@@ -41,6 +41,11 @@ from .zlattice import (
 class Twisting:
     """Validated twisting data for a root datum.
 
+    The datum is `rd`: a twisting fixes its group, so the functions of one
+    twisting (affineweyl's orbit normal forms, fusion's classes and pairing)
+    read it there and take no second copy that could disagree with the
+    caches below.
+
     Holds the exact integer kernel for b^-1: the adjugate adj(b) and det b,
     so that b^-1 v = adj(b) v / det b with no rational arithmetic.  adj(b),
     F and its Smith coordinates `smith` (zlattice.smith_coordinates) are
@@ -284,7 +289,7 @@ def twisting_from_level(rd: RootDatum, levels, torus_block=None, eps=None) -> Tw
     return Twisting(rd, b, eps)
 
 
-def f_epsilon_points(rd: RootDatum, tau: Twisting):
+def f_epsilon_points(tau: Twisting):
     """All torus points x with b(x) = lambda_eps modulo the weight lattice.
 
     Exactly |det b| points, reduced to [0,1)^rank, in sorted order: the

@@ -99,13 +99,13 @@ def test_criterion_2_u1_family():
             # the relation (-1)^eps L^n = 1 through the orbit pipeline: the
             # class of L^n is the unit class with sign (-1)^eps
             sign = -1 if eps else 1
-            assert torus_pushforward(rd, tau, (n,)) == KClass({(0,): sign})
+            assert torus_pushforward(tau, (n,)) == KClass({(0,): sign})
             assert report.details["exponent_reduction"][str(n)] == [0, sign]
 
             # pushforward images match the signed-coset formula term by term
             for lam in (0, 1, 3):
-                kc = torus_pushforward(rd, tau, (lam,))
-                fn = equivariant_function(rd, tau, kc)
+                kc = torus_pushforward(tau, (lam,))
+                fn = equivariant_function(tau, kc)
                 for k in range(-3 * n - 2, 3 * n + 3):
                     expected = 0
                     if (k - lam) % n == 0:
@@ -133,7 +133,7 @@ def test_criterion_4_double_count():
     counts = []
     for name, levels, torus, ring in grid_rings():
         basis = len(ring.basis)
-        classes = len(verlinde_classes(ring.rd, ring.tau))
+        classes = len(verlinde_classes(ring.tau))
         assert basis == classes, (name, levels, torus)
         counts.append((name, levels, basis))
     elapsed = time.monotonic() - t0

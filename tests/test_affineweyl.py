@@ -93,10 +93,10 @@ def su3(n):
 def test_act_examples():
     rd, tau = su2(3)
     e = affine_identity(rd)
-    assert act(rd, tau, e, (7,)) == (7,)
+    assert act(tau, e, (7,)) == (7,)
     s = weyl_group_elements(rd)[1]
-    assert act(rd, tau, AffineElement((1,), rd.identity_element), (1,)) == (7,)
-    assert act(rd, tau, AffineElement((0,), s), (5,)) == (-5,)
+    assert act(tau, AffineElement((1,), rd.identity_element), (1,)) == (7,)
+    assert act(tau, AffineElement((0,), s), (5,)) == (-5,)
 
 
 def test_sign_character():
@@ -128,8 +128,8 @@ def test_compose_acts_correctly():
         g1 = AffineElement((rng.randint(-2, 2), rng.randint(-2, 2)), rng.choice(ws))
         g2 = AffineElement((rng.randint(-2, 2), rng.randint(-2, 2)), rng.choice(ws))
         lam = (rng.randint(-5, 5), rng.randint(-5, 5))
-        assert act(rd, tau, affine_compose(g1, g2), lam) == \
-            act(rd, tau, g1, act(rd, tau, g2, lam))
+        assert act(tau, affine_compose(g1, g2), lam) == \
+            act(tau, g1, act(tau, g2, lam))
 
 
 def test_box_reduce():
@@ -141,15 +141,15 @@ def test_box_reduce():
 
 def test_orbit_normal_form_su2_twist5():
     rd, tau = su2(5)
-    red = orbit_normal_form(rd, tau, (7,))
+    red = orbit_normal_form(tau, (7,))
     assert red.representative == (3,)
     assert red.sign == -1
 
-    assert orbit_normal_form(rd, tau, (5,)).is_zero
-    assert orbit_normal_form(rd, tau, (0,)).is_zero
-    assert orbit_normal_form(rd, tau, (10,)).is_zero
+    assert orbit_normal_form(tau, (5,)).is_zero
+    assert orbit_normal_form(tau, (0,)).is_zero
+    assert orbit_normal_form(tau, (10,)).is_zero
 
-    fixed = orbit_normal_form(rd, tau, (2,))
+    fixed = orbit_normal_form(tau, (2,))
     assert fixed.representative == (2,)
     assert fixed.sign == 1
 
@@ -160,9 +160,9 @@ def test_orbit_constancy_property():
     ws = weyl_group_elements(rd)
     for _ in range(25):
         lam = (rng.randint(-8, 8), rng.randint(-8, 8))
-        base = orbit_normal_form(rd, tau, lam)
+        base = orbit_normal_form(tau, lam)
         g = AffineElement((rng.randint(-2, 2), rng.randint(-2, 2)), rng.choice(ws))
-        moved = orbit_normal_form(rd, tau, act(rd, tau, g, lam))
+        moved = orbit_normal_form(tau, act(tau, g, lam))
         if base.is_zero:
             assert moved.is_zero
         else:
@@ -181,7 +181,7 @@ def test_orbit_check_catches_a_flipped_wall_sign(name, levels, torus, eps):
     rd = root_datum_from_spec(name)
     ring = FusionRing(rd, twisting_from_level(rd, levels, torus_block=torus, eps=eps))
     assert check_orbit_constancy(ring)["passed"]
-    walls = alcove(rd, ring.tau)
+    walls = alcove(ring.tau)
     for k in range(len(walls.signs)):
         walls.signs[k] = -walls.signs[k]
         walls._zero.clear()
@@ -193,13 +193,13 @@ def test_orbit_check_catches_a_flipped_wall_sign(name, levels, torus, eps):
 def test_zero_iff_not_free_when_ungraded():
     for rd, tau in (su2(4), su3(3), u1(5)):
         for lam in matrix_coset_representatives(tau.b):
-            red = orbit_normal_form(rd, tau, lam)
+            red = orbit_normal_form(tau, lam)
             # lam is fixed by (pi, w) iff b^-1 lam is fixed geometrically
             x = [Fraction(c, tau.det_b) for c in tau.adj_apply(lam)]
             free = len(geometric_stabilizer_brute(rd, x)) == 1
             assert red.is_zero == (not free)
             assert rd.is_regular(tau.adj_apply(lam), tau.det_b) == free
-        assert zero_criterion_discrepancies(rd, tau) == []
+        assert zero_criterion_discrepancies(tau) == []
 
 
 def test_a_free_zero_orbit_is_refused(monkeypatch):
@@ -208,12 +208,12 @@ def test_a_free_zero_orbit_is_refused(monkeypatch):
     rd, tau = su3(5)
     monkeypatch.setattr(Alcove, "is_zero", lambda self, point: True)
     with pytest.raises(InvariantError, match="trivial stabilizer"):
-        zero_criterion_discrepancies(rd, tau)
+        zero_criterion_discrepancies(tau)
 
 
 def test_graded_su2_discrepancy_is_flagged():
     rd, tau = su2(4, eps=(1,))
-    disc = zero_criterion_discrepancies(rd, tau)
+    disc = zero_criterion_discrepancies(tau)
     assert len(disc) == 1
     assert disc[0]["survives"] and not disc[0]["free"]
     # the flagged orbit is the one through 4*omega, pinned by an affine
@@ -224,7 +224,7 @@ def test_graded_su2_discrepancy_is_flagged():
 def test_enumerate_basis_orbits_su2():
     for n in range(2, 9):
         rd, tau = su2(n)
-        reps = enumerate_basis_orbits(rd, tau)
+        reps = enumerate_basis_orbits(tau)
         assert reps == [(k,) for k in range(1, n)]
 
 
@@ -232,14 +232,14 @@ def test_enumerate_basis_orbits_u1():
     for n in range(1, 7):
         for eps in ((0,), (1,)):
             rd, tau = u1(n, eps)
-            reps = enumerate_basis_orbits(rd, tau)
+            reps = enumerate_basis_orbits(tau)
             assert len(reps) == n
             assert reps == [(k,) for k in range(n)]
 
 
 def test_enumerate_basis_orbits_su3_twist4():
     rd, tau = su3(4)
-    assert len(enumerate_basis_orbits(rd, tau)) == 3
+    assert len(enumerate_basis_orbits(tau)) == 3
 
 
 def test_stabilizer_generators_trivial_point():

@@ -1,6 +1,7 @@
 import cmath
 import random
 from fractions import Fraction
+from math import lcm
 
 import vkt.cyclo
 import vkt.fieldsolve
@@ -10,7 +11,6 @@ from vkt.cyclo import (
     cyclotomic_modulus,
     cyclotomic_polynomial,
     eval_character_at_point,
-    eval_weight_at_point,
     poly_divmod_exact,
     poly_mul,
 )
@@ -100,6 +100,16 @@ def test_is_zero_exact():
     assert a.is_zero()
     b = root_power(8, 1) - root_power(4, 1)
     assert not b.is_zero()
+
+
+def eval_weight_at_point(rd, weight, point):
+    """The value of the character `weight` at the rational torus point,
+    exactly: exp(2 pi i <weight, point>) as a root of unity, by
+    character_bins at the point's lift y/m, m its least common denominator."""
+    point = [Fraction(c) for c in point]
+    m = lcm(*(c.denominator for c in point))
+    y = [c.numerator * (m // c.denominator) for c in point]
+    return CyclotomicInt(m, character_bins([{rd.check_weight(weight): 1}], y, m)[0])
 
 
 def test_eval_weight_trivial_and_u1():

@@ -88,8 +88,8 @@ def wall_sign_flipped(monkeypatch):
     flipped."""
     real = vkt.affineweyl.Alcove.__init__
 
-    def fault(alc, rd, tau):
-        real(alc, rd, tau)
+    def fault(alc, tau):
+        real(alc, tau)
         alc.signs[-1] = -alc.signs[-1]
 
     monkeypatch.setattr(vkt.affineweyl.Alcove, "__init__", fault)

@@ -52,14 +52,14 @@ def u1_ring(n, eps=(0,)):
 
 def test_verlinde_classes_su2():
     ring = su2_ring(5)
-    classes = verlinde_classes(ring.rd, ring.tau)
+    classes = verlinde_classes(ring.tau)
     assert [vc.point for vc in classes] == [(Fraction(j, 10),) for j in range(1, 5)]
     assert all(vc.orbit_size == 2 for vc in classes)
 
 
 def test_verlinde_classes_u1():
     ring = u1_ring(4)
-    classes = verlinde_classes(ring.rd, ring.tau)
+    classes = verlinde_classes(ring.tau)
     assert len(classes) == 4
     assert all(vc.orbit_size == 1 for vc in classes)
 
@@ -69,7 +69,16 @@ def test_double_count():
     rd3 = root_datum_from_spec("SU(3)")
     cases.append(FusionRing(rd3, twisting_from_level(rd3, (5,))))
     for ring in cases:
-        assert len(ring.basis) == len(verlinde_classes(ring.rd, ring.tau))
+        assert len(ring.basis) == len(verlinde_classes(ring.tau))
+
+
+def test_ring_refuses_a_datum_that_is_not_its_twistings():
+    # the twisting's caches are keyed on the twisting alone: a foreign datum
+    # must be refused before it can build the alcove or basis there
+    tau = twisting_from_level(root_datum_from_spec("SU(3)"), (5,))
+    with pytest.raises(ValueError, match="twisting's own"):
+        FusionRing(root_datum_from_spec("U(1)^2"), tau)
+    assert len(FusionRing(tau.rd, tau).basis) == 6
 
 
 def test_su2_basis_and_transversal():
@@ -232,9 +241,9 @@ def test_pairing_integrality_guard(monkeypatch):
     full = tau.f_epsilon
     monkeypatch.setattr(tau, "f_epsilon",
                         lambda regular_only=False: (m, lifts[1:]) if regular_only else full())
-    assert delta_eval(rd, tau, {(0, 0): 1}, (0, 0)) == 1      # the full kernel is intact
+    assert delta_eval(tau, {(0, 0): 1}, (0, 0)) == 1      # the full kernel is intact
     with pytest.raises(InvariantError, match="did not reduce to an integer"):
-        delta_eval(rd, tau, {(0, 0): 1}, (0, 0), regular_only=True)
+        delta_eval(tau, {(0, 0): 1}, (0, 0), regular_only=True)
     # nor is all of F_eps without its second lift (the first, the origin, is
     # fixed by every unit); the regular kernel built before stays as it was
     tau = twisting_from_level(rd, (5,))
@@ -243,7 +252,7 @@ def test_pairing_integrality_guard(monkeypatch):
     monkeypatch.setattr(tau, "f_epsilon",
                         lambda regular_only=False: (m, lifts[:1] + lifts[2:]))
     with pytest.raises(InvariantError, match="did not reduce to an integer"):
-        delta_eval(rd, tau, {(0, 0): 1}, (0, 0))
+        delta_eval(tau, {(0, 0): 1}, (0, 0))
     assert vkt.fusion._pairing_kernel(tau, True) is regular
 
 
@@ -275,9 +284,9 @@ whole.f_epsilon = lambda regular_only=False: (order, points[:1] + points[2:])
 for call, message in (
         (lambda: structure_constants_via_characters(galois), "Galois"),
         (lambda: structure_constants_via_characters(gram), "Gram identity"),
-        (lambda: delta_eval(rd, pairing, {(0, 0): 1}, (0, 0), regular_only=True),
+        (lambda: delta_eval(pairing, {(0, 0): 1}, (0, 0), regular_only=True),
          "did not reduce to an integer"),
-        (lambda: delta_eval(rd, whole, {(0, 0): 1}, (0, 0)),
+        (lambda: delta_eval(whole, {(0, 0): 1}, (0, 0)),
          "did not reduce to an integer")):
     try:
         call()
@@ -400,15 +409,15 @@ def test_delta_eval_delta_pairing():
     rd, tau = ring.rd, ring.tau
     for g in [(0,), (1,), (3,), (7,)]:
         f = {g: 1}
-        assert delta_eval(rd, tau, f, g) == 1
+        assert delta_eval(tau, f, g) == 1
 
 
 def test_delta_eval_u1_coset():
     rd = root_datum_from_spec("U(1)")
     tau = twisting_from_level(rd, (), torus_block=[[3]])
     f = {(1,): 1}
-    assert delta_eval(rd, tau, f, (4,)) == 1  # L^4 = L mod the coset lattice
-    assert delta_eval(rd, tau, f, (2,)) == 0
+    assert delta_eval(tau, f, (4,)) == 1  # L^4 = L mod the coset lattice
+    assert delta_eval(tau, f, (2,)) == 0
 
 
 def test_delta_eval_equivariance_and_sign():
@@ -416,8 +425,8 @@ def test_delta_eval_equivariance_and_sign():
     tau = twisting_from_level(rd, (), torus_block=[[2]], eps=(1,))
     f = {(0,): 1}
     # the graded translation flips the sign across the coset
-    assert delta_eval(rd, tau, f, (2,)) == -1
-    assert delta_eval(rd, tau, f, (4,)) == 1
+    assert delta_eval(tau, f, (2,)) == -1
+    assert delta_eval(tau, f, (4,)) == 1
 
 
 def test_delta_eval_matches_equivariant_values():
@@ -427,21 +436,21 @@ def test_delta_eval_matches_equivariant_values():
     for _ in range(10):
         coeffs = {rep: rng.randint(-3, 3) for rep in ring.basis}
         kc = KClass(coeffs)
-        fn = equivariant_function(rd, tau, kc)
+        fn = equivariant_function(tau, kc)
         f = {rep: fn(rep) for rep in
              (tuple(r) for r in matrix_coset_representatives(tau.b))}
         g = (rng.randint(-15, 15),)
-        assert delta_eval(rd, tau, f, g) == fn(g)
-        assert delta_eval(rd, tau, f, g, regular_only=True) == fn(g)
+        assert delta_eval(tau, f, g) == fn(g)
+        assert delta_eval(tau, f, g, regular_only=True) == fn(g)
 
 
 def test_torus_pushforward_u1():
     rd = root_datum_from_spec("U(1)")
     tau = twisting_from_level(rd, (), torus_block=[[4]])
-    assert torus_pushforward(rd, tau, (6,)) == KClass({(2,): 1})
+    assert torus_pushforward(tau, (6,)) == KClass({(2,): 1})
     tau1 = twisting_from_level(rd, (), torus_block=[[4]], eps=(1,))
-    a = torus_pushforward(rd, tau1, (1,))
-    b = torus_pushforward(rd, tau1, (5,))
+    a = torus_pushforward(tau1, (1,))
+    b = torus_pushforward(tau1, (5,))
     assert a == KClass({(1,): 1})
     assert b == KClass({(1,): -1})
 
@@ -449,13 +458,13 @@ def test_torus_pushforward_u1():
 def test_torus_pushforward_u1_squared():
     rd = root_datum_from_spec("U(1)^2")
     tau = twisting_from_level(rd, (), torus_block=[[2, 0], [0, 2]])
-    assert torus_pushforward(rd, tau, (0, 0)) == KClass({(0, 0): 1})
+    assert torus_pushforward(tau, (0, 0)) == KClass({(0, 0): 1})
 
 
 def test_torus_pushforward_rejects_nontorus():
     ring = su2_ring(3)
     with pytest.raises(NotATorus):
-        torus_pushforward(ring.rd, ring.tau, (1,))
+        torus_pushforward(ring.tau, (1,))
 
 
 def test_pushforward_fourier_support():
@@ -463,8 +472,8 @@ def test_pushforward_fourier_support():
     # alternating signs read off the grading
     rd = root_datum_from_spec("U(1)")
     tau = twisting_from_level(rd, (), torus_block=[[3]], eps=(1,))
-    kc = torus_pushforward(rd, tau, (1,))
-    fn = equivariant_function(rd, tau, kc)
+    kc = torus_pushforward(tau, (1,))
+    fn = equivariant_function(tau, kc)
     for k in range(-9, 10):
         expected = 0
         if (k - 1) % 3 == 0:

@@ -384,7 +384,7 @@ def convolution_module_action(ring, combo, kc):
             continue
         for nu, m in weight_multiplicities(ring.rd, lam).items():
             for rep, k in kc.items():
-                red = orbit_normal_form(ring.rd, ring.tau, vec_add(rep, nu))
+                red = orbit_normal_form(ring.tau, vec_add(rep, nu))
                 if not red.is_zero:
                     out[red.representative] = out.get(red.representative, 0) + red.sign * c * m * k
     return KClass(out)
@@ -577,7 +577,7 @@ def test_stabilizers_match_fraction_oracle():
 def test_zero_criterion_discrepancies_match_coset_scan_oracle():
     flagged = 0
     for name, rd, tau in grid_twistings(GRID + WALK_EXTRA + F_EPSILON_EXTRA):
-        got = zero_criterion_discrepancies(rd, tau)
+        got = zero_criterion_discrepancies(tau)
         assert got == scan_zero_criterion_discrepancies(rd, tau), (name, tau.eps)
         flagged += len(got)
     assert flagged                 # the graded cases flag some orbits
@@ -600,9 +600,9 @@ def test_regularity_needs_no_weyl_enumeration(monkeypatch):
     # kernel and the discrepancy list come from the root test, the simple
     # reflections and the alcove points
     def outputs(rd, tau):
-        return (verlinde_classes(rd, tau), tau.f_epsilon(regular_only=True),
+        return (verlinde_classes(tau), tau.f_epsilon(regular_only=True),
                 vkt.fusion._pairing_kernel(tau, True),
-                zero_criterion_discrepancies(rd, tau))
+                zero_criterion_discrepancies(tau))
 
     grid = GRID + WALK_EXTRA + F_EPSILON_EXTRA
     want = [outputs(rd, tau) for _, rd, tau in grid_twistings(grid)]
@@ -619,7 +619,7 @@ def test_ring_build_needs_no_weyl_enumeration(monkeypatch):
         table = ring.structure_constants() if tau.is_primitive() else None
         classes = [class_from_weight(ring, lam) for lam in dominant_weights_up_to(rd, 3)]
         return (ring.basis, ring.transversal, ring.signs, ring.unit_index, table, classes,
-                zero_criterion_discrepancies(rd, tau))
+                zero_criterion_discrepancies(tau))
 
     grid = GRID + WALK_EXTRA
     want = [outputs(rd, tau) for _, rd, tau in grid_twistings(grid)]
@@ -637,14 +637,14 @@ def test_reductions_and_checks_need_no_weyl_enumeration(monkeypatch):
         weights = [tuple(lam) for lam in tau.cosets()]
         weights += [tuple(rng.randint(-30, 30) for _ in range(rd.rank)) for _ in range(20)]
         reductions = [(red.representative, red.sign, red.is_zero)
-                      for red in (orbit_normal_form(rd, tau, lam) for lam in weights)]
+                      for red in (orbit_normal_form(tau, lam) for lam in weights)]
         ring = FusionRing(rd, tau)
         classes = [ring.class_from_index(i) for i in range(len(ring.basis))]
         actions = [module_action(ring, {lam: 1}, kc)
                    for lam in dominant_weights_up_to(rd, 2) for kc in classes]
-        values = [[equivariant_function(rd, tau, kc)(lam) for lam in weights] for kc in classes]
+        values = [[equivariant_function(tau, kc)(lam) for lam in weights] for kc in classes]
         matrix = mult_by_U_matrix(ring) if ring.basis else None
-        pushed = [torus_pushforward(rd, tau, lam) for lam in weights] if rd.is_torus() else None
+        pushed = [torus_pushforward(tau, lam) for lam in weights] if rd.is_torus() else None
         checks = [check_double_count(ring), check_f_epsilon(ring), check_cyclic_generator(ring),
                   check_annihilation(ring), check_oracle_equivalence(ring),
                   check_algebra_axioms(ring), check_delta_identity(ring, trials=10),
@@ -667,7 +667,7 @@ def test_f_epsilon_matches_snf_oracle():
         want = fraction_f_epsilon_points(rd, tau)
         m = _order(want)
         assert tau.f_epsilon() == (m, [tuple(int(c * m) for c in x) for x in want]), name
-        assert f_epsilon_points(rd, tau) == want, name
+        assert f_epsilon_points(tau) == want, name
         # the regular subset keeps the order of the whole of F_eps
         regular = fraction_regular_points(rd, tau)
         assert tau.f_epsilon(regular_only=True) == \
@@ -684,7 +684,7 @@ def test_orbit_normal_form_matches_scan_oracle():
         weights = [tuple(lam) for lam in matrix_coset_representatives(tau.b)]
         weights += [tuple(rng.randint(-30, 30) for _ in range(rd.rank)) for _ in range(40)]
         for lam in weights:
-            red = orbit_normal_form(rd, tau, lam)
+            red = orbit_normal_form(tau, lam)
             rep, sign = scan_orbit_normal_form(rd, tau, lam)
             assert red.is_zero == (rep is None), (name, tau.eps, lam)
             if not red.is_zero:
@@ -698,7 +698,7 @@ def test_orbit_normal_form_matches_scan_oracle():
 def test_basis_matches_scan_oracle():
     # the old labels map the basis one-to-one onto the scan's basis
     for name, rd, tau in grid_twistings(GRID + WALK_EXTRA):
-        labels = [scan_label(rd, tau, point)[0] for point in enumerate_basis_orbits(rd, tau)]
+        labels = [scan_label(rd, tau, point)[0] for point in enumerate_basis_orbits(tau)]
         assert len(set(labels)) == len(labels), (name, tau.eps)
         assert sorted(labels) == scan_basis_orbits(rd, tau), (name, tau.eps)
 
@@ -709,7 +709,7 @@ def test_basis_labels_are_surviving_alcove_points():
     # keep one
     simply_connected = negative = 0
     for name, rd, tau in grid_twistings(GRID + WALK_EXTRA + PRODUCT_EXTRA):
-        alc = alcove(rd, tau)
+        alc = alcove(tau)
         ring = FusionRing(rd, tau)
         for point in ring.basis:
             assert all(dot(point, cv) >= 0 for cv in rd.simple_coroots), (name, point)
@@ -720,7 +720,7 @@ def test_basis_labels_are_surviving_alcove_points():
             # the free coordinates (row . point) / det b lie in [0, 1)
             assert all(dot(row, point) // tau.det_b == 0 for row in alc.free_rows), (name, point)
             assert not wall_scan_is_zero(alc, point), (name, point)
-            red = orbit_normal_form(rd, tau, point)
+            red = orbit_normal_form(tau, point)
             assert (red.representative, red.sign) == (point, 1), (name, point)
         if rd.split_form and not rd.torus_indices:
             assert ring.basis == tuple(vec_add(lam, rd.rho_tilde) for lam in ring.transversal)
@@ -885,7 +885,7 @@ def test_module_action_matches_the_convolution_oracle():
 
 def test_verlinde_classes_match_fraction_oracle():
     for name, rd, tau in grid_twistings():
-        got = [(vc.point, vc.orbit_size) for vc in verlinde_classes(rd, tau)]
+        got = [(vc.point, vc.orbit_size) for vc in verlinde_classes(tau)]
         assert got == fraction_verlinde_classes(rd, tau), name
 
 
@@ -957,7 +957,7 @@ def test_delta_eval_matches_uncached_oracle():
         g = tuple(rng.randint(-12, 12) for _ in range(rd.rank))
         for regular_only in (False, True):
             want = fraction_delta_eval(rd, tau, f, g, regular_only)
-            assert delta_eval(rd, tau, f, g, regular_only) == want, (name, g, regular_only)
+            assert delta_eval(tau, f, g, regular_only) == want, (name, g, regular_only)
 
 
 def key_and_sign(tau, v):
@@ -1049,16 +1049,16 @@ def test_over_budget_pairing_kernel_is_refused_up_front(monkeypatch):
     monkeypatch.setattr(vkt.fusion, "MAX_PAIRING_WORK", 3_040_000 - 1)
     for regular_only in (False, True):
         with pytest.raises(GroupTooLarge, match=r"takes 3040000 steps"):
-            delta_eval(rd, tau, {(0, 0, 0, 0): 1}, (0, 0, 0, 0), regular_only)
+            delta_eval(tau, {(0, 0, 0, 0): 1}, (0, 0, 0, 0), regular_only)
     monkeypatch.undo()
     assert vkt.fusion.MAX_PAIRING_WORK >= 3_040_000
     # the budget is inclusive: SU(3) 5 has factors 5 and 15, 75 * 20 + 4 * 75 steps
     rd = root_datum_from_spec("SU(3)")
     monkeypatch.setattr(vkt.fusion, "MAX_PAIRING_WORK", 1800)
-    assert delta_eval(rd, twisting_from_level(rd, (5,)), {(0, 0): 1}, (0, 0)) == 1
+    assert delta_eval(twisting_from_level(rd, (5,)), {(0, 0): 1}, (0, 0)) == 1
     monkeypatch.setattr(vkt.fusion, "MAX_PAIRING_WORK", 1799)
     with pytest.raises(GroupTooLarge):
-        delta_eval(rd, twisting_from_level(rd, (5,)), {(0, 0): 1}, (0, 0))
+        delta_eval(twisting_from_level(rd, (5,)), {(0, 0): 1}, (0, 0))
 
 
 def test_delta_eval_reads_one_entry_per_coset(monkeypatch):
@@ -1067,7 +1067,7 @@ def test_delta_eval_reads_one_entry_per_coset(monkeypatch):
     rd = root_datum_from_spec("SU(3)")
     tau = twisting_from_level(rd, (5,))
     f = {tuple(lam): 1 for lam in tau.cosets()}
-    first = delta_eval(rd, tau, f, (1, 2))
+    first = delta_eval(tau, f, (1, 2))
     calls = []
     monkeypatch.setattr(vkt.fusion, "_coset_code", lambda *args: calls.append(args))
     reads = []
@@ -1078,7 +1078,7 @@ def test_delta_eval_reads_one_entry_per_coset(monkeypatch):
             return list.__getitem__(self, i)
 
     tau._cache[("kernel", False)] = Counting(tau._cache[("kernel", False)])
-    assert delta_eval(rd, tau, f, (1, 2)) == first
+    assert delta_eval(tau, f, (1, 2)) == first
     assert calls == [] and len(reads) == tau.order_F()
 
 
@@ -1225,8 +1225,8 @@ def test_delta_identity_catches_a_wrong_equivariant_value(monkeypatch):
     # pairing with the value at g can see it
     real = vkt.checks.equivariant_function
 
-    def off_by_one(rd, tau, kc):
-        value = real(rd, tau, kc)
+    def off_by_one(tau, kc):
+        value = real(tau, kc)
         reps = {tuple(rep) for rep in tau.cosets()}
         return lambda lam: value(lam) + (tuple(lam) not in reps)
 
@@ -1243,10 +1243,10 @@ def test_delta_identity_data_equal_the_function_at_each_coset_representative(mon
     passed = []
     real = vkt.checks.delta_eval
 
-    def spy(rd, tau, f, g, regular_only=False):
+    def spy(tau, f, g, regular_only=False):
         if not any(f is seen for seen in passed):
             passed.append(f)
-        return real(rd, tau, f, g, regular_only)
+        return real(tau, f, g, regular_only)
 
     monkeypatch.setattr(vkt.checks, "delta_eval", spy)
     # GRID holds the acceptance grid
@@ -1257,7 +1257,7 @@ def test_delta_identity_data_equal_the_function_at_each_coset_representative(mon
         reps = [tuple(rep) for rep in tau.cosets()]
         assert len(passed) == min(len(ring.basis), 4), name
         for i, f in enumerate(passed):
-            fn = equivariant_function(rd, tau, ring.class_from_index(i))
+            fn = equivariant_function(tau, ring.class_from_index(i))
             assert f == {rep: fn(rep) for rep in reps}, (name, i)
 
 
@@ -1392,10 +1392,10 @@ def test_inconsistent_values_are_refused_on_every_call():
     rd = root_datum_from_spec("SU(2)")
     tau = twisting_from_level(rd, (5,))
     far = tau.apply_b((1,))                     # the coset of 0, translated
-    assert delta_eval(rd, tau, {(0,): 1, far: 1}, (0,)) == 1
+    assert delta_eval(tau, {(0,): 1, far: 1}, (0,)) == 1
     for _ in range(2):                          # the second call reads the memo
         with pytest.raises(ValueError, match="inconsistent equivariant values"):
-            delta_eval(rd, tau, {(0,): 1, far: 2}, (0,))
+            delta_eval(tau, {(0,): 1, far: 2}, (0,))
 
 
 def test_coset_keys_are_validated_on_a_memo_miss_only(monkeypatch):
@@ -1412,14 +1412,14 @@ def test_coset_keys_are_validated_on_a_memo_miss_only(monkeypatch):
         return real(rank, coords)
 
     monkeypatch.setattr(vkt.rootdata, "as_weight", recording)
-    first = delta_eval(rd, tau, f, (1, 1))
+    first = delta_eval(tau, f, (1, 1))
     assert set(f) <= set(seen)
     seen.clear()
-    assert delta_eval(rd, tau, f, (1, 1)) == first
+    assert delta_eval(tau, f, (1, 1)) == first
     assert seen == [(1, 1)]
     for _ in range(2):
         with pytest.raises(ValueError, match="non-integral"):
-            delta_eval(rd, tau, {(0, 0): 1, (Fraction(1, 2), 0): 1}, (1, 1))
+            delta_eval(tau, {(0, 0): 1, (Fraction(1, 2), 0): 1}, (1, 1))
 
 
 def wall_scan_is_zero(alc, point):
@@ -1430,7 +1430,7 @@ def wall_scan_is_zero(alc, point):
 def test_is_zero_memo_matches_a_fresh_wall_scan():
     rng = random.Random(12)
     for name, rd, tau in grid_twistings(GRID + WALK_EXTRA):
-        alc = vkt.affineweyl.Alcove(rd, tau)
+        alc = vkt.affineweyl.Alcove(tau)
         points = list(alc.points())
         ends = [alc.walk(tuple(rng.randint(-30, 30) for _ in range(rd.rank)))[0]
                 for _ in range(60)]

@@ -33,6 +33,36 @@ def test_no_isdigit_in_the_package():
     assert found == []
 
 
+# (module, qualified function name) allowed to take both a datum rd and a
+# twisting tau; every other function reads the datum as tau.rd
+RD_AND_TAU = {
+    # bench/workloads.py builds FusionRing(rd, tau); the ring refuses an rd
+    # that is not tau.rd
+    ("fusion", "FusionRing.__init__"),
+    # `vkt info` without a twist reports a datum and no twisting
+    ("cli", "report_header"),
+}
+
+
+def test_twisting_level_functions_read_the_datum_off_the_twisting():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        scopes = [(tree, "")]
+        while scopes:
+            node, prefix = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    name = prefix + child.name
+                    scopes.append((child, name + "."))
+                    if isinstance(child, ast.FunctionDef):
+                        args = child.args
+                        params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                        if {"rd", "tau"} <= params:
+                            found.add((path.stem, name))
+    assert found == RD_AND_TAU
+
+
 def test_every_public_name_resolves():
     assert [name for name in vkt.__all__ if not hasattr(vkt, name)] == []
 

@@ -113,15 +113,15 @@ def test_explicit_twisting_matches_level_form():
 
 def test_f_epsilon_points_su2():
     rd, tau = su2_twist(3)
-    pts = f_epsilon_points(rd, tau)
+    pts = f_epsilon_points(tau)
     assert pts == [(Fraction(j, 6),) for j in range(6)]
 
 
 def test_f_epsilon_points_u1():
     rd, tau = u1_twist(5)
-    assert f_epsilon_points(rd, tau) == [(Fraction(j, 5),) for j in range(5)]
+    assert f_epsilon_points(tau) == [(Fraction(j, 5),) for j in range(5)]
     rd, tau = u1_twist(2, eps=(1,))
-    assert f_epsilon_points(rd, tau) == [(Fraction(1, 4),), (Fraction(3, 4),)]
+    assert f_epsilon_points(tau) == [(Fraction(1, 4),), (Fraction(3, 4),)]
 
 
 def test_f_epsilon_points_solve_exactly():
@@ -133,7 +133,7 @@ def test_f_epsilon_points_solve_exactly():
     ]:
         rd = root_datum_from_spec(name)
         tau = twisting_from_level(rd, levels, torus_block=torus, eps=eps)
-        pts = f_epsilon_points(rd, tau)
+        pts = f_epsilon_points(tau)
         assert len(pts) == tau.order_F()
         for x in pts:
             img = tau.b.apply(x)
@@ -148,7 +148,7 @@ def test_weyl_permutes_f_epsilon_points():
     ]:
         rd = root_datum_from_spec(name)
         tau = twisting_from_level(rd, levels, torus_block=torus, eps=eps)
-        pts = set(f_epsilon_points(rd, tau))
+        pts = set(f_epsilon_points(tau))
         for w in weyl_group_elements(rd):
             moved = {tuple(Fraction(c) % 1 for c in w.apply_coweight(x)) for x in pts}
             assert moved == pts
@@ -192,7 +192,7 @@ def test_f_epsilon_count_is_checked_without_assert(monkeypatch):
     tau = twisting_from_level(rd, (3,))
     monkeypatch.setattr(tau, "order_F", lambda: 7)
     with pytest.raises(InvariantError):
-        f_epsilon_points(rd, tau)
+        f_epsilon_points(tau)
 
 
 def test_a_short_regular_orbit_is_refused(monkeypatch):
