@@ -52,6 +52,7 @@ from .affineweyl import (
 )
 from .cyclo import CyclotomicInt, cyclotomic_polynomial, eval_character_at_point
 from .fusion import (
+    CosetValues,
     FusionRing,
     KClass,
     VerlindeClass,
@@ -89,7 +90,7 @@ __all__ = [
     # the fusion ring
     "FusionRing", "KClass", "VerlindeClass", "verlinde_classes",
     "class_from_weight", "fusion_product", "verlinde_ideal_member",
-    "mult_by_U_matrix", "delta_eval", "torus_pushforward",
+    "mult_by_U_matrix", "delta_eval", "CosetValues", "torus_pushforward",
     "structure_constants_via_characters",
     # rank-one cross-checks
     "LaurentPoly", "SymmetricPoly", "rho", "mv_su2", "mv_u1", "mv_s3",

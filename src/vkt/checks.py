@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 
 from .affineweyl import (
     box_reduce,
@@ -20,6 +21,7 @@ from .affineweyl import (
 )
 from .errors import InvariantError
 from .fusion import (
+    CosetValues,
     FusionRing,
     check_pairing_budget,
     class_from_weight,
@@ -157,41 +159,66 @@ def check_algebra_axioms(ring: FusionRing):
             "detail": {"problems": problems[:10], "triples": n ** 3}}
 
 
+# one byte as a value in -3..3: the delta check draws its data a byte per coset
+_DRAW = tuple(b % 7 - 3 for b in range(256))
+
+
 def check_delta_identity(ring: FusionRing, trials=60):
+    """The averaged pairing turns data back into the function: one
+    CosetValues names the coset representatives once for the whole check.
+    Random data at them must give its own value at a random g, read off by
+    box_reduce alone, independent of the coset codes.  The equivariant data
+    of the first four basis elements must give the class's value at g in
+    full, and the same or 0 over the Weyl-regular part; once per element,
+    the same data keyed on the box points, zeros left out, goes through
+    delta_eval, which names that other set of representatives afresh."""
     rd, tau = ring.rd, ring.tau
     rng = random.Random(7)
     reps = [tuple(r) for r in tau.cosets()]
-    # f(g) by box_reduce alone, independent of delta_eval's coset keys
+    cosets = CosetValues(tau, reps)
     reduced = [box_reduce(tau, rep) for rep in reps]
-    boxed = {red: (rep, tau.translation_sign(pi)) for rep, (red, pi) in zip(reps, reduced)}
+    rep_signs = [tau.translation_sign(pi) for _, pi in reduced]
+    boxed = {red: i for i, (red, _) in enumerate(reduced)}
     failures = []
     for t in range(trials):
-        f = {rep: rng.randint(-3, 3) for rep in reps}
+        f = list(map(_DRAW.__getitem__, rng.randbytes(len(reps))))
         g = tuple(rng.randint(-12, 12) for _ in range(rd.rank))
         red, pi = box_reduce(tau, g)
-        rep, sign = boxed[red]
-        expected = tau.translation_sign(pi) * sign * f[rep]
-        got = delta_eval(tau, f, g)
+        i = boxed[red]
+        expected = tau.translation_sign(pi) * rep_signs[i] * f[i]
+        got = cosets.delta(f, g)
         if got != expected:
             failures.append({"trial": t, "got": str(got), "expected": expected})
     # equivariant data: the full sum is the value; the Weyl-regular
     # restriction agrees with it on a free orbit and is 0 on a surviving
     # orbit that is not free (nonzero grading only), which lies off the
-    # regular part.  f(rep) = (-1)^eps(pi) f(red) for rep = red - b(pi): a
-    # walk from the box point is far shorter than from the raw coset
-    # representative
+    # regular part.  f(rep) = (-1)^eps(pi) f(red) for rep = red - b(pi), and
+    # f(red) is read off the orbit of the box point red, found once for all
+    # basis elements: a walk from the box point is far shorter than from
+    # the raw coset representative
+    orbits = []
+    for red, _ in reduced:
+        orbit = orbit_normal_form(tau, red)
+        orbits.append((0, None) if orbit.is_zero else (orbit.sign, orbit.representative))
     for i in range(min(len(ring.basis), 4)):
         kc = ring.class_from_index(i)
         fn = equivariant_function(tau, kc)
-        f = {rep: tau.translation_sign(pi) * fn(red) for rep, (red, pi) in zip(reps, reduced)}
+        at_box = [sign * kc.support.get(label, 0) for sign, label in orbits]
+        f = list(map(mul, rep_signs, at_box))
+        sparse = {red: v for (red, _), v in zip(reduced, at_box) if v}
         free = rd.is_regular(tau.adj_apply(ring.basis[i]), tau.det_b)
         for t in range(8):
             g = tuple(rng.randint(-10, 10) for _ in range(rd.rank))
-            full = delta_eval(tau, f, g)
-            reg = delta_eval(tau, f, g, regular_only=True)
+            full = cosets.delta(f, g)
+            reg = cosets.delta(f, g, regular_only=True)
             if full != fn(g) or reg != (full if free else 0):
                 failures.append({"basis": i, "g": list(g), "full": str(full),
                                  "regular": str(reg), "value": fn(g)})
+            if t == 0:
+                box = delta_eval(tau, sparse, g)
+                if box != full:
+                    failures.append({"basis": i, "g": list(g), "full": str(full),
+                                     "box_points": str(box)})
     return {"name": "delta_identity", "passed": not failures,
             "detail": {"trials": trials, "failures": failures[:5]}}
 

@@ -9,6 +9,7 @@ Reports are JSON (default) or flat TSV; every numeric field is exact.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -479,7 +480,10 @@ def build_job(args):
     return job
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser of `main`, built once per process: parsing reads
+    it and changes nothing in it."""
     parser = argparse.ArgumentParser(
         prog="vkt",
         description="Exact fusion-ring computations for compact Lie groups")
@@ -508,8 +512,11 @@ def main(argv=None):
     example.add_argument("n", type=int)
     example.add_argument("--epsilon", type=int, default=0)
     example.add_argument("--format", choices=FORMATS, default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         if args.command == "example":
             job = JobSpec(format=args.format or "json")

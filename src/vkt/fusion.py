@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, prod
 from operator import mul
 
@@ -424,38 +425,69 @@ def check_pairing_budget(tau: Twisting):
                             f"more than {MAX_PAIRING_WORK}")
 
 
-def _coset_code(tau: Twisting, lam):
-    """(code, sign) of the weight lam: with v = adj(b) lam and key = v mod
-    |det b|, lam = mu_key + b(pi) for pi = (v - key) / det b, where mu_key is
-    the one weight of its coset of b(coweights) with adj(b) mu_key = key.
-    code is that of mu_key and sign the translation sign (-1)^eps(pi).
-    Records mu_key's coset among the irregular ones unless b^-1 mu_key is
-    Weyl-regular."""
-    v = tau.adj_apply(lam)
-    key = [c % tau.order_F() for c in v]
-    pi = [(c - k) // tau.det_b for c, k in zip(v, key)]
-    code = _pairing_coordinates(tau).code(vec_sub(lam, tau.apply_b(pi)))
-    if not tau.rd.is_regular(key, tau.det_b):
-        tau.cached("irregular_codes", set).add(code)
-    return code, tau.translation_sign(pi)
+class CosetValues:
+    """A fixed list of weights named once by their cosets of b(coweights),
+    so that the averaged pairing of any values at them reads integers only.
 
+    A weight lam is named by its code, sign and regularity: with
+    v = adj(b) lam and key = v mod |det b|, lam = mu_key + b(pi) for
+    pi = (v - key) / det b, where mu_key is the one weight of its coset
+    with adj(b) mu_key = key.  The code is that of mu_key
+    (_PairingCoordinates), the sign the translation sign (-1)^eps(pi), and
+    the coset is regular when b^-1 mu_key is Weyl-regular.  Each weight is
+    validated as it is named.  A weight whose coset an earlier one already
+    named is recorded as a repeat: the pairing reads the first weight of
+    each coset, and `delta` compares the values at the repeats with it.
+    GroupTooLarge (check_pairing_budget) before any weight is named."""
 
-def _canonical_coset_values(tau: Twisting, f):
-    """Push an arbitrary weight-keyed function to {code(mu_key): f(mu_key)} by
-    translation equivariance; each weight's code is memoized per twisting,
-    and a weight is validated when it first enters the memo.  ValueError
-    when two weights of one coset disagree."""
-    memo = tau.cached("coset_key", dict)
-    values = {}
-    for lam, v in f.items():
-        hit = memo.get(lam)
-        if hit is None:
-            hit = memo[lam] = _coset_code(tau, tau.rd.check_weight(lam))
-        code, sign = hit
-        v *= sign
-        if values.setdefault(code, v) != v:
-            raise ValueError(f"inconsistent equivariant values on the coset of {lam}")
-    return values
+    def __init__(self, tau: Twisting, weights):
+        check_pairing_budget(tau)
+        rd, order, det = tau.rd, tau.order_F(), tau.det_b
+        coords = _pairing_coordinates(tau)
+        self.tau = tau
+        first = {}                   # code: (position, sign) of its first weight
+        self._repeats = []           # (position, first position, sign product, weight)
+        # per flag (all cosets, regular ones only): the mask of the positions
+        # the pairing reads, and their codes and signs
+        self._columns = (([], [], []), ([], [], []))
+        for i, lam in enumerate(weights):
+            lam = rd.check_weight(lam)
+            v = tau.adj_apply(lam)
+            key = [c % order for c in v]
+            pi = [(c - k) // det for c, k in zip(v, key)]
+            code = coords.code(vec_sub(lam, tau.apply_b(pi)))
+            sign = tau.translation_sign(pi)
+            j, s = first.setdefault(code, (i, sign))
+            if j != i:
+                self._repeats.append((i, j, sign * s, lam))
+            for (mask, codes, signs), read in zip(self._columns, (
+                    j == i, j == i and rd.is_regular(key, det))):
+                mask.append(read)
+                if read:
+                    codes.append(code)
+                    signs.append(sign)
+
+    def delta(self, values, g, regular_only=False) -> Fraction:
+        """The averaged pairing (1/|F|) sum f(mu) K(g - mu) over the named
+        cosets mu, f given by `values`, a sequence of integers in the order
+        of the weights and extended by translation equivariance; with
+        regular_only=True, over the Weyl-regular cosets only (see
+        delta_eval).  A call computes code(g) once and reads one entry of
+        the _pairing_kernel table per coset, T[code(g) + shift - code(mu)].
+        ValueError, on every call, when two weights of one coset carry
+        values that are not equivariant."""
+        tau = self.tau
+        for i, j, sign, lam in self._repeats:
+            if values[i] * sign != values[j]:
+                raise ValueError(f"inconsistent equivariant values on the coset of {lam}")
+        g = tau.rd.check_weight(g)
+        mask, codes, signs = self._columns[bool(regular_only)]
+        table = _pairing_kernel(tau, regular_only)
+        coords = _pairing_coordinates(tau)
+        base = coords.code(g) + coords.shift
+        total = sum(map(mul, map(mul, compress(values, mask), signs),
+                        map(table.__getitem__, map(base.__sub__, codes))))
+        return Fraction(total, tau.order_F())
 
 
 def _pairing_kernel(tau: Twisting, regular_only):
@@ -540,19 +572,10 @@ def delta_eval(tau: Twisting, f, g, regular_only=False) -> Fraction:
 
     b is symmetric with b(x) in eps/2 + (weights), so K(mu + b(pi)) =
     (-1)^eps(pi) K(mu): an ordinary integer function on the Smith group of
-    _PairingCoordinates.  A call computes code(g) once and reads one entry
-    of the _pairing_kernel table per coset: T[code(g) + shift - code(mu)]."""
-    g = tau.rd.check_weight(g)
-    values = _canonical_coset_values(tau, f)
-    table = _pairing_kernel(tau, regular_only)
-    coords = _pairing_coordinates(tau)
-    base = coords.code(g) + coords.shift
-    skip = tau.cached("irregular_codes", set) if regular_only else ()
-    total = 0
-    for code, v in values.items():
-        if v and code not in skip:
-            total += v * table[base - code]
-    return Fraction(total, tau.order_F())
+    _PairingCoordinates.  One call names the keys of f once, as a
+    CosetValues; to pair many functions on one set of weights, build the
+    CosetValues once and call its `delta`."""
+    return CosetValues(tau, f).delta(list(f.values()), g, regular_only)
 
 
 def equivariant_function(tau: Twisting, kc: KClass):

@@ -52,11 +52,12 @@ class Twisting:
     read off one Smith normal form of b.  Data derived from the twisting
     alone (the integer lifts of the F_eps points, their W-orbits, the
     cosets of coker(b), the alcove walls and basis points of affineweyl, the
-    pairing's Smith coordinates and tables, coset codes and irregular codes
-    of fusion.delta_eval, the levels and whether it is primitive) is built
-    on first use and cached on the object (see `cached`).  b and eps are
-    validated on the simple coroots (`_validate`); an eps of None is the
-    zero grading, and any other eps needs one entry per coordinate."""
+    pairing's Smith coordinates and tables, the levels and whether it is
+    primitive) is built on first use and cached on the object (see
+    `cached`); the coset codes of a list of weights are named by a
+    fusion.CosetValues, not here.  b and eps are validated on the simple
+    coroots (`_validate`); an eps of None is the zero grading, and any
+    other eps needs one entry per coordinate."""
 
     def __init__(self, rd: RootDatum, b: IntMatrix, eps=None):
         self.rd = rd

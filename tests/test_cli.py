@@ -570,3 +570,31 @@ def test_table_rows_as_tuples_leave_tsv_unchanged():
     assert isinstance(out["table"]["constants"][0][0], tuple)
     assert render(out, "tsv") == render(listed, "tsv")
     assert render(out, "json") == render(listed, "json") == json_oracle(listed)
+
+
+def test_one_parser_per_process_parses_as_a_fresh_one(capsys):
+    # main reads one parser per process; a report, a usage error, help and
+    # --version leave it as a fresh build leaves it: the same help, the same
+    # exits and the same parsed options
+    parser = vkt.cli._parser()
+    fresh = vkt.cli._parser.__wrapped__()
+    used = [["verify", "--group", "SU(2)", "--twist", "3"], ["bogus"], ["--help"],
+            ["--version"], ["fuse", "--group", "SU(2)", "--twist", "3", "0", "1"],
+            ["verify", "--help"], ["example", "s3", "x"]]
+    for argv in used:
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+    capsys.readouterr()
+    assert vkt.cli._parser() is parser
+    for argv in used + [["example", "u1", "2", "--epsilon", "1"],
+                        ["table", "--spec", "x.spec", "--shift", "dual_coxeter"]]:
+        outcomes = []
+        for p in (parser, fresh):
+            try:
+                outcomes.append(vars(p.parse_args(argv)))
+            except SystemExit as exc:
+                outcomes.append(exc.code)
+            outcomes.append(capsys.readouterr())
+        assert outcomes[:2] == outcomes[2:], argv

@@ -62,6 +62,7 @@ from vkt.checks import (
 from vkt.cyclo import CyclotomicInt, character_bins, cyclotomic_polynomial, poly_divmod_exact
 from vkt.errors import GroupTooLarge, InvariantError
 from vkt.fusion import (
+    CosetValues,
     FusionRing,
     KClass,
     class_from_weight,
@@ -850,7 +851,7 @@ def test_ideal_test_builds_no_weight_system(monkeypatch):
         assert not rd._weight_system_cache, name
 
 
-def test_check_annihilation_builds_weight_systems_for_its_action_sample_only():
+def test_check_annihilation_builds_weight_systems_for_its_first_three_generators_only():
     for name, levels in (("SU(3)", (5,)), ("Spin(5)", (4,))):
         rd = root_datum_from_spec(name)
         ring = FusionRing(rd, twisting_from_level(rd, levels))
@@ -860,7 +861,7 @@ def test_check_annihilation_builds_weight_systems_for_its_action_sample_only():
         gens = [lam for lam in annihilation_window(rd, ring.tau)
                 if weight_system_ideal_member(ring, {lam: 1})]
         assert result["passed"] and result["detail"]["ideal_weights"] == len(gens), name
-        # module_action's spot check on the first action_sample (3) generators
+        # module_action's spot check runs on the first three ideal generators
         assert built == set(gens[:3]) and len(built) == 3, name
 
 
@@ -1061,25 +1062,53 @@ def test_over_budget_pairing_kernel_is_refused_up_front(monkeypatch):
         delta_eval(twisting_from_level(rd, (5,)), {(0, 0): 1}, (0, 0))
 
 
+class CountingTable(list):
+    """A pairing table that records the index of every read."""
+
+    def __init__(self, table, reads):
+        super().__init__(table)
+        self.reads = reads
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return list.__getitem__(self, i)
+
+
+def counting_codes(monkeypatch):
+    """Record every weight the pairing coordinates name a code for."""
+    named = []
+    real = vkt.fusion._PairingCoordinates.code
+
+    def code(self, mu):
+        named.append(tuple(mu))
+        return real(self, mu)
+
+    monkeypatch.setattr(vkt.fusion._PairingCoordinates, "code", code)
+    return named
+
+
 def test_delta_eval_reads_one_entry_per_coset(monkeypatch):
-    # a call with known weights names no coset afresh: the codes come from the
-    # per-twisting memo, and the table is indexed once per nonzero value
+    # a CosetValues names its weights once: each delta call names one code,
+    # that of g, and indexes the table once per coset; delta_eval, which
+    # names its keys afresh, reads the same entries
     rd = root_datum_from_spec("SU(3)")
     tau = twisting_from_level(rd, (5,))
-    f = {tuple(lam): 1 for lam in tau.cosets()}
-    first = delta_eval(tau, f, (1, 2))
-    calls = []
-    monkeypatch.setattr(vkt.fusion, "_coset_code", lambda *args: calls.append(args))
+    reps = [tuple(lam) for lam in tau.cosets()]
+    values = [1] * len(reps)
+    named = counting_codes(monkeypatch)
+    cosets = CosetValues(tau, reps)
+    assert len(named) == len(reps)
+    first = cosets.delta(values, (1, 2))
     reads = []
-
-    class Counting(list):
-        def __getitem__(self, i):
-            reads.append(i)
-            return list.__getitem__(self, i)
-
-    tau._cache[("kernel", False)] = Counting(tau._cache[("kernel", False)])
-    assert delta_eval(tau, f, (1, 2)) == first
-    assert calls == [] and len(reads) == tau.order_F()
+    tau._cache[("kernel", False)] = CountingTable(tau._cache[("kernel", False)], reads)
+    for _ in range(2):
+        named.clear()
+        reads.clear()
+        assert cosets.delta(values, (1, 2)) == first
+        assert named == [(1, 2)] and len(reads) == tau.order_F()
+    reads.clear()
+    assert delta_eval(tau, dict(zip(reps, values)), (1, 2)) == first
+    assert len(reads) == tau.order_F()
 
 
 def test_tables_build_no_pairing_cache():
@@ -1239,26 +1268,85 @@ def test_delta_identity_catches_a_wrong_equivariant_value(monkeypatch):
 
 def test_delta_identity_data_equal_the_function_at_each_coset_representative(monkeypatch):
     # the check reads its equivariant data at the box points and carries the
-    # translation sign back: the data it passes must be fn(rep) itself
-    passed = []
-    real = vkt.checks.delta_eval
+    # translation sign back: the data it pairs must be fn(rep) itself, and
+    # the data it hands delta_eval fn at the box points, zeros left out
+    passed, sparse = [], []
 
-    def spy(tau, f, g, regular_only=False):
-        if not any(f is seen for seen in passed):
-            passed.append(f)
-        return real(tau, f, g, regular_only)
+    class Spy(CosetValues):
+        def delta(self, values, g, regular_only=False):
+            if not any(values is seen for seen in passed):
+                passed.append(values)
+            return super().delta(values, g, regular_only)
 
-    monkeypatch.setattr(vkt.checks, "delta_eval", spy)
+    def spy_eval(tau, f, g, regular_only=False):
+        sparse.append(f)
+        return delta_eval(tau, f, g, regular_only)
+
+    monkeypatch.setattr(vkt.checks, "CosetValues", Spy)
+    monkeypatch.setattr(vkt.checks, "delta_eval", spy_eval)
     # GRID holds the acceptance grid
     for name, rd, tau in grid_twistings(GRID + WALK_EXTRA + F_EPSILON_EXTRA):
         ring = FusionRing(rd, tau)
         passed.clear()
+        sparse.clear()
         assert check_delta_identity(ring, trials=0)["passed"], name
         reps = [tuple(rep) for rep in tau.cosets()]
-        assert len(passed) == min(len(ring.basis), 4), name
-        for i, f in enumerate(passed):
+        assert len(passed) == len(sparse) == min(len(ring.basis), 4), name
+        for i, (f, box) in enumerate(zip(passed, sparse)):
             fn = equivariant_function(tau, ring.class_from_index(i))
-            assert f == {rep: fn(rep) for rep in reps}, (name, i)
+            assert f == [fn(rep) for rep in reps], (name, i)
+            points = [box_reduce(tau, rep)[0] for rep in reps]
+            assert box == {red: fn(red) for red in points if fn(red)}, (name, i)
+
+
+def test_coset_values_match_the_fraction_oracle_with_repeated_cosets():
+    # weights that share a coset, with values equivariant under the
+    # translation between them, pair as the oracle pairs them: each coset
+    # once, whatever representative carries it
+    rng = random.Random(30)
+    for name, rd, tau in grid_twistings(GRID + WALK_EXTRA + F_EPSILON_EXTRA):
+        reps = [tuple(r) for r in matrix_coset_representatives(tau.b)]
+        f = {rep: rng.randint(-3, 3) for rep in reps}
+        for rep in rng.sample(reps, min(3, len(reps))):
+            pi = tuple(rng.randint(-2, 2) for _ in range(rd.rank))
+            f[vec_add(rep, tau.apply_b(pi))] = tau.translation_sign(pi) * f[rep]
+        cosets = CosetValues(tau, list(f))
+        g = tuple(rng.randint(-12, 12) for _ in range(rd.rank))
+        for regular_only in (False, True):
+            want = fraction_delta_eval(rd, tau, f, g, regular_only)
+            assert cosets.delta(list(f.values()), g, regular_only) == want, (name, g)
+
+
+def test_coset_values_refuse_inconsistent_values_on_every_call():
+    # SU(2) 4 graded: the translation b(1) carries the sign -1, so f and -f
+    # agree across it and f and f do not; each call compares again
+    rd = root_datum_from_spec("SU(2)")
+    tau = twisting_from_level(rd, (4,), eps=(1,))
+    far = tau.apply_b((1,))
+    assert tau.translation_sign((1,)) == -1
+    cosets = CosetValues(tau, [(0,), (1,), far])
+    assert cosets.delta([2, 0, -2], (0,)) == delta_eval(tau, {(0,): 2}, (0,))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="inconsistent equivariant values"):
+            cosets.delta([2, 0, 2], (0,))
+    assert cosets.delta([1, 3, -1], (1,)) == delta_eval(tau, {(0,): 1, (1,): 3}, (1,))
+
+
+def test_delta_identity_fails_on_a_bumped_kernel_entry():
+    # one table entry off by one moves the pairing of every draw whose value
+    # on the matching coset is nonzero: the byte draws catch it in the
+    # random trials, not only in the equivariant data
+    for name, levels, torus, eps in [("SU(3)", (5,), None, None),
+                                     ("SU(2) x U(1)", (3,), [[4]], (0, 1))]:
+        rd = root_datum_from_spec(name)
+        ring = FusionRing(rd, twisting_from_level(rd, levels, torus_block=torus, eps=eps))
+        tau = ring.tau
+        table = list(vkt.fusion._pairing_kernel(tau, False))
+        table[vkt.fusion._pairing_coordinates(tau).shift + 1] += 1
+        tau._cache[("kernel", False)] = table
+        result = check_delta_identity(ring)
+        assert not result["passed"], name
+        assert any("trial" in failure for failure in result["detail"]["failures"]), name
 
 
 # -- the modular character route -----------------------------------------------
@@ -1365,27 +1453,36 @@ def test_galois_guard_rejects_a_non_regular_class(monkeypatch):
         structure_constants_via_characters(ring)
 
 
-def test_coset_canonicalization_is_done_once_per_twisting(monkeypatch):
-    # delta_eval names each key of f by its coset key once per twisting, not
-    # once per call, and never box-reduces; the check box-reduces each coset
-    # representative once and one g per trial for its expected value
+def test_coset_values_name_each_coset_once_per_check(monkeypatch):
+    # the check names the |F| coset representatives once, whatever the number
+    # of trials, and never box-reduces in fusion; besides, delta_eval names
+    # the nonzero box-point data of each of the first four basis elements
+    # once.  The check box-reduces each coset representative once and one g
+    # per trial for its expected value
     assert "box_reduce" not in vars(vkt.fusion)
-    calls = []
+    calls, named = [], []
     real = vkt.checks.box_reduce
 
     def counting(tau, lam):
         calls.append(lam)
         return real(tau, lam)
 
+    class Spy(CosetValues):
+        def __init__(self, tau, weights):
+            named.append(len(weights))
+            super().__init__(tau, weights)
+
     monkeypatch.setattr(vkt.checks, "box_reduce", counting)
+    monkeypatch.setattr(vkt.checks, "CosetValues", Spy)
     rd = root_datum_from_spec("SU(3)")
     for trials in (10, 60):
         ring = FusionRing(rd, twisting_from_level(rd, (5,)))
         calls.clear()
+        named.clear()
         assert check_delta_identity(ring, trials=trials)["passed"]
         order = ring.tau.order_F()
         assert len(calls) == order + trials
-        assert len(ring.tau._cache["coset_key"]) == order
+        assert named == [order]
 
 
 def test_inconsistent_values_are_refused_on_every_call():
@@ -1393,14 +1490,15 @@ def test_inconsistent_values_are_refused_on_every_call():
     tau = twisting_from_level(rd, (5,))
     far = tau.apply_b((1,))                     # the coset of 0, translated
     assert delta_eval(tau, {(0,): 1, far: 1}, (0,)) == 1
-    for _ in range(2):                          # the second call reads the memo
+    for _ in range(2):                          # each call names the keys afresh
         with pytest.raises(ValueError, match="inconsistent equivariant values"):
             delta_eval(tau, {(0,): 1, far: 2}, (0,))
 
 
-def test_coset_keys_are_validated_on_a_memo_miss_only(monkeypatch):
-    # the second delta_eval with the same f validates g alone; a key that
-    # is not an integer weight never enters the memo, so it raises each time
+def test_coset_values_validate_each_weight_once(monkeypatch):
+    # a CosetValues validates each weight once, as it names it, and each
+    # delta call validates g alone; delta_eval names its keys afresh, so a
+    # key that is not an integer weight is refused by every call
     rd = root_datum_from_spec("SU(3)")
     tau = twisting_from_level(rd, (5,))
     f = {(0, 0): 1, (1, 2): -2, (3, -1): 1}
@@ -1412,11 +1510,13 @@ def test_coset_keys_are_validated_on_a_memo_miss_only(monkeypatch):
         return real(rank, coords)
 
     monkeypatch.setattr(vkt.rootdata, "as_weight", recording)
+    cosets = CosetValues(tau, list(f))
+    assert seen == list(f)
     first = delta_eval(tau, f, (1, 1))
-    assert set(f) <= set(seen)
-    seen.clear()
-    assert delta_eval(tau, f, (1, 1)) == first
-    assert seen == [(1, 1)]
+    for _ in range(2):
+        seen.clear()
+        assert cosets.delta(list(f.values()), (1, 1)) == first
+        assert seen == [(1, 1)]
     for _ in range(2):
         with pytest.raises(ValueError, match="non-integral"):
             delta_eval(tau, {(0, 0): 1, (Fraction(1, 2), 0): 1}, (1, 1))

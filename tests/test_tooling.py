@@ -189,3 +189,12 @@ def test_one_integrality_validator_and_one_weyl_group_guard():
     # validator or guard would repeat its message
     assert _occurrences("non-integral") == [("zlattice", "integers")]
     assert _occurrences("Weyl group exceeds") == [("rootdata", "_free_orbit_template")]
+
+
+def test_one_coset_naming_path():
+    # weights are named by their cosets in one place, CosetValues, which
+    # alone compares the values at weights of one coset; no per-twisting
+    # memo of coset keys or irregular codes sits beside it
+    assert _occurrences("inconsistent equivariant values") == [("fusion", "delta")]
+    for phrase in ("_canonical_coset_values", '"coset_key"', '"irregular_codes"'):
+        assert _occurrences(phrase) == [], phrase
