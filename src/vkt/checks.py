@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from operator import mul
 
 from .affineweyl import (
@@ -23,6 +24,8 @@ from .errors import InvariantError
 from .fusion import (
     CosetValues,
     FusionRing,
+    _pairing_coordinates,
+    _pairing_kernel,
     check_pairing_budget,
     class_from_weight,
     delta_eval,
@@ -159,51 +162,79 @@ def check_algebra_axioms(ring: FusionRing):
             "detail": {"problems": problems[:10], "triples": n ** 3}}
 
 
-# one byte as a value in -3..3: the delta check draws its data a byte per coset
-_DRAW = tuple(b % 7 - 3 for b in range(256))
+def check_delta_identity(ring: FusionRing):
+    """The averaged pairing turns data back into the function:
+    delta(f)(g) = f(g) for all integer data f at the representatives of
+    tau.cosets(), extended by translation equivariance, and every weight g.
+    It is tested exactly, through one CosetValues over the representatives
+    and the codes of fusion._PairingCoordinates, as two facts:
 
+    (1) the kernel table _pairing_kernel(tau, False) holds, in each of its
+        2^s doubled copies, +|F| at code 0, -|F| at the odd class
+        o = code(b(pi)) for eps(pi) odd (graded twistings only) and 0
+        everywhere else;
+    (2) the naming: the |F| representatives record no repeat, and
+        code(b(e_k)) is 0 or o as eps_k is even or odd.
 
-def check_delta_identity(ring: FusionRing, trials=60):
-    """The averaged pairing turns data back into the function: one
-    CosetValues names the coset representatives once for the whole check.
-    Random data at them must give its own value at a random g, read off by
-    box_reduce alone, independent of the coset codes.  The equivariant data
-    of the first four basis elements must give the class's value at g in
-    full, and the same or 0 over the Weyl-regular part; once per element,
-    the same data keyed on the box points, zeros left out, goes through
-    delta_eval, which names that other set of representatives afresh."""
+    Why (1) and (2) give the identity.  code is a homomorphism from the
+    weights onto A, the product of the Z/e_i (digits u_i . mu mod e_i, for
+    rows u_i of a unimodular U), and |A| = |G|.  By (1), K(o) = -|F| is a
+    sum of |F| roots of unity, so each is -1 and K(2o) = +|F|: o != 0 and
+    2o = 0.  So by (2) code maps b(coweights) onto H = {0, o} ({0} when
+    eps = 0) and induces a map of coker(b) onto A/H; both have |F|
+    elements, so it is a bijection.  Two weights of one coset of
+    b(coweights) are named by one weight and its code, so with no repeat
+    the representatives name |F| weights mu_k, one in each coset, whose
+    codes lie in distinct classes mod H.  Let g = mu_i + b(pi).  The
+    pairing is (1/|F|) sum_k f(mu_k) K(code(g) - code(mu_k)), and
+    code(g) - code(mu_k) lies in code(mu_i) - code(mu_k) + H, which meets
+    {0, o} for k = i alone, at (eps . pi) o.  The sum is then
+    (1/|F|) f(mu_i) K(b(pi)) = (-1)^eps(pi) f(mu_i) = f(g).
+
+    The equivariant data of the first four basis elements must give the
+    class's value at random g in full, and the same or 0 over the
+    Weyl-regular part: the value side is orbit_normal_form, independent of
+    the codes.  Once per element, the same data keyed on the box points,
+    zeros left out, goes through delta_eval, which names that other set of
+    representatives afresh."""
     rd, tau = ring.rd, ring.tau
-    rng = random.Random(7)
+    order, coords = tau.order_F(), _pairing_coordinates(tau)
     reps = [tuple(r) for r in tau.cosets()]
     cosets = CosetValues(tau, reps)
+    failures = []
+    if len(reps) != order or cosets.repeats:
+        failures.append({"cosets": len(reps), "repeats": len(cosets.repeats), "expected": order})
+    translations = [coords.code(tau.b.column(k)) for k in range(rd.rank)]
+    odd = next((c for c, e in zip(translations, tau.eps) if e), None)
+    if translations != [odd if e else 0 for e in tau.eps]:
+        failures.append({"translation_codes": translations, "odd_class": odd})
+    table = _pairing_kernel(tau, False)
+    expected = [0] * len(table)
+    for corner in product(*((0, e * place) for e, place in zip(coords.factors, coords.places))):
+        expected[sum(corner)] = order
+        if odd is not None:
+            expected[sum(corner) + odd] = -order
+    if table != expected:
+        i = next(i for i, (t, x) in enumerate(zip(table, expected)) if t != x)
+        failures.append({"kernel_index": i, "kernel": table[i], "expected": expected[i]})
+    rng = random.Random(7)
     reduced = [box_reduce(tau, rep) for rep in reps]
     rep_signs = [tau.translation_sign(pi) for _, pi in reduced]
-    boxed = {red: i for i, (red, _) in enumerate(reduced)}
-    failures = []
-    for t in range(trials):
-        f = list(map(_DRAW.__getitem__, rng.randbytes(len(reps))))
-        g = tuple(rng.randint(-12, 12) for _ in range(rd.rank))
-        red, pi = box_reduce(tau, g)
-        i = boxed[red]
-        expected = tau.translation_sign(pi) * rep_signs[i] * f[i]
-        got = cosets.delta(f, g)
-        if got != expected:
-            failures.append({"trial": t, "got": str(got), "expected": expected})
     # equivariant data: the full sum is the value; the Weyl-regular
     # restriction agrees with it on a free orbit and is 0 on a surviving
     # orbit that is not free (nonzero grading only), which lies off the
     # regular part.  f(rep) = (-1)^eps(pi) f(red) for rep = red - b(pi), and
     # f(red) is read off the orbit of the box point red, found once for all
     # basis elements: a walk from the box point is far shorter than from
-    # the raw coset representative
-    orbits = []
-    for red, _ in reduced:
-        orbit = orbit_normal_form(tau, red)
-        orbits.append((0, None) if orbit.is_zero else (orbit.sign, orbit.representative))
-    for i in range(min(len(ring.basis), 4)):
+    # the raw coset representative.  The pairings read the naming and the
+    # kernel, so they run only when both hold: a repeat the naming should
+    # not have would make `delta` refuse the data as inconsistent
+    orbits = [orbit_normal_form(tau, red) for red, _ in reduced]
+    for i in range(0 if failures else min(len(ring.basis), 4)):
         kc = ring.class_from_index(i)
         fn = equivariant_function(tau, kc)
-        at_box = [sign * kc.support.get(label, 0) for sign, label in orbits]
+        at_box = [0 if orbit.is_zero else orbit.sign * kc.support.get(orbit.representative, 0)
+                  for orbit in orbits]
         f = list(map(mul, rep_signs, at_box))
         sparse = {red: v for (red, _), v in zip(reduced, at_box) if v}
         free = rd.is_regular(tau.adj_apply(ring.basis[i]), tau.det_b)
@@ -220,7 +251,7 @@ def check_delta_identity(ring: FusionRing, trials=60):
                     failures.append({"basis": i, "g": list(g), "full": str(full),
                                      "box_points": str(box)})
     return {"name": "delta_identity", "passed": not failures,
-            "detail": {"trials": trials, "failures": failures[:5]}}
+            "detail": {"failures": failures[:5]}}
 
 
 def check_orbit_constancy(ring: FusionRing):

@@ -86,8 +86,8 @@ def cyclotomic_polynomial(m):
 
 
 def cyclotomic_modulus(m, bound):
-    """(N, t) for the least power of two t = 2**k, k >= 1, with
-    N = Phi_m(t) > 2 * bound.
+    """(N, powers) for the least power of two t = 2**k, k >= 1, with
+    N = Phi_m(t) > 2 * bound, and powers[j] = t^j mod N for j < m.
 
     Phi_m divides x^m - 1, so t^m = 1 mod N and zeta_m -> t is a ring map
     Z[zeta_m] -> Z/N: an integer of absolute value at most `bound` in
@@ -99,7 +99,7 @@ def cyclotomic_modulus(m, bound):
         for c in reversed(phi):
             value = (value << k) + c
         if value > 2 * bound:
-            return value, 1 << k
+            return value, [pow(2, k * j, value) for j in range(m)]
         k += 1
 
 

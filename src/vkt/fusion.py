@@ -436,7 +436,7 @@ class CosetValues:
     (_PairingCoordinates), the sign the translation sign (-1)^eps(pi), and
     the coset is regular when b^-1 mu_key is Weyl-regular.  Each weight is
     validated as it is named.  A weight whose coset an earlier one already
-    named is recorded as a repeat: the pairing reads the first weight of
+    named is recorded in `repeats`: the pairing reads the first weight of
     each coset, and `delta` compares the values at the repeats with it.
     GroupTooLarge (check_pairing_budget) before any weight is named."""
 
@@ -446,7 +446,7 @@ class CosetValues:
         coords = _pairing_coordinates(tau)
         self.tau = tau
         first = {}                   # code: (position, sign) of its first weight
-        self._repeats = []           # (position, first position, sign product, weight)
+        self.repeats = []            # (position, first position, sign product, weight)
         # per flag (all cosets, regular ones only): the mask of the positions
         # the pairing reads, and their codes and signs
         self._columns = (([], [], []), ([], [], []))
@@ -459,7 +459,7 @@ class CosetValues:
             sign = tau.translation_sign(pi)
             j, s = first.setdefault(code, (i, sign))
             if j != i:
-                self._repeats.append((i, j, sign * s, lam))
+                self.repeats.append((i, j, sign * s, lam))
             for (mask, codes, signs), read in zip(self._columns, (
                     j == i, j == i and rd.is_regular(key, det))):
                 mask.append(read)
@@ -477,7 +477,7 @@ class CosetValues:
         ValueError, on every call, when two weights of one coset carry
         values that are not equivariant."""
         tau = self.tau
-        for i, j, sign, lam in self._repeats:
+        for i, j, sign, lam in self.repeats:
             if values[i] * sign != values[j]:
                 raise ValueError(f"inconsistent equivariant values on the coset of {lam}")
         g = tau.rd.check_weight(g)
@@ -532,10 +532,7 @@ def _pairing_kernel(tau: Twisting, regular_only):
                                          f"the Smith group")
                 index = index * e + digit
             histogram[index] += 1
-        modulus, t = cyclotomic_modulus(m, tau.order_F())
-        power = [1]                                 # power[k] = t^k mod N
-        for _ in range(m - 1):
-            power.append(power[-1] * t % modulus)
+        modulus, power = cyclotomic_modulus(m, tau.order_F())   # power[k] = t^k mod N
         # one axis at a time, leading axis out and transformed axis in last,
         # so after every axis the values sit in row-major code order
         data = histogram
@@ -653,10 +650,7 @@ def structure_constants_via_characters(ring: FusionRing):
     _check_galois_stable(tau, m, ys)
     systems = [_weight_system(rd, lam) for lam in ring.transversal]
     order = tau.order_F()
-    modulus, t = cyclotomic_modulus(m, _sum_bound(rd, systems, order))
-    power = [1]                                   # power[k] = t^k mod N
-    for _ in range(m - 1):
-        power.append(power[-1] * t % modulus)
+    modulus, power = cyclotomic_modulus(m, _sum_bound(rd, systems, order))  # t^k mod N
     inverse = power[:1] + power[:0:-1]            # t^-k = t^(m-k)
 
     chi = [[] for _ in systems]                   # chi[a][j] = chi_a(x_j) mod N

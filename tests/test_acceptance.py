@@ -165,9 +165,9 @@ def test_criterion_6_cyclic_generator():
 
 def test_criterion_7_distribution_identity():
     for name, levels, torus, ring in grid_rings():
-        result = check_delta_identity(ring, trials=100)
+        result = check_delta_identity(ring)
         assert result["passed"], (name, levels, result["detail"])
-    print("\nCRITERION 7 (averaged pairing identity, 100 trials each): PASS")
+    print("\nCRITERION 7 (averaged pairing identity, exact): PASS")
 
 
 def test_criterion_8_affine_stabilizers():

@@ -194,7 +194,9 @@ def test_cyclotomic_modulus_is_a_ring_map_above_twice_the_bound():
     for m in (1, 2, 3, 4, 8, 15, 24, 32, 105):
         phi = cyclotomic_polynomial(m)
         for bound in (1, 10 ** 6, 3 ** 60):
-            modulus, t = cyclotomic_modulus(m, bound)
+            modulus, powers = cyclotomic_modulus(m, bound)
+            t = powers[1] if m > 1 else modulus + 1      # Phi_1(t) = t - 1
+            assert powers == [pow(t, j, modulus) for j in range(m)]
             k = t.bit_length() - 1
             assert t == 1 << k and k >= 1
             # Phi_m(omega) = 0 and omega^m = 1 in Z/N, with omega = t

@@ -109,6 +109,18 @@ def class_lift_moved(monkeypatch):
     _rebind(monkeypatch, "_check_galois_stable", lambda tau, m, ys: None)
 
 
+def f_epsilon_lift_moved(monkeypatch):
+    """The first F_eps lift moved by one step of its first coordinate."""
+    real = vkt.twist.Twisting._build_f_epsilon
+
+    def fault(tau):
+        m, lifts = real(tau)
+        first = lifts[0]
+        return m, [((first[0] + 1) % m,) + tuple(first[1:])] + list(lifts[1:])
+
+    monkeypatch.setattr(vkt.twist.Twisting, "_build_f_epsilon", fault)
+
+
 def smith_generator_negated(monkeypatch):
     """The first generator of every smith_coordinates result negated."""
     real = vkt.zlattice.smith_coordinates
@@ -137,7 +149,7 @@ def numerator_sign_flipped(monkeypatch):
 
 FAULTS = {fault.__name__: fault for fault in (
     zero_multiplicity, constant_bumped, wall_sign_flipped, class_lift_moved,
-    smith_generator_negated, numerator_sign_flipped)}
+    f_epsilon_lift_moved, smith_generator_negated, numerator_sign_flipped)}
 
 # (fault, ring): the checks that fail; every faulted run exits 1
 CAUGHT = {
@@ -154,12 +166,19 @@ CAUGHT = {
     ("class_lift_moved", "SU(3) 6"): {"oracle_equivalence", "ideal_annihilation"},
     ("class_lift_moved", "SU(4) 6"): {"oracle_equivalence", "ideal_annihilation"},
     ("class_lift_moved", "G2 loop 1"): {"oracle_equivalence"},
+    ("f_epsilon_lift_moved", "SU(3) 6"): {"double_count", "f_epsilon_solutions",
+                                          "ideal_annihilation", "oracle_equivalence",
+                                          "delta_identity"},
+    ("f_epsilon_lift_moved", "SU(4) 6"): {"f_epsilon_solutions", "delta_identity"},
+    ("f_epsilon_lift_moved", "G2 loop 1"): {"f_epsilon_solutions", "delta_identity"},
     **{("smith_generator_negated", ring): {"delta_identity"} for ring in RINGS},
     **{("numerator_sign_flipped", ring): {"ideal_annihilation"} for ring in RINGS},
 }
 
 GRAM = "Gram identity sum_x d(x) chi_a conj(chi_c) = |F| delta_ac fails for basis element 0"
 CURRENTS = "the simple currents are not closed under the product"
+GALOIS = ("averaged pairing did not reduce to an integer: "
+          "the F_eps lifts are not stable under y -> {} y mod {}")
 
 # (fault, ring): {check: the message of the InvariantError it raised}, where
 # a route invariant broke inside a check; {} elsewhere
@@ -171,6 +190,11 @@ RAISED = {
     **{("wall_sign_flipped", ring): {"oracle_equivalence": "class count does not match basis size"}
        for ring in RINGS},
     **{("class_lift_moved", ring): {"oracle_equivalence": GRAM} for ring in RINGS},
+    ("f_epsilon_lift_moved", "SU(3) 6"): {
+        "oracle_equivalence": "class count does not match basis size",
+        "delta_identity": GALOIS.format(5, 18)},
+    ("f_epsilon_lift_moved", "SU(4) 6"): {"delta_identity": GALOIS.format(5, 24)},
+    ("f_epsilon_lift_moved", "G2 loop 1"): {"delta_identity": GALOIS.format(2, 15)},
 }
 
 

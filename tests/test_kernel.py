@@ -648,7 +648,7 @@ def test_reductions_and_checks_need_no_weyl_enumeration(monkeypatch):
         pushed = [torus_pushforward(tau, lam) for lam in weights] if rd.is_torus() else None
         checks = [check_double_count(ring), check_f_epsilon(ring), check_cyclic_generator(ring),
                   check_annihilation(ring), check_oracle_equivalence(ring),
-                  check_algebra_axioms(ring), check_delta_identity(ring, trials=10),
+                  check_algebra_axioms(ring), check_delta_identity(ring),
                   check_grading_flags(ring)]
         return reductions, actions, values, matrix, pushed, checks
 
@@ -1120,25 +1120,27 @@ def test_tables_build_no_pairing_cache():
     assert set(tau._cache) == {"alcove", "basis", "levels", "primitive"}
 
 
-def test_delta_identity_work_does_not_grow_with_trials(monkeypatch):
-    # the cosets, F_eps points and pairing kernels are built once per twisting,
-    # not once per delta_eval call; every SNF goes through vkt.zlattice
+def test_delta_identity_pairs_only_the_equivariant_data(monkeypatch):
+    # the identity for all data is tested exactly, by the kernel's closed
+    # form and the coset naming, with no random data: the check pairs the
+    # first min(n, 4) basis elements' data alone, at 8 g each, in full and
+    # over the Weyl-regular part
     calls = []
-    real = vkt.zlattice.smith_normal_form
 
-    def counting(M):
-        calls.append(M)
-        return real(M)
+    class Spy(CosetValues):
+        def delta(self, values, g, regular_only=False):
+            calls.append(regular_only)
+            return super().delta(values, g, regular_only)
 
-    monkeypatch.setattr(vkt.zlattice, "smith_normal_form", counting)
-    rd = root_datum_from_spec("SU(3)")
-    counts = []
-    for trials in (10, 60):
-        ring = FusionRing(rd, twisting_from_level(rd, (5,)))
+    monkeypatch.setattr(vkt.checks, "CosetValues", Spy)
+    for name, levels in [("SU(2)", (1,)), ("SU(3)", (5,)), ("Spin(5)", (4,))]:
+        rd = root_datum_from_spec(name)
+        ring = FusionRing(rd, twisting_from_level(rd, levels))
         calls.clear()
-        assert check_delta_identity(ring, trials=trials)["passed"]
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+        assert check_delta_identity(ring)["passed"], name
+        n = len(ring.basis)
+        assert len(calls) == 2 * 8 * min(n, 4), name
+        assert calls.count(True) == 8 * min(n, 4), name
 
 
 def test_cosets_are_built_once_per_verify(monkeypatch):
@@ -1234,8 +1236,9 @@ def test_check_annihilation_evaluates_each_weight_once(monkeypatch):
 
 
 def test_delta_identity_on_graded_twistings():
-    # a nonzero grading gives the translations signs, which the check's
-    # per-trial index of f must carry; criterion 7's grid is ungraded
+    # a nonzero grading gives the translations signs and the kernel its odd
+    # class at -|F|, which the exact half must place; criterion 7's grid is
+    # ungraded
     for name, levels, torus, eps in [
         ("SU(2) x U(1)", (3,), [[4]], (0, 1)),
         ("SU(2) x U(1)", (3,), [[-4]], (0, 1)),
@@ -1244,7 +1247,7 @@ def test_delta_identity_on_graded_twistings():
     ]:
         rd = root_datum_from_spec(name)
         ring = FusionRing(rd, twisting_from_level(rd, levels, torus_block=torus, eps=eps))
-        result = check_delta_identity(ring, trials=20)
+        result = check_delta_identity(ring)
         assert result["passed"], (name, torus, eps, result["detail"])
 
 
@@ -1261,7 +1264,7 @@ def test_delta_identity_catches_a_wrong_equivariant_value(monkeypatch):
 
     monkeypatch.setattr(vkt.checks, "equivariant_function", off_by_one)
     rd = root_datum_from_spec("SU(2)")
-    result = check_delta_identity(FusionRing(rd, twisting_from_level(rd, (5,))), trials=10)
+    result = check_delta_identity(FusionRing(rd, twisting_from_level(rd, (5,))))
     assert not result["passed"]
     assert result["detail"]["failures"]
 
@@ -1289,7 +1292,7 @@ def test_delta_identity_data_equal_the_function_at_each_coset_representative(mon
         ring = FusionRing(rd, tau)
         passed.clear()
         sparse.clear()
-        assert check_delta_identity(ring, trials=0)["passed"], name
+        assert check_delta_identity(ring)["passed"], name
         reps = [tuple(rep) for rep in tau.cosets()]
         assert len(passed) == len(sparse) == min(len(ring.basis), 4), name
         for i, (f, box) in enumerate(zip(passed, sparse)):
@@ -1332,21 +1335,70 @@ def test_coset_values_refuse_inconsistent_values_on_every_call():
     assert cosets.delta([1, 3, -1], (1,)) == delta_eval(tau, {(0,): 1, (1,): 3}, (1,))
 
 
-def test_delta_identity_fails_on_a_bumped_kernel_entry():
-    # one table entry off by one moves the pairing of every draw whose value
-    # on the matching coset is nonzero: the byte draws catch it in the
-    # random trials, not only in the equivariant data
+def _graded_and_ungraded_rings():
     for name, levels, torus, eps in [("SU(3)", (5,), None, None),
                                      ("SU(2) x U(1)", (3,), [[4]], (0, 1))]:
         rd = root_datum_from_spec(name)
-        ring = FusionRing(rd, twisting_from_level(rd, levels, torus_block=torus, eps=eps))
+        yield name, FusionRing(rd, twisting_from_level(rd, levels, torus_block=torus, eps=eps))
+
+
+def test_delta_identity_fails_on_a_bumped_kernel_entry():
+    # one full-kernel entry off by one breaks the identity for every f with
+    # a nonzero value on the matching coset: the kernel's closed form names
+    # the entry, whatever the equivariant data see
+    for name, ring in _graded_and_ungraded_rings():
         tau = ring.tau
+        index = vkt.fusion._pairing_coordinates(tau).shift + 1
         table = list(vkt.fusion._pairing_kernel(tau, False))
-        table[vkt.fusion._pairing_coordinates(tau).shift + 1] += 1
+        table[index] += 1
         tau._cache[("kernel", False)] = table
         result = check_delta_identity(ring)
         assert not result["passed"], name
-        assert any("trial" in failure for failure in result["detail"]["failures"]), name
+        assert {"kernel_index": index, "kernel": table[index], "expected": table[index] - 1} \
+            in result["detail"]["failures"], name
+
+
+def test_delta_identity_fails_on_a_flipped_odd_class():
+    # +|F| instead of -|F| at the class of the eps-odd translations, in every
+    # doubled copy: the pairing then drops the translation sign (-1)^eps(pi)
+    rd = root_datum_from_spec("SU(2) x U(1)")
+    ring = FusionRing(rd, twisting_from_level(rd, (3,), torus_block=[[4]], eps=(0, 1)))
+    tau, order = ring.tau, ring.tau.order_F()
+    table = vkt.fusion._pairing_kernel(tau, False)
+    assert table.count(-order) == 2 ** len(vkt.fusion._pairing_coordinates(tau).factors)
+    tau._cache[("kernel", False)] = [abs(v) for v in table]
+    result = check_delta_identity(ring)
+    assert not result["passed"]
+    assert [failure["expected"] for failure in result["detail"]["failures"]
+            if "kernel_index" in failure] == [-order]
+
+
+def test_delta_identity_fails_on_a_code_that_moves_the_translations():
+    # the last Smith row bumped in its first entry: the codes no longer send
+    # each translation b(e_k) to 0 or the odd class, whatever the kernel
+    for name, ring in _graded_and_ungraded_rings():
+        coords = vkt.fusion._pairing_coordinates(ring.tau)
+        last = coords.rows[-1]
+        coords.rows = coords.rows[:-1] + ((last[0] + 1,) + tuple(last[1:]),)
+        result = check_delta_identity(ring)
+        assert not result["passed"], name
+        assert any("translation_codes" in failure
+                   for failure in result["detail"]["failures"]), name
+
+
+def test_delta_identity_fails_on_two_representatives_of_one_coset(monkeypatch):
+    # the second representative replaced by a translate of the first: the
+    # naming records the repeat, and one coset is left unnamed
+    for name, ring in _graded_and_ungraded_rings():
+        tau = ring.tau
+        tau.f_epsilon()                # F_eps is built from the true cosets
+        reps = [tuple(rep) for rep in tau.cosets()]
+        reps[1] = vec_add(reps[0], tau.apply_b((1,) + (0,) * (ring.rd.rank - 1)))
+        monkeypatch.setattr(tau, "cosets", lambda reps=reps: reps)
+        result = check_delta_identity(ring)
+        assert not result["passed"], name
+        assert {"cosets": len(reps), "repeats": 1, "expected": tau.order_F()} \
+            in result["detail"]["failures"], name
 
 
 # -- the modular character route -----------------------------------------------
@@ -1454,11 +1506,10 @@ def test_galois_guard_rejects_a_non_regular_class(monkeypatch):
 
 
 def test_coset_values_name_each_coset_once_per_check(monkeypatch):
-    # the check names the |F| coset representatives once, whatever the number
-    # of trials, and never box-reduces in fusion; besides, delta_eval names
-    # the nonzero box-point data of each of the first four basis elements
-    # once.  The check box-reduces each coset representative once and one g
-    # per trial for its expected value
+    # the check names the |F| coset representatives once and never
+    # box-reduces in fusion; besides, delta_eval names the nonzero box-point
+    # data of each of the first four basis elements once.  The check
+    # box-reduces each coset representative once, and nothing else
     assert "box_reduce" not in vars(vkt.fusion)
     calls, named = [], []
     real = vkt.checks.box_reduce
@@ -1475,14 +1526,10 @@ def test_coset_values_name_each_coset_once_per_check(monkeypatch):
     monkeypatch.setattr(vkt.checks, "box_reduce", counting)
     monkeypatch.setattr(vkt.checks, "CosetValues", Spy)
     rd = root_datum_from_spec("SU(3)")
-    for trials in (10, 60):
-        ring = FusionRing(rd, twisting_from_level(rd, (5,)))
-        calls.clear()
-        named.clear()
-        assert check_delta_identity(ring, trials=trials)["passed"]
-        order = ring.tau.order_F()
-        assert len(calls) == order + trials
-        assert named == [order]
+    ring = FusionRing(rd, twisting_from_level(rd, (5,)))
+    assert check_delta_identity(ring)["passed"]
+    assert calls == [tuple(rep) for rep in ring.tau.cosets()]
+    assert named == [ring.tau.order_F()]
 
 
 def test_inconsistent_values_are_refused_on_every_call():
