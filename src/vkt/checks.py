@@ -182,14 +182,13 @@ def check_delta_identity(ring: FusionRing):
     sum of |F| roots of unity, so each is -1 and K(2o) = +|F|: o != 0 and
     2o = 0.  So by (2) code maps b(coweights) onto H = {0, o} ({0} when
     eps = 0) and induces a map of coker(b) onto A/H; both have |F|
-    elements, so it is a bijection.  Two weights of one coset of
-    b(coweights) are named by one weight and its code, so with no repeat
-    the representatives name |F| weights mu_k, one in each coset, whose
-    codes lie in distinct classes mod H.  Let g = mu_i + b(pi).  The
-    pairing is (1/|F|) sum_k f(mu_k) K(code(g) - code(mu_k)), and
-    code(g) - code(mu_k) lies in code(mu_i) - code(mu_k) + H, which meets
-    {0, o} for k = i alone, at (eps . pi) o.  The sum is then
-    (1/|F|) f(mu_i) K(b(pi)) = (-1)^eps(pi) f(mu_i) = f(g).
+    elements, so it is a bijection.  With no repeat the representatives
+    r_k lie one in each coset of b(coweights), so their codes lie in
+    distinct classes mod H.  Let g = r_i + b(pi).  The pairing is
+    (1/|F|) sum_k f(r_k) K(code(g) - code(r_k)), and code(g) - code(r_k)
+    lies in code(r_i) - code(r_k) + H, which meets {0, o} for k = i alone,
+    at (eps . pi) o.  The sum is then
+    (1/|F|) f(r_i) K(b(pi)) = (-1)^eps(pi) f(r_i) = f(g).
 
     The equivariant data of the first four basis elements must give the
     class's value at random g in full, and the same or 0 over the

@@ -378,7 +378,10 @@ class _PairingCoordinates:
     by one zlattice.smith_coordinates: the twisting's own when eps = 0, else
     those of b span, span a basis of L_eps.  For pi in L_eps, K(mu + b(pi))
     = (-1)^eps(pi) K(mu) = K(mu), so the kernel is an ordinary function on
-    G; |G| = |F| when eps = 0 and 2|F| otherwise.
+    G; |G| = |F| when eps = 0 and 2|F| otherwise.  A translation b(pi) with
+    eps(pi) odd moves a code by the odd class, where K changes sign, so the
+    kernel itself carries the translation signs and CosetValues codes each
+    weight as it is.
 
     A weight mu has digits (u_i . mu) mod e_i over the nontrivial Smith
     factors e_i, and code(mu) = sum digit_i place_i on the doubled radix
@@ -429,14 +432,14 @@ class CosetValues:
     """A fixed list of weights named once by their cosets of b(coweights),
     so that the averaged pairing of any values at them reads integers only.
 
-    A weight lam is named by its code, sign and regularity: with
-    v = adj(b) lam and key = v mod |det b|, lam = mu_key + b(pi) for
-    pi = (v - key) / det b, where mu_key is the one weight of its coset
-    with adj(b) mu_key = key.  The code is that of mu_key
-    (_PairingCoordinates), the sign the translation sign (-1)^eps(pi), and
-    the coset is regular when b^-1 mu_key is Weyl-regular.  Each weight is
-    validated as it is named.  A weight whose coset an earlier one already
-    named is recorded in `repeats`: the pairing reads the first weight of
+    A weight lam is named by its own code (_PairingCoordinates) and its
+    regularity, b^-1 lam Weyl-regular.  The kernel is equivariant, so the
+    pairing's product f(lam) K(g - lam) of equivariant data does not depend
+    on which weight of the coset carries it, and no weight is moved.  Each
+    weight is validated as it is named.  A weight whose coset an earlier one
+    already named (same key adj(b) lam mod |det b|) is recorded in
+    `repeats`, with the sign product +1 when the two codes are equal and -1
+    when they differ by the odd class: the pairing reads the first weight of
     each coset, and `delta` compares the values at the repeats with it.
     GroupTooLarge (check_pairing_budget) before any weight is named."""
 
@@ -445,47 +448,48 @@ class CosetValues:
         rd, order, det = tau.rd, tau.order_F(), tau.det_b
         coords = _pairing_coordinates(tau)
         self.tau = tau
-        first = {}                   # code: (position, sign) of its first weight
+        first = {}                   # coset key: (position, code) of its first weight
         self.repeats = []            # (position, first position, sign product, weight)
         # per flag (all cosets, regular ones only): the mask of the positions
-        # the pairing reads, and their codes and signs
-        self._columns = (([], [], []), ([], [], []))
+        # the pairing reads, and their codes
+        self._columns = (([], []), ([], []))
         for i, lam in enumerate(weights):
             lam = rd.check_weight(lam)
             v = tau.adj_apply(lam)
-            key = [c % order for c in v]
-            pi = [(c - k) // det for c, k in zip(v, key)]
-            code = coords.code(vec_sub(lam, tau.apply_b(pi)))
-            sign = tau.translation_sign(pi)
-            j, s = first.setdefault(code, (i, sign))
+            code = coords.code(lam)
+            j, c = first.setdefault(tuple(x % order for x in v), (i, code))
             if j != i:
-                self.repeats.append((i, j, sign * s, lam))
-            for (mask, codes, signs), read in zip(self._columns, (
-                    j == i, j == i and rd.is_regular(key, det))):
+                self.repeats.append((i, j, 1 if code == c else -1, lam))
+            for (mask, codes), read in zip(self._columns, (
+                    j == i, j == i and rd.is_regular(v, det))):
                 mask.append(read)
                 if read:
                     codes.append(code)
-                    signs.append(sign)
+        self.size = len(self._columns[0][0])
 
     def delta(self, values, g, regular_only=False) -> Fraction:
-        """The averaged pairing (1/|F|) sum f(mu) K(g - mu) over the named
-        cosets mu, f given by `values`, a sequence of integers in the order
-        of the weights and extended by translation equivariance; with
-        regular_only=True, over the Weyl-regular cosets only (see
-        delta_eval).  A call computes code(g) once and reads one entry of
-        the _pairing_kernel table per coset, T[code(g) + shift - code(mu)].
-        ValueError, on every call, when two weights of one coset carry
-        values that are not equivariant."""
+        """The averaged pairing (1/|F|) sum f(lam) K(g - lam) over the first
+        named weight lam of each coset, f given by `values`, a sequence of
+        integers in the order of the weights and extended by translation
+        equivariance; with regular_only=True, over the Weyl-regular cosets
+        only (see delta_eval).  A call computes code(g) once and reads one
+        entry of the _pairing_kernel table per coset,
+        T[code(g) + shift - code(lam)].  ValueError, on every call and
+        before any sum, when `values` does not hold one value per named
+        weight, or two weights of one coset carry values that are not
+        equivariant."""
         tau = self.tau
+        if len(values) != self.size:
+            raise ValueError(f"{len(values)} values for {self.size} named weights")
         for i, j, sign, lam in self.repeats:
             if values[i] * sign != values[j]:
                 raise ValueError(f"inconsistent equivariant values on the coset of {lam}")
         g = tau.rd.check_weight(g)
-        mask, codes, signs = self._columns[bool(regular_only)]
+        mask, codes = self._columns[bool(regular_only)]
         table = _pairing_kernel(tau, regular_only)
         coords = _pairing_coordinates(tau)
         base = coords.code(g) + coords.shift
-        total = sum(map(mul, map(mul, compress(values, mask), signs),
+        total = sum(map(mul, compress(values, mask),
                         map(table.__getitem__, map(base.__sub__, codes))))
         return Fraction(total, tau.order_F())
 
@@ -568,10 +572,11 @@ def delta_eval(tau: Twisting, f, g, regular_only=False) -> Fraction:
     equivariant.
 
     b is symmetric with b(x) in eps/2 + (weights), so K(mu + b(pi)) =
-    (-1)^eps(pi) K(mu): an ordinary integer function on the Smith group of
-    _PairingCoordinates.  One call names the keys of f once, as a
-    CosetValues; to pair many functions on one set of weights, build the
-    CosetValues once and call its `delta`."""
+    (-1)^eps(pi) K(mu): an integer function on the Smith group of
+    _PairingCoordinates, and f(lam) K(g - lam) is the same at every weight
+    lam of a coset, so each key of f is coded as it is.  One call names the
+    keys of f once, as a CosetValues; to pair many functions on one set of
+    weights, build the CosetValues once and call its `delta`."""
     return CosetValues(tau, f).delta(list(f.values()), g, regular_only)
 
 

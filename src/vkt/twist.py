@@ -12,8 +12,10 @@ simple coroots, so these alone decide equivariance (Twisting._validate)
 and the level of each simple factor (Twisting._detect_levels), with no
 Weyl matrix and no scan of b's blocks.
 One Smith normal form U b V = D gives F's invariant factors and
-generators, its cosets, the Smith coordinates of the averaged pairing and
-the adjugate adj(b) = V diag(det b / d_i) U.  F_eps is built in integers
+generators, its cosets, the adjugate adj(b) = V diag(det b / d_i) U and,
+when eps = 0, the Smith coordinates of the averaged pairing; a graded
+twisting's pairing takes a second one, of b on the even coweights
+(fusion._PairingCoordinates).  F_eps is built in integers
 only: each point x is held as its lift y = m x at one common order m.  Its
 regular points come from the root test RootDatum.is_regular and their
 W-orbits from closure under the simple reflections mod m, with no loop

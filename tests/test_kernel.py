@@ -1303,21 +1303,44 @@ def test_delta_identity_data_equal_the_function_at_each_coset_representative(mon
 
 
 def test_coset_values_match_the_fraction_oracle_with_repeated_cosets():
-    # weights that share a coset, with values equivariant under the
-    # translation between them, pair as the oracle pairs them: each coset
-    # once, whatever representative carries it
+    # each coset is named first by a random translate rep + b(pi), with
+    # eps(pi) odd and even in turn on a graded twisting, and weights that
+    # share a coset, with values equivariant under the translation between
+    # them, pair as the oracle pairs them: each coset once, whatever weight
+    # carries it
     rng = random.Random(30)
+    graded = 0
     for name, rd, tau in grid_twistings(GRID + WALK_EXTRA + F_EPSILON_EXTRA):
-        reps = [tuple(r) for r in matrix_coset_representatives(tau.b)]
-        f = {rep: rng.randint(-3, 3) for rep in reps}
-        for rep in rng.sample(reps, min(3, len(reps))):
+        odd = next((i for i, e in enumerate(tau.eps) if e), None)
+        graded += odd is not None
+        f = {}
+        for k, rep in enumerate(matrix_coset_representatives(tau.b)):
+            pi = [rng.randint(-2, 2) for _ in range(rd.rank)]
+            if odd is not None and tau.translation_sign(pi) != (-1) ** k:
+                pi[odd] += 1
+            f[vec_add(tuple(rep), tau.apply_b(pi))] = rng.randint(-3, 3)
+        for lam in rng.sample(list(f), min(3, len(f))):
             pi = tuple(rng.randint(-2, 2) for _ in range(rd.rank))
-            f[vec_add(rep, tau.apply_b(pi))] = tau.translation_sign(pi) * f[rep]
+            f[vec_add(lam, tau.apply_b(pi))] = tau.translation_sign(pi) * f[lam]
         cosets = CosetValues(tau, list(f))
         g = tuple(rng.randint(-12, 12) for _ in range(rd.rank))
         for regular_only in (False, True):
             want = fraction_delta_eval(rd, tau, f, g, regular_only)
             assert cosets.delta(list(f.values()), g, regular_only) == want, (name, g)
+    assert graded == 6
+
+
+def test_coset_values_refuse_a_values_list_of_the_wrong_length():
+    # one value per named weight, checked before any sum: a short list or
+    # a long one is refused, not truncated
+    rd = root_datum_from_spec("SU(2)")
+    tau = twisting_from_level(rd, (4,))
+    cosets = CosetValues(tau, [(0,), (1,), (2,)])
+    assert cosets.delta([1, 0, 0], (0,)) == delta_eval(tau, {(0,): 1}, (0,))
+    for values in ([1], [1, 0, 0, 5, 7], []):
+        for regular_only in (False, True):
+            with pytest.raises(ValueError, match=f"{len(values)} values for 3 named weights"):
+                cosets.delta(values, (0,), regular_only)
 
 
 def test_coset_values_refuse_inconsistent_values_on_every_call():

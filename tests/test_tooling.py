@@ -1,6 +1,7 @@
 """Source-level rules for the package itself."""
 
 import ast
+import inspect
 import re
 import sys
 from collections import Counter
@@ -194,7 +195,12 @@ def test_one_integrality_validator_and_one_weyl_group_guard():
 def test_one_coset_naming_path():
     # weights are named by their cosets in one place, CosetValues, which
     # alone compares the values at weights of one coset; no per-twisting
-    # memo of coset keys or irregular codes sits beside it
+    # memo of coset keys or irregular codes sits beside it.  The kernel is
+    # equivariant, so CosetValues codes each weight as it is: it moves no
+    # weight to its coset key and carries no translation sign
     assert _occurrences("inconsistent equivariant values") == [("fusion", "delta")]
     for phrase in ("_canonical_coset_values", '"coset_key"', '"irregular_codes"'):
         assert _occurrences(phrase) == [], phrase
+    source = inspect.getsource(vkt.fusion.CosetValues)
+    for phrase in ("translation_sign", "apply_b"):
+        assert phrase not in source, phrase
