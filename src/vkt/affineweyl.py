@@ -31,6 +31,11 @@ or over the cosets of b:
 A surviving orbit is labelled by the point the walk lands on: the lattice
 point of the closed alcove with free coordinates in [0, 1)^r.  The basis
 is read off those points, so no label needs W.
+
+Alcove.reduce does both steps, the walk and the ZERO test, and returns
+(alcove point, sign) with sign 0 for a ZERO orbit.  It is memoized per
+weight on the twisting's cached Alcove, so one cache answers both "where
+does this weight land" and "is its orbit ZERO".
 """
 
 from __future__ import annotations
@@ -107,7 +112,8 @@ def box_reduce(tau: Twisting, vec):
 
 
 class Alcove:
-    """The closed alcove of one twisting: its walls and the free coordinates.
+    """The closed alcove of one twisting: its walls, the free coordinates,
+    and the memoized reduction of weights into it (reduce).
 
     Walls come in the order of rootdata.reflect_into_chamber: the simple
     reflections, then one affine theta-wall per simple factor.  The free
@@ -147,39 +153,37 @@ class Alcove:
             self.signs.append(-tau.translation_sign(cotheta))
             self.factors.append((f.indices, tuple(dot(self.section[i], cotheta) for i in f.indices),
                                  abs(level2)))
-        self._zero = {}
+        self._reduced = {}
 
-    # -- the walk -------------------------------------------------------------
+    # -- the reduction --------------------------------------------------------
 
-    def walk(self, lam):
-        """(alcove point, sign): a free translation pi0 gives lam + b(pi0)
-        free coordinates in [0, 1)^r, and the walls crossed from there take
-        it to the alcove point; some g with act(g, lam) = point has
-        sign = sign_character(g)."""
-        tau, d = self.tau, self.tau.det_b
-        pi0 = None
-        for row, lift in zip(self.free_rows, self.lifts):
-            z = dot(row, lam) // d
-            if z:
-                step = tuple(-z * c for c in lift)
-                pi0 = step if pi0 is None else vec_add(pi0, step)
-        if pi0 is not None:
-            lam = vec_add(lam, tau.apply_b(pi0))
-        point, word = reflect_into_chamber(lam, self.walls)
-        sign = 1 if pi0 is None else tau.translation_sign(pi0)
-        for k in word:
-            sign *= self.signs[k]
-        return point, sign
-
-    def is_zero(self, point):
-        """A wall through the alcove point carries a sign -1 reflection.
-        Memoized per point: walks end on the finitely many closed-alcove
-        points."""
-        hit = self._zero.get(point)
+    def reduce(self, lam):
+        """(alcove point, sign) for the weight tuple lam, with sign 0 when
+        the orbit is ZERO.  A free translation pi0 gives lam + b(pi0) free
+        coordinates in [0, 1)^r, and the walls crossed from there take it
+        to the alcove point; some g with act(g, lam) = point has sign =
+        sign_character(g).  The orbit is ZERO when a wall through the point
+        carries a sign -1 reflection.  Memoized per weight: a product or a
+        module action reduces the same weights again and again, and a
+        repeated weight costs one dictionary read."""
+        hit = self._reduced.get(lam)
         if hit is None:
-            hit = self._zero[point] = any(
-                s < 0 and 2 * sum(point[j] * c for j, c in coroot) == bound2
-                for (coroot, _, bound2, _), s in zip(self.walls, self.signs))
+            tau, d = self.tau, self.tau.det_b
+            pi0 = None
+            for row, lift in zip(self.free_rows, self.lifts):
+                z = dot(row, lam) // d
+                if z:
+                    step = tuple(-z * c for c in lift)
+                    pi0 = step if pi0 is None else vec_add(pi0, step)
+            moved = lam if pi0 is None else vec_add(lam, tau.apply_b(pi0))
+            point, word = reflect_into_chamber(moved, self.walls)
+            sign = 1 if pi0 is None else tau.translation_sign(pi0)
+            for k in word:
+                sign *= self.signs[k]
+            if any(s < 0 and 2 * sum(point[j] * c for j, c in coroot) == bound2
+                   for (coroot, _, bound2, _), s in zip(self.walls, self.signs)):
+                sign = 0
+            hit = self._reduced[lam] = point, sign
         return hit
 
     # -- the lattice points of the closed alcove ------------------------------
@@ -245,16 +249,13 @@ def alcove(tau: Twisting) -> Alcove:
 def orbit_normal_form(tau: Twisting, lam) -> OrbitReduction:
     """Canonical representative of the affine orbit of lam, with sign.
 
-    Walks lam into the closed alcove (free part first) and reads ZERO off
-    the walls through the alcove point; otherwise the point is the orbit's
-    label and the walk's sign its sign: some g has act(g, lam) equal to
-    the label and sign_character(g) equal to the sign."""
-    lam = tau.rd.check_weight(lam)
-    alc = alcove(tau)
-    point, sign = alc.walk(lam)
-    if alc.is_zero(point):
-        point, sign = None, 0
-    return OrbitReduction(point, sign)
+    One Alcove.reduce: lam is walked into the closed alcove (free part
+    first) and ZERO is read off the walls through the alcove point;
+    otherwise the point is the orbit's label and the walk's sign its sign:
+    some g has act(g, lam) equal to the label and sign_character(g) equal
+    to the sign."""
+    point, sign = alcove(tau).reduce(tau.rd.check_weight(lam))
+    return OrbitReduction(point if sign else None, sign)
 
 
 def enumerate_basis_orbits(tau: Twisting):
@@ -262,12 +263,13 @@ def enumerate_basis_orbits(tau: Twisting):
     surviving lattice points of the closed alcove, sorted lexicographically
     and built once per twisting."""
     alc = alcove(tau)
-    return tau.cached("basis", lambda: sorted(p for p in alc.points() if not alc.is_zero(p)))
+    return tau.cached("basis", lambda: sorted(p for p in alc.points() if alc.reduce(p)[1]))
 
 
 def alcove_translates(tau: Twisting, point):
     """The alcove points of point's orbit reached by the free translations
-    sum_k z_k lift_k with |z_k| <= 3 (just [point] when pi_1 = 0)."""
+    sum_k z_k lift_k with |z_k| <= 3 (just [point] when pi_1 = 0).  Walks
+    the walls only: Alcove.reduce would undo the free translation."""
     alc = alcove(tau)
     r = len(alc.lifts)
     out = []
@@ -278,17 +280,17 @@ def alcove_translates(tau: Twisting, point):
 
 
 def zero_criterion_discrepancies(tau: Twisting):
-    """Orbits where "stabilizer has a sign -1 element" (Alcove.is_zero) and
-    "stabilizer is nontrivial" (the root test at b^-1 of the alcove point)
-    disagree, keyed by their alcove points.  ZERO implies not free
-    (InvariantError otherwise), so these are surviving orbits that are not
-    free: none when the grading vanishes.  Reported, never silently
-    resolved."""
+    """Orbits where "stabilizer has a sign -1 element" (sign 0 from
+    Alcove.reduce) and "stabilizer is nontrivial" (the root test at b^-1
+    of the alcove point) disagree, keyed by their alcove points.  ZERO
+    implies not free (InvariantError otherwise), so these are surviving
+    orbits that are not free: none when the grading vanishes.  Reported,
+    never silently resolved."""
     alc = alcove(tau)
     out = []
     for point in alc.points():
         free = tau.rd.is_regular(tau.adj_apply(point), tau.det_b)
-        if alc.is_zero(point):
+        if not alc.reduce(point)[1]:
             if free:
                 raise InvariantError(f"the ZERO orbit of {point} has a trivial stabilizer")
         elif not free:

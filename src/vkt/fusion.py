@@ -9,13 +9,14 @@ the F_eps lifts in Z/Phi_m(2^k) and kept as a table on a doubled mixed
 radix, so a call is one code for g and one list index per coset.
 
 Two independent routes to the structure constants live here: the
-reflection route (the Kac-Walton rule: one affine alcove walk per weight
-of the smaller factor, with no separate tensor decomposition, and one such
-product per orbit of pairs under the simple currents, which the route
-finds and confirms from its own products) and the character route (exact
-evaluation at the Verlinde classes, inverted by Verlinde orthogonality
-with the weight |Delta(x)|^2 after a check of the Gram identity).  Tests require them to agree; neither is ever silently
-replaced by the other.
+reflection route (the Kac-Walton rule: one memoized alcove reduction per
+weight of the smaller factor, with no separate tensor decomposition, and
+one such product per orbit of pairs under the simple currents, which the
+route finds and confirms from its own products) and the character route
+(exact evaluation at the Verlinde classes, inverted by Verlinde
+orthogonality with the weight |Delta(x)|^2 after a check of the Gram
+identity).  Tests require them to agree; neither is ever silently replaced
+by the other.
 
 The character route's sums are exact residues mod N = Phi_m(2^k): units
 mod m permute the classes (checked), so each sum is a rational integer;
@@ -49,6 +50,7 @@ from .rootdata import (
     MAX_PAIRING_WORK,
     RootDatum,
     _weight_system,
+    closure,
     dot,
     highest_weight,
     vec_add,
@@ -281,11 +283,13 @@ def fusion_product(ring: FusionRing, a, b) -> KClass:
     the smaller size key (FusionRing.size_keys, dim V_mu up to a constant),
     N_ab^c counts the weights nu of V_mu, with multiplicity and sign, by the
     affine orbit of lam + nu + rho_tilde; the weight system of V_lam is
-    never built.  Each such weight takes one alcove walk; a walk that ends
-    on a sign -1 wall drops out, and any other ends on the basis point that
-    labels its orbit.  The affine group contains W, and rho_tilde - rho is
-    W-invariant, so this is the Brauer-Klimyk decomposition followed by the
-    shifted reduction, in one walk per weight.  Cached per unordered pair."""
+    never built.  Each such weight takes one Alcove.reduce, memoized per
+    weight, so a weight that another product already reduced costs one
+    look-up; a ZERO orbit (sign 0) drops out, and any other ends on the
+    basis point that labels its orbit.  The affine group contains W, and
+    rho_tilde - rho is W-invariant, so this is the Brauer-Klimyk
+    decomposition followed by the shifted reduction, in one reduction per
+    weight.  Cached per unordered pair."""
     if not ring.tau.is_primitive():
         raise NotPrimitive("the twisting is not primitive in the implemented "
                            "normal form; only the module structure is defined")
@@ -303,13 +307,14 @@ def fusion_product(ring: FusionRing, a, b) -> KClass:
 
 def _kac_walton(ring: FusionRing, base, system):
     """{alcove point: sum of sign * mult} over the weights nu of the weight
-    system {nu: mult} whose alcove walk from base + nu survives: one walk
-    per weight, and a walk that ends on a sign -1 wall drops out."""
+    system {nu: mult} whose reduction base + nu survives: one memoized
+    Alcove.reduce per weight, and a weight whose orbit is ZERO (sign 0)
+    drops out."""
     alc = alcove(ring.tau)
     out = {}
     for nu, mult in system.items():
-        point, sign = alc.walk(vec_add(base, nu))
-        if not alc.is_zero(point):
+        point, sign = alc.reduce(vec_add(base, nu))
+        if sign:
             out[point] = out.get(point, 0) + sign * mult
     return out
 
@@ -317,7 +322,7 @@ def _kac_walton(ring: FusionRing, base, system):
 def module_action(ring: FusionRing, combo, kc: KClass) -> KClass:
     """The representation-ring action on a KClass, by convolution with the
     full weight system of the virtual character {dominant weight: coeff}:
-    one Kac-Walton walk from each orbit point of kc."""
+    one Kac-Walton pass (_kac_walton) from each orbit point of kc."""
     out = {}
     for lam, c in sorted(combo.items()):
         if not c:
@@ -507,7 +512,11 @@ def _pairing_kernel(tau: Twisting, regular_only):
     time in Z/N through zeta_m -> t, N = Phi_m(t) > 2 |F|.
     (1) The lift set is Galois-stable (checked: k y is a lift for each unit
     k mod m), so each K is a Galois-fixed element of Z[zeta_m], a rational
-    integer; (2) |K| <= |F|; (3) so its balanced residue mod N is K.
+    integer.  Units that the units already tested generate are skipped: a
+    finite set that k1 and k2 map into itself k1 k2 maps into itself too,
+    and the least unit that moves the set is never such a product, so the
+    unit named in the error is the least one; (2) |K| <= |F|; (3) so its
+    balanced residue mod N is K.
     InvariantError when the lift set is not Galois-stable ("did not reduce
     to an integer"), m is not the exponent of G or a lift is not a
     character of G; GroupTooLarge (check_pairing_budget) before any
@@ -520,12 +529,13 @@ def _pairing_kernel(tau: Twisting, regular_only):
         m, lifts = tau.f_epsilon(regular_only)
         if m != (factors[-1] if factors else 1):
             raise InvariantError(f"F_eps has order {m}, not the exponent of its Smith group")
-        lift_set = set(lifts)
+        lift_set, reached = set(lifts), {1}
         for k in range(2, m):
-            if gcd(k, m) == 1 and any(tuple(k * c % m for c in y) not in lift_set
-                                      for y in lifts):
-                raise InvariantError(f"averaged pairing did not reduce to an integer: the "
-                                 f"F_eps lifts are not stable under y -> {k} y mod {m}")
+            if gcd(k, m) == 1 and k not in reached:
+                if any(tuple(k * c % m for c in y) not in lift_set for y in lifts):
+                    raise InvariantError(f"averaged pairing did not reduce to an integer: the "
+                                         f"F_eps lifts are not stable under y -> {k} y mod {m}")
+                reached = closure(reached, lambda r: [r * k % m])
         histogram = [0] * coords.size
         for y in lifts:
             index = 0
@@ -607,7 +617,11 @@ def torus_pushforward(tau: Twisting, lam) -> KClass:
 def _check_galois_stable(tau: Twisting, m, ys):
     """Every unit k mod m maps each class x = y/m to a regular point k x of
     F_eps, so x -> k x permutes the classes (k is invertible and commutes
-    with W).  Tested on the lifts at the order of the regular set."""
+    with W).  Tested on the lifts at the order of the regular set, for
+    every unit: the classes are mapped into the regular set, not into
+    themselves, so cutting the test to generating units would rely on the
+    regular set being stable under the units, which is what a fault there
+    breaks."""
     top, regular = tau.f_epsilon(regular_only=True)
     regular, scale = set(regular), top // m
     for k in range(1, m + 1):

@@ -184,10 +184,10 @@ def test_orbit_check_catches_a_flipped_wall_sign(name, levels, torus, eps):
     walls = alcove(ring.tau)
     for k in range(len(walls.signs)):
         walls.signs[k] = -walls.signs[k]
-        walls._zero.clear()
+        walls._reduced.clear()
         assert not check_orbit_constancy(ring)["passed"], (name, k)
         walls.signs[k] = -walls.signs[k]
-        walls._zero.clear()
+        walls._reduced.clear()
 
 
 def test_zero_iff_not_free_when_ungraded():
@@ -206,7 +206,7 @@ def test_a_free_zero_orbit_is_refused(monkeypatch):
     # ZERO needs a sign -1 stabilizer element, so a free orbit read as ZERO
     # is a defect, not a discrepancy
     rd, tau = su3(5)
-    monkeypatch.setattr(Alcove, "is_zero", lambda self, point: True)
+    monkeypatch.setattr(Alcove, "reduce", lambda self, lam: (lam, 0))
     with pytest.raises(InvariantError, match="trivial stabilizer"):
         zero_criterion_discrepancies(tau)
 

@@ -1,9 +1,10 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -31,7 +32,7 @@ from vkt.fusion import (
     verlinde_classes,
     verlinde_ideal_member,
 )
-from vkt.rootdata import root_datum_from_spec, simple_reflections_mod
+from vkt.rootdata import closure, root_datum_from_spec, simple_reflections_mod
 from vkt.twist import twisting_from_level
 
 from test_kernel import fraction_character, fraction_verlinde_classes
@@ -254,6 +255,58 @@ def test_pairing_integrality_guard(monkeypatch):
     with pytest.raises(InvariantError, match="did not reduce to an integer"):
         delta_eval(tau, {(0, 0): 1}, (0, 0))
     assert vkt.fusion._pairing_kernel(tau, True) is regular
+
+
+def test_pairing_galois_test_skips_only_generated_units(monkeypatch):
+    # the kernel tests only the units that the units it already tested do
+    # not generate; on point sets mod m it must pass exactly the sets that
+    # every unit maps into themselves, and name the least unit that does not
+    class Passed(Exception):
+        pass
+
+    class Coordinates:
+        def __init__(self, m):
+            self.factors = (m,)
+
+        @property
+        def size(self):                   # read first after the Galois test
+            raise Passed
+
+    class Lifts:
+        def __init__(self, m, lifts):
+            self.m, self.lifts = m, lifts
+
+        def cached(self, key, build):
+            return build()
+
+        def f_epsilon(self, regular_only=False):
+            return self.m, self.lifts
+
+    monkeypatch.setattr(vkt.fusion, "check_pairing_budget", lambda tau: None)
+    monkeypatch.setattr(vkt.fusion, "_pairing_coordinates", lambda tau: Coordinates(tau.m))
+    rng = random.Random(34)
+    outcomes = set()
+    for m in range(1, 121):
+        units = [k for k in range(1, max(m, 2)) if gcd(k, m) == 1]
+        for _ in range(6):
+            dim = rng.randint(1, 2)
+            seeds = [tuple(rng.randrange(m) for _ in range(dim)) for _ in range(rng.randint(1, 3))]
+            moves = rng.sample(units, rng.randint(0, min(3, len(units))))
+            points = closure(seeds, lambda y: [tuple(k * c % m for c in y) for k in moves])
+            if rng.random() < 0.3:
+                points ^= {tuple(rng.randrange(m) for _ in range(dim))}
+            lifts = sorted(points)
+            expected = next((k for k in units[1:] if any(
+                tuple(k * c % m for c in y) not in points for y in lifts)), None)
+            try:
+                vkt.fusion._pairing_kernel(Lifts(m, lifts), False)
+            except Passed:
+                found = None
+            except InvariantError as err:
+                found = int(re.search(r"y -> (\d+) y mod", str(err)).group(1))
+            assert found == expected, (m, lifts)
+            outcomes.add(expected is None)
+    assert outcomes == {True, False}
 
 
 GUARDS_UNDER_O = """

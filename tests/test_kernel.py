@@ -1597,14 +1597,46 @@ def wall_scan_is_zero(alc, point):
                for (coroot, _, bound2, _), s in zip(alc.walls, alc.signs))
 
 
-def test_is_zero_memo_matches_a_fresh_wall_scan():
+def test_reduction_memo_matches_a_fresh_reduction():
     rng = random.Random(12)
     for name, rd, tau in grid_twistings(GRID + WALK_EXTRA):
         alc = vkt.affineweyl.Alcove(tau)
         points = list(alc.points())
-        ends = [alc.walk(tuple(rng.randint(-30, 30) for _ in range(rd.rank)))[0]
-                for _ in range(60)]
-        for point in points + ends + points:    # the second pass reads the memo
-            assert alc.is_zero(point) == wall_scan_is_zero(alc, point), (name, point)
-        # the memo holds closed-alcove points only, one per point reached
-        assert set(alc._zero) == set(points), name
+        weights = [tuple(rng.randint(-30, 30) for _ in range(rd.rank)) for _ in range(60)]
+        for lam in points + weights + points:   # the second pass reads the memo
+            point, sign = alc.reduce(lam)
+            assert (point, sign) == vkt.affineweyl.Alcove(tau).reduce(lam), (name, lam)
+            assert (sign == 0) == wall_scan_is_zero(alc, point), (name, lam)
+        # an alcove point walks nowhere
+        assert all(alc.reduce(p)[0] == p for p in points), name
+        # the memo holds the weights reduced, one entry per weight
+        assert set(alc._reduced) == set(points + weights), name
+
+
+def test_structure_constants_walk_each_distinct_weight_once(monkeypatch):
+    # the products reduce the same weights again and again; the memo walks
+    # each distinct one once, so the walls are crossed for the new memo
+    # entries only
+    rd = root_datum_from_spec("SU(3)")
+    ring = FusionRing(rd, twisting_from_level(rd, (15,)))
+    alc = alcove(ring.tau)
+    before = set(alc._reduced)
+    walks, reductions = [], []
+    walk, reduce = vkt.affineweyl.reflect_into_chamber, vkt.affineweyl.Alcove.reduce
+
+    def counted_walk(lam, walls):
+        walks.append(lam)
+        return walk(lam, walls)
+
+    def counted_reduce(self, lam):
+        reductions.append(lam)
+        return reduce(self, lam)
+
+    monkeypatch.setattr(vkt.affineweyl, "reflect_into_chamber", counted_walk)
+    monkeypatch.setattr(vkt.affineweyl.Alcove, "reduce", counted_reduce)
+    table = ring.structure_constants()
+    new = set(alc._reduced) - before
+    assert new == set(reductions) - before
+    assert len(walks) == len(new)
+    assert 20 * len(walks) < len(reductions)
+    assert table == structure_constants_via_characters(ring)

@@ -204,3 +204,16 @@ def test_one_coset_naming_path():
     source = inspect.getsource(vkt.fusion.CosetValues)
     for phrase in ("translation_sign", "apply_b"):
         assert phrase not in source, phrase
+
+
+def test_one_alcove_reduction_path():
+    # Alcove.reduce walks a weight into the alcove and reads ZERO off the
+    # walls through its end point, memoized per weight; no second walk, ZERO
+    # scan or memo sits beside it, and the orbit normal form and the
+    # Kac-Walton pass both read it
+    members = vars(vkt.affineweyl.Alcove)
+    assert "reduce" in members
+    assert "walk" not in members and "is_zero" not in members
+    assert _occurrences("== bound2") == [("affineweyl", "reduce")]
+    for function in (vkt.affineweyl.orbit_normal_form, vkt.fusion._kac_walton):
+        assert ".reduce(" in inspect.getsource(function), function.__name__
