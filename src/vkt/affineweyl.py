@@ -189,12 +189,15 @@ class Alcove:
     # -- the lattice points of the closed alcove ------------------------------
 
     def points(self):
-        """Every lattice point of the closed alcove with free coordinates in
-        [0, 1)^r: one point per orbit, in a deterministic order.  A point is
-        S a + sum_k z_k v_k for alcove pairings a and integers z; its free
-        coordinates are (h0 + H z) / det b with h0 = f-rows . S a and H the
-        f-rows on the v_k, so z ranges over H^-1 (box - h0), bounded at the
-        box's corners."""
+        """Every lattice point of the closed alcove strictly inside the
+        simple walls with free coordinates in [0, 1)^r, in a deterministic
+        order: one point per orbit whose alcove point lies on no simple
+        wall.  The simple walls carry sign -1, so the orbits left out are
+        ZERO, and not free.
+        A point is S a + sum_k z_k v_k for alcove pairings a and integers z;
+        its free coordinates are (h0 + H z) / det b with h0 = f-rows . S a
+        and H the f-rows on the v_k, so z ranges over H^-1 (box - h0),
+        bounded at the box's corners."""
         d, rank, r = self.tau.det_b, self.rd.rank, len(self.invariant)
         h = [[dot(row, v) for v in self.invariant] for row in self.free_rows]
         hinv = inverse_rational(IntMatrix.from_rows(h)) if r else []
@@ -216,16 +219,19 @@ class Alcove:
                     yield point
 
     def _pairings(self):
-        """The simple-coroot pairings a of closed-alcove points: a_i >= 0 and
-        2 sum_i comark_i a_i <= 2 |l_theta| on each factor."""
+        """The simple-coroot pairings a of the closed-alcove points strictly
+        inside the simple walls: a_i >= 1 and 2 sum_i comark_i a_i <=
+        2 |l_theta| on each factor, that is a = 1 + a' with a' >= 0 and
+        2 sum_i comark_i a'_i <= 2 |l_theta| - 2 sum_i comark_i.  A point
+        with some a_i = 0 lies on a simple wall of sign -1: it is ZERO."""
         vectors = [[0] * len(self.rd.simple_roots)]
         for idx, comarks, bound in self.factors:
             grown = []
             for a in vectors:
-                for part in _bounded_vectors([2 * c for c in comarks], bound):
+                for part in _bounded_vectors([2 * c for c in comarks], bound - 2 * sum(comarks)):
                     b = list(a)
                     for i, ai in zip(idx, part):
-                        b[i] = ai
+                        b[i] = ai + 1
                     grown.append(b)
             vectors = grown
         return vectors
@@ -261,7 +267,9 @@ def orbit_normal_form(tau: Twisting, lam) -> OrbitReduction:
 def enumerate_basis_orbits(tau: Twisting):
     """Canonical representatives of the contributing (non-ZERO) orbits: the
     surviving lattice points of the closed alcove, sorted lexicographically
-    and built once per twisting."""
+    and built once per twisting.  Alcove.points leaves out the points on
+    the simple walls, which are ZERO; reduce drops those on an affine wall
+    of sign -1."""
     alc = alcove(tau)
     return tau.cached("basis", lambda: sorted(p for p in alc.points() if alc.reduce(p)[1]))
 
@@ -285,7 +293,9 @@ def zero_criterion_discrepancies(tau: Twisting):
     of the alcove point) disagree, keyed by their alcove points.  ZERO
     implies not free (InvariantError otherwise), so these are surviving
     orbits that are not free: none when the grading vanishes.  Reported,
-    never silently resolved."""
+    never silently resolved.  The points on the simple walls
+    (Alcove.points leaves them out) are ZERO and not free, so they hold
+    no discrepancy and no ZERO orbit with a trivial stabilizer."""
     alc = alcove(tau)
     out = []
     for point in alc.points():

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from operator import mul
 
 from .affineweyl import (
     box_reduce,
@@ -36,7 +35,7 @@ from .fusion import (
     structure_constants_via_characters,
     verlinde_ideal_member,
 )
-from .rootdata import dot, simple_reflections_mod, vec_add
+from .rootdata import dot, signed_orbit, simple_reflections_mod, vec_add
 
 
 def check_double_count(ring: FusionRing):
@@ -192,10 +191,14 @@ def check_delta_identity(ring: FusionRing):
 
     The equivariant data of the first four basis elements must give the
     class's value at random g in full, and the same or 0 over the
-    Weyl-regular part: the value side is orbit_normal_form, independent of
-    the codes.  Once per element, the same data keyed on the box points,
-    zeros left out, goes through delta_eval, which names that other set of
-    representatives afresh."""
+    Weyl-regular part.  Every simple wall carries sign -1, so a basis point
+    nu is strictly dominant and its W-orbit free: the class signs[i] [nu]
+    has the data f(w nu) = det(w) signs[i] on the |W| points of
+    rootdata.signed_orbit, and 0 off their cosets.  The data come from the
+    W tree and the value from the alcove walk (equivariant_function), so
+    the two sides are independent of each other and of the codes.  Once per
+    element, the same data keyed on their box points go through
+    delta_eval, which names that other set of weights afresh."""
     rd, tau = ring.rd, ring.tau
     order, coords = tau.order_F(), _pairing_coordinates(tau)
     reps = [tuple(r) for r in tau.cosets()]
@@ -217,35 +220,33 @@ def check_delta_identity(ring: FusionRing):
         i = next(i for i, (t, x) in enumerate(zip(table, expected)) if t != x)
         failures.append({"kernel_index": i, "kernel": table[i], "expected": expected[i]})
     rng = random.Random(7)
-    reduced = [box_reduce(tau, rep) for rep in reps]
-    rep_signs = [tau.translation_sign(pi) for _, pi in reduced]
-    # equivariant data: the full sum is the value; the Weyl-regular
-    # restriction agrees with it on a free orbit and is 0 on a surviving
-    # orbit that is not free (nonzero grading only), which lies off the
-    # regular part.  f(rep) = (-1)^eps(pi) f(red) for rep = red - b(pi), and
-    # f(red) is read off the orbit of the box point red, found once for all
-    # basis elements: a walk from the box point is far shorter than from
-    # the raw coset representative.  The pairings read the naming and the
-    # kernel, so they run only when both hold: a repeat the naming should
-    # not have would make `delta` refuse the data as inconsistent
-    orbits = [orbit_normal_form(tau, red) for red, _ in reduced]
+    # the full sum is the value; the Weyl-regular restriction agrees with it
+    # on a free orbit and is 0 on a surviving orbit that is not free
+    # (nonzero grading only), which lies off the regular part.  The
+    # pairings read the naming and the kernel, so they run only when both
+    # hold.  A ZERO orbit read as a basis element gives two points of one
+    # coset values that are not equivariant, which `delta` refuses
     for i in range(0 if failures else min(len(ring.basis), 4)):
-        kc = ring.class_from_index(i)
-        fn = equivariant_function(tau, kc)
-        at_box = [0 if orbit.is_zero else orbit.sign * kc.support.get(orbit.representative, 0)
-                  for orbit in orbits]
-        f = list(map(mul, rep_signs, at_box))
-        sparse = {red: v for (red, _), v in zip(reduced, at_box) if v}
-        free = rd.is_regular(tau.adj_apply(ring.basis[i]), tau.det_b)
+        nu = ring.basis[i]
+        orbit = signed_orbit(rd, nu)
+        named = CosetValues(tau, list(orbit))
+        f = [det * ring.signs[i] for det in orbit.values()]
+        fn = equivariant_function(tau, ring.class_from_index(i))
+        free = rd.is_regular(tau.adj_apply(nu), tau.det_b)
         for t in range(8):
             g = tuple(rng.randint(-10, 10) for _ in range(rd.rank))
-            full = cosets.delta(f, g)
-            reg = cosets.delta(f, g, regular_only=True)
+            try:
+                full, reg = named.delta(f, g), named.delta(f, g, regular_only=True)
+            except ValueError as exc:
+                failures.append({"basis": i, "error": str(exc)})
+                break
             if full != fn(g) or reg != (full if free else 0):
                 failures.append({"basis": i, "g": list(g), "full": str(full),
                                  "regular": str(reg), "value": fn(g)})
             if t == 0:
-                box = delta_eval(tau, sparse, g)
+                reduced = (box_reduce(tau, lam) for lam in orbit)
+                box = delta_eval(tau, {red: v * tau.translation_sign(pi)
+                                       for (red, pi), v in zip(reduced, f)}, g)
                 if box != full:
                     failures.append({"basis": i, "g": list(g), "full": str(full),
                                      "box_points": str(box)})

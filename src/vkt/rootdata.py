@@ -775,37 +775,46 @@ def _free_orbit_template(rd: RootDatum):
     return rd._orbit_template
 
 
+def signed_orbit(rd: RootDatum, v):
+    """The W-orbit of a strictly dominant weight v as {w(v): det w}.
+
+    Its stabilizer is trivial, so the orbit is free: the per-datum tree of
+    _free_orbit_template carries v over it with one reflection per point,
+    |W| in all, and the tree's point w(2 rho) gives w(v) its sign det w.
+    GroupTooLarge from the tree when |W| exceeds MAX_GROUP_ORDER;
+    InvariantError if a point comes with both signs (v lies on a wall) or
+    there are not |W| of them."""
+    moves, signs, _ = _free_orbit_template(rd)
+    points = [tuple(v)]
+    for parent, _, coroot, root in moves:
+        u = points[parent]
+        p = 0
+        for j, c in coroot:
+            p += u[j] * c
+        points.append(tuple(x - p * r for x, r in zip(u, root)))
+    out = {}
+    for u, sign in zip(points, signs):
+        if out.setdefault(u, sign) != sign:
+            raise InvariantError(f"the W-orbit of {points[0]} holds {u} with both signs")
+    if len(out) != len(signs):
+        raise InvariantError(f"the W-orbit of {points[0]} has {len(out)} points, "
+                             f"expected |W| = {len(signs)}")
+    return out
+
+
 def weyl_numerator(rd: RootDatum, lam):
     """The Weyl numerator of V_lam over e^rho, as {w(lam + rho) - rho: det w}.
 
     By the Weyl character formula chi_lam = A_(lam+rho) / A_rho with
     A_mu = sum_w det(w) e^(w mu), and A_(lam+rho) = e^rho times the sum over
     this dict; each w(lam + rho) - rho is an integral weight even where rho
-    is not.  lam + rho is strictly dominant, so its orbit is free: the
-    per-datum tree of _free_orbit_template carries 2 lam + 2 rho over it
-    with one reflection per point, |W| in all.
+    is not.  lam + rho is strictly dominant, so the dict is the signed_orbit
+    of 2 lam + 2 rho, halved after rho is taken off.
     ValueError unless lam is a dominant weight (highest_weight), then
-    GroupTooLarge from the tree when |W| exceeds MAX_GROUP_ORDER;
-    InvariantError if a weight comes with both signs or there are not |W|
-    of them."""
+    GroupTooLarge and InvariantError from signed_orbit."""
     lam = highest_weight(rd, lam)
-    moves, signs, _ = _free_orbit_template(rd)
-    points = [tuple(2 * a + r for a, r in zip(lam, rd.rho2))]
-    for parent, _, coroot, root in moves:
-        v = points[parent]
-        p = 0
-        for j, c in coroot:
-            p += v[j] * c
-        points.append(tuple(x - p * r for x, r in zip(v, root)))
-    out = {}
-    for v, sign in zip(points, signs):
-        nu = tuple((x - r) // 2 for x, r in zip(v, rd.rho2))
-        if out.setdefault(nu, sign) != sign:
-            raise InvariantError(f"the Weyl numerator of {lam} holds {nu} with both signs")
-    if len(out) != len(signs):
-        raise InvariantError(f"the Weyl numerator of {lam} has {len(out)} terms, "
-                             f"expected |W| = {len(signs)}")
-    return out
+    orbit = signed_orbit(rd, tuple(2 * a + r for a, r in zip(lam, rd.rho2)))
+    return {tuple((x - r) // 2 for x, r in zip(v, rd.rho2)): sign for v, sign in orbit.items()}
 
 
 def highest_weight(rd: RootDatum, lam):

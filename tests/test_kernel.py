@@ -1270,15 +1270,20 @@ def test_delta_identity_catches_a_wrong_equivariant_value(monkeypatch):
 
 
 def test_delta_identity_data_equal_the_function_at_each_coset_representative(monkeypatch):
-    # the check reads its equivariant data at the box points and carries the
-    # translation sign back: the data it pairs must be fn(rep) itself, and
-    # the data it hands delta_eval fn at the box points, zeros left out
+    # the check reads each basis element's data off the W-orbit of its basis
+    # point: the weights it pairs must be the |W| points of that orbit and
+    # its data fn at each of them, and the data it hands delta_eval fn at
+    # the box points, zeros left out
     passed, sparse = [], []
 
     class Spy(CosetValues):
+        def __init__(self, tau, weights):
+            super().__init__(tau, weights)
+            self.weights = list(weights)
+
         def delta(self, values, g, regular_only=False):
-            if not any(values is seen for seen in passed):
-                passed.append(values)
+            if not any(values is seen for _, seen in passed):
+                passed.append((self.weights, values))
             return super().delta(values, g, regular_only)
 
     def spy_eval(tau, f, g, regular_only=False):
@@ -1294,12 +1299,51 @@ def test_delta_identity_data_equal_the_function_at_each_coset_representative(mon
         sparse.clear()
         assert check_delta_identity(ring)["passed"], name
         reps = [tuple(rep) for rep in tau.cosets()]
+        elements = weyl_group_elements(rd)
         assert len(passed) == len(sparse) == min(len(ring.basis), 4), name
-        for i, (f, box) in enumerate(zip(passed, sparse)):
+        for i, ((weights, f), box) in enumerate(zip(passed, sparse)):
             fn = equivariant_function(tau, ring.class_from_index(i))
-            assert f == [fn(rep) for rep in reps], (name, i)
+            assert len(weights) == len(elements), (name, i)
+            assert set(weights) == {w.apply(ring.basis[i]) for w in elements}, (name, i)
+            assert f == [fn(lam) for lam in weights], (name, i)
             points = [box_reduce(tau, rep)[0] for rep in reps]
             assert box == {red: fn(red) for red in points if fn(red)}, (name, i)
+
+
+def test_delta_identity_walks_only_the_random_weights():
+    # the data come from the W tree, so the check's alcove walks are those
+    # of the value at its 8 random g per basis element: the reduction memo
+    # grows by at most 8 min(n, 4) entries, not by one per box point of the
+    # |F| = 432 cosets
+    rd = root_datum_from_spec("SU(3)")
+    ring = FusionRing(rd, twisting_from_level(rd, (12,)))
+    memo = alcove(ring.tau)._reduced
+    before = len(memo)
+    assert check_delta_identity(ring)["passed"]
+    assert len(ring.basis) >= 4 and ring.tau.order_F() == 432
+    assert len(memo) - before <= 8 * 4
+
+
+def test_delta_identity_records_a_zero_orbit_read_as_a_basis_element(monkeypatch):
+    # with the affine wall's sign flipped, the point (2,) on it survives in
+    # SU(2) 2's basis although its orbit is ZERO: two points of its W-orbit
+    # share a coset with values that are not equivariant, and the check
+    # records the refusal as its failure instead of letting the ValueError
+    # out of verify
+    real = vkt.affineweyl.Alcove.__init__
+
+    def flipped(alc, tau):
+        real(alc, tau)
+        alc.signs[-1] = -alc.signs[-1]
+
+    monkeypatch.setattr(vkt.affineweyl.Alcove, "__init__", flipped)
+    rd = root_datum_from_spec("SU(2)")
+    ring = FusionRing(rd, twisting_from_level(rd, (2,)))
+    assert ring.basis == ((1,), (2,))
+    result = check_delta_identity(ring)
+    assert not result["passed"]
+    assert result["detail"]["failures"] == [
+        {"basis": 1, "error": "inconsistent equivariant values on the coset of (-2,)"}]
 
 
 def test_coset_values_match_the_fraction_oracle_with_repeated_cosets():
@@ -1529,10 +1573,12 @@ def test_galois_guard_rejects_a_non_regular_class(monkeypatch):
 
 
 def test_coset_values_name_each_coset_once_per_check(monkeypatch):
-    # the check names the |F| coset representatives once and never
-    # box-reduces in fusion; besides, delta_eval names the nonzero box-point
-    # data of each of the first four basis elements once.  The check
-    # box-reduces each coset representative once, and nothing else
+    # the check names the |F| coset representatives once, for its exact
+    # half, then the |W| points of each of the first four basis elements'
+    # W-orbits once each, and never box-reduces in fusion; besides,
+    # delta_eval names the box-point data of each element once.  The check
+    # box-reduces each of those orbit points once, and nothing else, so no
+    # coset representative
     assert "box_reduce" not in vars(vkt.fusion)
     calls, named = [], []
     real = vkt.checks.box_reduce
@@ -1551,8 +1597,12 @@ def test_coset_values_name_each_coset_once_per_check(monkeypatch):
     rd = root_datum_from_spec("SU(3)")
     ring = FusionRing(rd, twisting_from_level(rd, (5,)))
     assert check_delta_identity(ring)["passed"]
-    assert calls == [tuple(rep) for rep in ring.tau.cosets()]
-    assert named == [ring.tau.order_F()]
+    size = len(weyl_group_elements(rd))
+    orbits = [{w.apply(nu) for w in weyl_group_elements(rd)} for nu in ring.basis[:4]]
+    assert len(orbits) == 4 and len(calls) == 4 * size
+    for k, orbit in enumerate(orbits):
+        assert set(calls[k * size:(k + 1) * size]) == orbit, k
+    assert named == [ring.tau.order_F()] + [size] * 4
 
 
 def test_inconsistent_values_are_refused_on_every_call():

@@ -9,12 +9,20 @@ import pytest
 
 import vkt.rootdata
 from vkt.fusion import FusionRing, class_from_weight, dominant_weights_up_to
-from vkt.errors import GroupTooLarge, InvalidCartanData, NotTorsionFreePi1, SpecParseError
+from vkt.errors import (
+    GroupTooLarge,
+    InvalidCartanData,
+    InvariantError,
+    NotTorsionFreePi1,
+    SpecParseError,
+)
 from vkt.rootdata import (
     RootDatum,
     dominant_representative,
     dominant_walk,
+    dot,
     root_datum_from_spec,
+    signed_orbit,
     tensor_decompose,
     weight_multiplicities,
     weyl_dimension,
@@ -480,6 +488,24 @@ def test_weyl_numerator_is_the_alternating_sum_over_w():
             got = weyl_numerator(rd, lam)
             assert got == want and len(got) == weyl_order(rd), (rd.spec_text, lam)
             assert got[lam] == 1
+
+
+def test_signed_orbit_is_the_orbit_over_w_with_determinants():
+    # {w(v): det w} from the enumerated group for strictly dominant v; a
+    # dominant v on a wall is fixed by a reflection, so its orbit meets
+    # each point with both signs
+    for rd in _numerator_data():
+        elements = weyl_group_elements(rd)
+        walled = 0
+        for lam in dominant_weights_up_to(rd, 3):
+            v = tuple(a + r for a, r in zip(lam, rd.rho2))
+            assert signed_orbit(rd, v) == {w.apply(v): w.determinant for w in elements}, \
+                (rd.spec_text, v)
+            if any(dot(lam, cv) == 0 for cv in rd.simple_coroots):
+                walled += 1
+                with pytest.raises(InvariantError, match="both signs"):
+                    signed_orbit(rd, lam)
+        assert walled or not rd.simple_coroots, rd.spec_text
 
 
 def test_weyl_numerator_is_the_character_times_the_denominator():

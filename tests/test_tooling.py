@@ -8,6 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import vkt
+import vkt.checks
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "vkt"
@@ -217,3 +218,20 @@ def test_one_alcove_reduction_path():
     assert _occurrences("== bound2") == [("affineweyl", "reduce")]
     for function in (vkt.affineweyl.orbit_normal_form, vkt.fusion._kac_walton):
         assert ".reduce(" in inspect.getsource(function), function.__name__
+
+
+def test_one_signed_orbit_walk():
+    # rootdata carries a weight over the orbit tree's moves in one place,
+    # signed_orbit, which serves the Weyl numerator and the delta check; the
+    # check's data come from that W tree, not from alcove walks of the
+    # coset representatives, which it names once, for its exact half
+    tree = ast.parse((SRC / "rootdata.py").read_text())
+    walkers = [function.name for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+               for node in ast.walk(function)
+               if isinstance(node, ast.For) and isinstance(node.iter, ast.Name)
+               and node.iter.id == "moves"]
+    assert walkers == ["signed_orbit"]
+    assert "signed_orbit(" in inspect.getsource(vkt.rootdata.weyl_numerator)
+    source = inspect.getsource(vkt.checks.check_delta_identity)
+    assert "signed_orbit(" in source and "orbit_normal_form" not in source
+    assert source.split('"""', 2)[2].count("cosets()") == 1
