@@ -47,13 +47,13 @@ def check_double_count(ring: FusionRing):
 
 def check_f_epsilon(ring: FusionRing):
     """Every point x = y / m solves b(x) = lambda_eps mod the weight lattice,
-    that is 2 b(y) = m eps mod 2m, there are |det b| of them, and each
+    that is 2 b(y) = m eps mod 2m, there are |det b| distinct ones, and each
     simple reflection maps the set of lifts to itself mod m; `bad` lists
     the points failing either test."""
     rd, tau = ring.rd, ring.tau
     m, lifts = tau.f_epsilon()
-    ok = len(lifts) == tau.order_F()
     lift_set = set(lifts)
+    ok = len(lift_set) == tau.order_F()
     bad = []
     for y in lifts:
         if any((2 * a - m * e) % (2 * m) for a, e in zip(tau.apply_b(y), tau.eps)) or \
@@ -61,7 +61,7 @@ def check_f_epsilon(ring: FusionRing):
             ok = False
             bad.append([str(Fraction(c, m)) for c in y])
     return {"name": "f_epsilon_solutions", "passed": ok,
-            "detail": {"count": len(lifts), "expected": tau.order_F(), "bad": bad}}
+            "detail": {"count": len(lift_set), "expected": tau.order_F(), "bad": bad}}
 
 
 def check_cyclic_generator(ring: FusionRing):
@@ -165,15 +165,17 @@ def check_delta_identity(ring: FusionRing):
     """The averaged pairing turns data back into the function:
     delta(f)(g) = f(g) for all integer data f at the representatives of
     tau.cosets(), extended by translation equivariance, and every weight g.
-    It is tested exactly, through one CosetValues over the representatives
-    and the codes of fusion._PairingCoordinates, as two facts:
+    It is tested exactly, through the coset keys of the representatives and
+    the codes of fusion._PairingCoordinates, as two facts:
 
     (1) the kernel table _pairing_kernel(tau, False) holds, in each of its
         2^s doubled copies, +|F| at code 0, -|F| at the odd class
         o = code(b(pi)) for eps(pi) odd (graded twistings only) and 0
         everywhere else;
-    (2) the naming: the |F| representatives record no repeat, and
-        code(b(e_k)) is 0 or o as eps_k is even or odd.
+    (2) the naming: the |F| representatives r have |F| distinct coset
+        keys adj(b) r mod |det b| (two weights share a key exactly when
+        their difference is b of an integer coweight), and code(b(e_k)) is
+        0 or o as eps_k is even or odd.
 
     Why (1) and (2) give the identity.  code is a homomorphism from the
     weights onto A, the product of the Z/e_i (digits u_i . mu mod e_i, for
@@ -181,7 +183,7 @@ def check_delta_identity(ring: FusionRing):
     sum of |F| roots of unity, so each is -1 and K(2o) = +|F|: o != 0 and
     2o = 0.  So by (2) code maps b(coweights) onto H = {0, o} ({0} when
     eps = 0) and induces a map of coker(b) onto A/H; both have |F|
-    elements, so it is a bijection.  With no repeat the representatives
+    elements, so it is a bijection.  With distinct keys the representatives
     r_k lie one in each coset of b(coweights), so their codes lie in
     distinct classes mod H.  Let g = r_i + b(pi).  The pairing is
     (1/|F|) sum_k f(r_k) K(code(g) - code(r_k)), and code(g) - code(r_k)
@@ -201,11 +203,11 @@ def check_delta_identity(ring: FusionRing):
     delta_eval, which names that other set of weights afresh."""
     rd, tau = ring.rd, ring.tau
     order, coords = tau.order_F(), _pairing_coordinates(tau)
-    reps = [tuple(r) for r in tau.cosets()]
-    cosets = CosetValues(tau, reps)
+    reps = tau.cosets()
+    keys = {tuple(x % order for x in tau.adj_apply(r)) for r in reps}
     failures = []
-    if len(reps) != order or cosets.repeats:
-        failures.append({"cosets": len(reps), "repeats": len(cosets.repeats), "expected": order})
+    if len(reps) != order or len(keys) != len(reps):
+        failures.append({"cosets": len(reps), "repeats": len(reps) - len(keys), "expected": order})
     translations = [coords.code(tau.b.column(k)) for k in range(rd.rank)]
     odd = next((c for c, e in zip(translations, tau.eps) if e), None)
     if translations != [odd if e else 0 for e in tau.eps]:

@@ -420,7 +420,7 @@ class _PairingCoordinates:
 
 
 def _pairing_coordinates(tau: Twisting) -> _PairingCoordinates:
-    return tau.cached("smith", lambda: _PairingCoordinates(tau))
+    return tau.cached("pairing", lambda: _PairingCoordinates(tau))
 
 
 def check_pairing_budget(tau: Twisting):

@@ -12,14 +12,17 @@ simple coroots, so these alone decide equivariance (Twisting._validate)
 and the level of each simple factor (Twisting._detect_levels), with no
 Weyl matrix and no scan of b's blocks.
 One Smith normal form U b V = D gives F's invariant factors and
-generators, its cosets, the adjugate adj(b) = V diag(det b / d_i) U and,
-when eps = 0, the Smith coordinates of the averaged pairing; a graded
+generators, the adjugate adj(b) = V diag(det b / d_i) U and, when
+eps = 0, the Smith coordinates of the averaged pairing; a graded
 twisting's pairing takes a second one, of b on the even coweights
-(fusion._PairingCoordinates).  F_eps is built in integers
-only: each point x is held as its lift y = m x at one common order m.  Its
-regular points come from the root test RootDatum.is_regular and their
-W-orbits from closure under the simple reflections mod m, with no loop
-over W.
+(fusion._PairingCoordinates).  F_eps is built in integers only: each
+point x is held as its lift y = m x at one common order m, and the lifts
+are enumerated over F's Smith box 0 <= k_i < d_i from rank + 1 adjugate
+products, with none per point.  The coset representatives are the sums
+over the same box, built only for the delta check that names them.  The
+regular points of F_eps come from the root test RootDatum.is_regular and
+their W-orbits from closure under the simple reflections mod m, with no
+loop over W.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from math import gcd
 from operator import mul
 
 from .errors import Degenerate, GroupTooLarge, InvariantError, NotEquivariant
-from .rootdata import MAX_GROUP_ORDER, RootDatum, coweight_orbit_mod, dot, weyl_order
+from .rootdata import MAX_GROUP_ORDER, RootDatum, coweight_orbit_mod, dot, vec_scale, weyl_order
 from .zlattice import (
     FiniteAbelianGroup,
     IntMatrix,
@@ -133,14 +136,21 @@ class Twisting:
             self._cache[key] = build()
         return self._cache[key]
 
-    def cosets(self):
-        """Representatives of the cosets of coker(b), built once per
-        twisting (shared: do not mutate).  Raises GroupTooLarge, before
-        enumerating anything, when |F| exceeds MAX_GROUP_ORDER."""
+    def _box_factors(self):
+        """F's invariant factors d_i, the sides of the Smith box 0 <= k_i < d_i
+        that cosets() and F_eps enumerate.  Raises GroupTooLarge, before
+        anything is enumerated, when |F| exceeds MAX_GROUP_ORDER."""
         if self.order_F() > MAX_GROUP_ORDER:
             raise GroupTooLarge(f"|F| = {self.order_F()} exceeds {MAX_GROUP_ORDER} cosets")
+        return self.smith[0]
+
+    def cosets(self):
+        """Representatives of the cosets of coker(b), the sums of k_i g_i over
+        F's Smith box (_box_factors) for the Smith generators g_i, built once
+        per twisting (shared: do not mutate).  The delta check is their only
+        reader: F_eps enumerates its own box."""
         return self.cached("cosets", lambda: coset_representatives(
-            self.smith[0], self.smith[2], self.rd.rank))
+            self._box_factors(), self.smith[2], self.rd.rank))
 
     def f_epsilon(self, regular_only=False):
         """(m, lifts): the integer lifts y = m x of the points x of F_eps,
@@ -158,22 +168,29 @@ class Twisting:
 
     def _build_f_epsilon(self):
         """F_eps is {b^-1(eps/2 + lam) mod 1} over the cosets lam of
-        coker(b); at order 2|det b| its lift is sgn(det b) adj(b)(eps + 2 lam).
-        Dividing by the gcd of every coordinate with 2|det b| leaves the
-        least common order m.  Raises InvariantError unless the enumeration
-        finds exactly |det b| points."""
-        top = 2 * self.order_F()
-        sign = 1 if self.det_b > 0 else -1
-        raw = set()
-        for lam in self.cosets():
-            v = self.adj_apply([e + 2 * x for e, x in zip(self.eps, lam)])
-            raw.add(tuple(sign * c % top for c in v))
-        if len(raw) != self.order_F():
-            raise InvariantError(f"found {len(raw)} points of F_eps, "
+        coker(b).  It is symmetric, -(eps/2 + lam) = eps/2 + (-eps - lam), so
+        the points adj(b)(eps + 2 lam) / (2 det b) over all lam are F_eps
+        whatever the sign of det b, with integer lifts adj(b)(eps + 2 lam) at
+        order 2|det b|.  Over F's Smith box, lam = sum k_i g_i with
+        0 <= k_i < d_i, such a lift is base + sum k_i s_i with
+        base = adj(b) eps and s_i = 2 adj(b) g_i: zlattice.coset_representatives
+        enumerates the lifts from these rank + 1 adjugate products, with none
+        per coset.  base is the lift at k = 0 and each s_i the difference of
+        two lifts (every d_i > 1), so g = gcd(2|det b|, base, s_i) is the gcd
+        of every coordinate of every lift with 2|det b|, m = 2|det b| / g is
+        the least common order, and the lifts at order m are
+        base / g + sum k_i s_i / g mod m.  Raises GroupTooLarge
+        (_box_factors) before any lift, and InvariantError unless the box
+        holds exactly |det b| points."""
+        factors, top = self._box_factors(), 2 * self.order_F()
+        vectors = [self.adj_apply(v) for v in (self.eps, *(vec_scale(2, g) for g in self.smith[2]))]
+        g = gcd(top, *(c for v in vectors for c in v))
+        base, *steps = [[c // g for c in v] for v in vectors]
+        m, sums = top // g, coset_representatives(factors, steps, self.rd.rank)
+        if len(sums) != self.order_F():
+            raise InvariantError(f"found {len(sums)} points of F_eps, "
                                  f"expected |det b| = {self.order_F()}")
-        g = gcd(top, *(c for y in raw for c in y))
-        lifts = sorted(tuple(c // g for c in y) for y in raw)
-        return top // g, lifts
+        return m, sorted(tuple((c + s) % m for c, s in zip(base, y)) for y in sums)
 
     def _weyl_orbits(self):
         """The regular part of F_eps and its W-orbits, with no loop over W:

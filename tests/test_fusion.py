@@ -389,6 +389,22 @@ def test_f_epsilon_check_flags_a_set_the_weyl_group_does_not_preserve(monkeypatc
     assert len(want) == 2 and result["detail"]["bad"] == want
 
 
+def test_f_epsilon_check_counts_distinct_lifts(monkeypatch):
+    # the origin dropped and (0, 3) held twice: |det b| lifts, each a
+    # solution, and a set every simple reflection preserves (the origin is
+    # fixed by all of them), but 74 distinct points, not 75
+    rd = root_datum_from_spec("SU(3)")
+    tau = twisting_from_level(rd, (5,))
+    ring = FusionRing(rd, tau)
+    m, lifts = tau.f_epsilon()
+    assert lifts[0] == (0, 0) and (0, 3) in lifts
+    doubled = sorted(lifts[1:] + [(0, 3)])
+    monkeypatch.setattr(tau, "f_epsilon", lambda regular_only=False: (m, doubled))
+    result = check_f_epsilon(ring)
+    assert not result["passed"]
+    assert result["detail"] == {"count": 74, "expected": 75, "bad": []}
+
+
 def test_f_epsilon_check_flags_points_off_the_grading(monkeypatch):
     # the ungraded F_0 is Weyl-stable, but no point of it solves
     # b(x) = lambda_eps for eps = 1

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import contextlib
@@ -679,6 +679,47 @@ def test_f_epsilon_matches_snf_oracle():
         assert tau.verlinde_lifts() == (order, [tuple(int(c * order) for c in x) for x in classes])
 
 
+def per_coset_f_epsilon(tau):
+    """(m, lifts) of F_eps with one adjugate product per coset: the lift
+    sgn(det b) adj(b)(eps + 2 lam) mod 2|det b| of each coset lam of
+    tau.cosets(), divided by the gcd of every coordinate with 2|det b|."""
+    top = 2 * tau.order_F()
+    sign = 1 if tau.det_b > 0 else -1
+    raw = {tuple(sign * c % top for c in tau.adj_apply([e + 2 * x for e, x in zip(tau.eps, lam)]))
+           for lam in tau.cosets()}
+    assert len(raw) == tau.order_F()
+    g = gcd(top, *(c for y in raw for c in y))
+    return top // g, sorted(tuple(c // g for c in y) for y in raw)
+
+
+# both signs of det b, graded and ungraded, ranks 1-4 and a datum given by
+# its roots; F4 at loop level 1 has |F| = 40 000
+F_EPSILON_BOX = [
+    ("SU(2)", (4,), None, (1,)),
+    ("SU(2) x U(1)", (3,), [[4]], (0, 1)),
+    ("SU(2) x U(1)", (3,), [[-4]], (0, 1)),
+    ("U(1)", (), [[6]], (1,)),
+    ("U(1)", (), [[-6]], (1,)),
+    ("U(1)^2", (), [[2, 1], [1, 2]], None),
+    ("U(1)^2", (), [[2, 1], [1, 2]], (1, 0)),
+    ("U(1)^2", (), [[2, -1], [-1, 2]], None),
+    ("U(1)^2", (), [[2, -1], [-1, 2]], (1, 0)),
+    ("SU(3)", (5,), None, None),
+    ("Spin(7)", (6,), None, None),
+    ("SU(4)", (8,), None, None),
+    ("F4", (10,), None, None),
+    ("U(2)", None, [[3, 1], [1, 3]], None),
+]
+
+
+def test_f_epsilon_from_the_smith_box_matches_the_per_coset_build():
+    signs = set()
+    for name, rd, tau in grid_twistings(F_EPSILON_BOX):
+        signs.add(tau.det_b > 0)
+        assert tau.f_epsilon() == per_coset_f_epsilon(tau), (name, tau.b, tau.eps)
+    assert signs == {True, False}
+
+
 def test_orbit_normal_form_matches_scan_oracle():
     rng = random.Random(9)
     for name, rd, tau in grid_twistings(GRID + WALK_EXTRA):
@@ -1144,25 +1185,44 @@ def test_delta_identity_pairs_only_the_equivariant_data(monkeypatch):
 
 
 def test_cosets_are_built_once_per_verify(monkeypatch):
-    # F_eps, both pairing kernels, the delta check and the grading flags share
-    # one coset list per twisting; patched wherever a vkt module binds it
-    calls = []
-    real = vkt.zlattice.coset_representatives
+    # the Smith box is enumerated once for the coset list, which only the
+    # delta check names, and once for F_eps, which both pairing kernels, the
+    # regular part and the classes read; table, classes and the character
+    # route never build the coset list.  Patched wherever a vkt module binds
+    # the enumerator; the twistings' cache keys are recorded
+    calls, keys = [], []
+    real, cached = vkt.zlattice.coset_representatives, Twisting.cached
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
+    def recording(tau, key, build):
+        keys.append(key)
+        return cached(tau, key, build)
+
     for module in vars(vkt).values():
         if getattr(module, "coset_representatives", None) is real:
             monkeypatch.setattr(module, "coset_representatives", counting)
-    for argv in (["verify", "--group", "SU(3)", "--twist", "5"],
-                 ["verify", "--group", "SU(2) x U(1)", "--twist", "3", "--torus", "[[4]]",
-                  "--epsilon", "0,1"]):
+    monkeypatch.setattr(Twisting, "cached", recording)
+    graded = ["--group", "SU(2) x U(1)", "--twist", "3", "--torus", "[[4]]", "--epsilon", "0,1"]
+    for argv, boxes in ((["verify", "--group", "SU(3)", "--twist", "5"], 2),
+                        (["verify"] + graded, 2),
+                        (["classes", "--group", "SU(3)", "--twist", "5"], 1),
+                        (["classes"] + graded, 1),
+                        (["table", "--group", "SU(3)", "--twist", "5"], 0)):
         calls.clear()
+        keys.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert vkt.cli.main(argv) == 0
-        assert len(calls) == 1, argv
+        assert len(calls) == boxes, argv
+        assert ("cosets" in keys) == (argv[0] == "verify"), argv
+    rd = root_datum_from_spec("SU(3)")
+    ring = FusionRing(rd, twisting_from_level(rd, (5,)))
+    calls.clear()
+    keys.clear()
+    structure_constants_via_characters(ring)
+    assert len(calls) == 1 and "f_epsilon" in keys and "cosets" not in keys
 
 
 def bench_twistings(routes=("table", "characters", "verify")):
@@ -1458,7 +1518,6 @@ def test_delta_identity_fails_on_two_representatives_of_one_coset(monkeypatch):
     # naming records the repeat, and one coset is left unnamed
     for name, ring in _graded_and_ungraded_rings():
         tau = ring.tau
-        tau.f_epsilon()                # F_eps is built from the true cosets
         reps = [tuple(rep) for rep in tau.cosets()]
         reps[1] = vec_add(reps[0], tau.apply_b((1,) + (0,) * (ring.rd.rank - 1)))
         monkeypatch.setattr(tau, "cosets", lambda reps=reps: reps)
@@ -1573,19 +1632,27 @@ def test_galois_guard_rejects_a_non_regular_class(monkeypatch):
 
 
 def test_coset_values_name_each_coset_once_per_check(monkeypatch):
-    # the check names the |F| coset representatives once, for its exact
-    # half, then the |W| points of each of the first four basis elements'
-    # W-orbits once each, and never box-reduces in fusion; besides,
-    # delta_eval names the box-point data of each element once.  The check
-    # box-reduces each of those orbit points once, and nothing else, so no
-    # coset representative
+    # the check's exact half computes the coset key of each of the |F| coset
+    # representatives once, with no CosetValues over them; it names the |W|
+    # points of each of the first four basis elements' W-orbits once each,
+    # and never box-reduces in fusion; besides, delta_eval names the
+    # box-point data of each element once.  The check box-reduces each of
+    # those orbit points once, and nothing else, so no coset representative
     assert "box_reduce" not in vars(vkt.fusion)
-    calls, named = [], []
+    calls, named, keyed = [], [], []
     real = vkt.checks.box_reduce
 
     def counting(tau, lam):
         calls.append(lam)
         return real(tau, lam)
+
+    def adjugate(vec, apply=Twisting.adj_apply):
+        caller = sys._getframe(1)
+        while caller.f_code.co_name.startswith("<"):       # a comprehension's frame
+            caller = caller.f_back
+        if caller.f_code.co_name == "check_delta_identity":
+            keyed.append(tuple(vec))
+        return apply(ring.tau, vec)
 
     class Spy(CosetValues):
         def __init__(self, tau, weights):
@@ -1596,13 +1663,18 @@ def test_coset_values_name_each_coset_once_per_check(monkeypatch):
     monkeypatch.setattr(vkt.checks, "CosetValues", Spy)
     rd = root_datum_from_spec("SU(3)")
     ring = FusionRing(rd, twisting_from_level(rd, (5,)))
+    monkeypatch.setattr(ring.tau, "adj_apply", adjugate)
     assert check_delta_identity(ring)["passed"]
     size = len(weyl_group_elements(rd))
     orbits = [{w.apply(nu) for w in weyl_group_elements(rd)} for nu in ring.basis[:4]]
     assert len(orbits) == 4 and len(calls) == 4 * size
     for k, orbit in enumerate(orbits):
         assert set(calls[k * size:(k + 1) * size]) == orbit, k
-    assert named == [ring.tau.order_F()] + [size] * 4
+    assert named == [size] * 4
+    # the |F| coset keys, then the regularity test of each basis point
+    reps = [tuple(r) for r in ring.tau.cosets()]
+    assert len(reps) == ring.tau.order_F() == 75
+    assert keyed == reps + [tuple(nu) for nu in ring.basis[:4]]
 
 
 def test_inconsistent_values_are_refused_on_every_call():

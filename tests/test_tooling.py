@@ -9,6 +9,7 @@ from pathlib import Path
 
 import vkt
 import vkt.checks
+import vkt.twist
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "vkt"
@@ -191,6 +192,36 @@ def test_one_integrality_validator_and_one_weyl_group_guard():
     # validator or guard would repeat its message
     assert _occurrences("non-integral") == [("zlattice", "integers")]
     assert _occurrences("Weyl group exceeds") == [("rootdata", "_free_orbit_template")]
+
+
+def test_one_f_order_guard():
+    # |F| is refused in one place, the sides of the Smith box that the coset
+    # list and F_eps both enumerate, as |W| is in the orbit tree
+    assert _occurrences("exceeds {MAX_GROUP_ORDER} cosets") == [("twist", "_box_factors")]
+
+
+def test_f_epsilon_takes_no_adjugate_product_per_coset(monkeypatch):
+    # F_eps is enumerated over the Smith box from the lift of eps and one
+    # step per Smith generator, so building it applies adj(b) at most
+    # rank + 1 times, where |F| is far larger
+    calls = []
+    real = vkt.twist.Twisting.adj_apply
+
+    def counting(tau, vec):
+        calls.append(tuple(vec))
+        return real(tau, vec)
+
+    monkeypatch.setattr(vkt.twist.Twisting, "adj_apply", counting)
+    for name, levels, torus, eps in [("SU(3)", (5,), None, None),
+                                     ("SU(2) x U(1)", (3,), [[4]], (0, 1)),
+                                     ("SU(2) x U(1)", (3,), [[-4]], (0, 1)),
+                                     ("Spin(7)", (6,), None, None)]:
+        rd = vkt.root_datum_from_spec(name)
+        tau = vkt.twisting_from_level(rd, levels, torus_block=torus, eps=eps)
+        calls.clear()
+        m, lifts = tau.f_epsilon()
+        assert len(lifts) == tau.order_F() > 5 * (rd.rank + 1), name
+        assert 0 < len(calls) <= rd.rank + 1, name
 
 
 def test_one_coset_naming_path():
